@@ -2,9 +2,9 @@
 
 Unlike the figure benches (whose time axis is the simulated testbed),
 this one measures *actual* Python wall time with pytest-benchmark: the
-lockstep implementation in :mod:`repro.core.batch_search` versus the
-query-at-a-time reference — the speedup a downstream user of this library
-actually experiences.
+traversal engine's ``mode="fast"`` (dense visited backend,
+:mod:`repro.core.traversal`) versus its hash-faithful ``mode="reference"``
+— the speedup a downstream user of this library actually experiences.
 """
 
 import pytest

@@ -9,21 +9,30 @@ Python wall time for both at the same search configuration, plus the
 fp16-storage variant, and asserts the engine's batched QPS is at least
 the legacy loop's at matched recall.
 
-Alongside the human-readable table in ``benchmarks/results/``, the run
+A second bench times reference mode's two dispatch arms — the
+sequential specification per query vs the array-parallel hash slab — at
+small batch sizes on the end-to-end benchmark's shape, which is the
+measurement ``_SCALAR_REFERENCE_ROWS`` in :mod:`repro.core.traversal` is
+set from.
+
+Alongside the human-readable tables in ``benchmarks/results/``, each run
 appends a machine-readable entry to ``BENCH_traversal.json`` at the
 repo root so engine-vs-legacy headroom is tracked across PRs (the
-traversal-side companion to ``BENCH_search.json``).
+traversal-side companion to ``BENCH_search.json``).  Every time in that
+file is Python wall time (``"clock": "wall"``), never modelled GPU time.
 """
 
 import json
 import os
 import time
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import emit
 
+import repro.core.traversal as traversal
 from repro import CagraIndex, GraphBuildConfig, SearchConfig
 from repro.bench import format_table
 from repro.core.metrics import recall
@@ -40,6 +49,27 @@ NUM_QUERIES = 64
 K = 10
 SEED = 47
 ITOPK = 64
+
+#: The dispatch-crossover bench runs at benchmarks/e2e's ``bench`` profile
+#: shape (rows x dim, degree, itopk, default algo), since that is the
+#: traffic the reference path sees there.
+CROSSOVER_ROWS = 3000
+CROSSOVER_DIM = 96
+CROSSOVER_DEGREE = 32
+CROSSOVER_ITOPK = 32
+CROSSOVER_BATCHES = (1, 2, 4, 8, 12, 16, 24, 32)
+CROSSOVER_REPEATS = 5
+
+
+def _append_entry(entry):
+    trajectory = {"schema": 1, "entries": []}
+    if os.path.exists(TRAJECTORY_PATH):
+        with open(TRAJECTORY_PATH, encoding="utf-8") as handle:
+            trajectory = json.load(handle)
+    trajectory["entries"].append(entry)
+    with open(TRAJECTORY_PATH, "w", encoding="utf-8") as handle:
+        json.dump(trajectory, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +152,7 @@ def test_engine_vs_legacy_qps(setup, benchmark):
     entry = {
         "recorded": date.today().isoformat(),
         "bench": "ext_traversal",
+        "clock": "wall",
         "config": {
             "rows": ROWS, "dim": DIM, "degree": DEGREE, "k": K,
             "num_queries": NUM_QUERIES, "seed": SEED, "itopk": ITOPK,
@@ -141,14 +172,7 @@ def test_engine_vs_legacy_qps(setup, benchmark):
             ),
         },
     }
-    trajectory = {"schema": 1, "entries": []}
-    if os.path.exists(TRAJECTORY_PATH):
-        with open(TRAJECTORY_PATH, encoding="utf-8") as handle:
-            trajectory = json.load(handle)
-    trajectory["entries"].append(entry)
-    with open(TRAJECTORY_PATH, "w", encoding="utf-8") as handle:
-        json.dump(trajectory, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _append_entry(entry)
 
     # Acceptance: reference mode reproduces the legacy loop's results
     # exactly, and the batched engine is at least as fast as the legacy
@@ -157,3 +181,85 @@ def test_engine_vs_legacy_qps(setup, benchmark):
     assert recalls["engine_fast"] >= recalls["legacy"] - 0.01
     assert abs(recalls["engine_fast"] - recalls["engine_fast_fp16"]) <= 0.01
     assert qps["engine_fast"] >= qps["legacy"]
+
+
+def test_reference_dispatch_crossover(benchmark):
+    """Scalar arm vs slab arm of reference mode at batch 1..32.
+
+    Both arms return bitwise-identical results, so the only question is
+    which is faster at which batch size; ``_SCALAR_REFERENCE_ROWS`` is the
+    smallest batch the slab should serve.
+    """
+    data = clustered_gaussian(CROSSOVER_ROWS, CROSSOVER_DIM, seed=SEED)
+    index = CagraIndex.build(
+        data, GraphBuildConfig(graph_degree=CROSSOVER_DEGREE, seed=SEED)
+    )
+    queries = make_queries(data, max(CROSSOVER_BATCHES), seed=SEED + 1)
+    config = SearchConfig(itopk=CROSSOVER_ITOPK, seed=SEED)
+
+    def best_ms(batch, forced_threshold):
+        with mock.patch.object(traversal, "_SCALAR_REFERENCE_ROWS", forced_threshold):
+            times = []
+            for _ in range(CROSSOVER_REPEATS):
+                t0 = time.perf_counter()
+                index.search(queries[:batch], K, config)
+                times.append(time.perf_counter() - t0)
+        return min(times) * 1e3
+
+    def run():
+        return {
+            batch: {
+                "scalar_ms": round(best_ms(batch, 10**9), 2),
+                "slab_ms": round(best_ms(batch, 0), 2),
+            }
+            for batch in CROSSOVER_BATCHES
+        }
+
+    cells = benchmark.pedantic(run, rounds=1, iterations=1)
+    slab_wins = [
+        batch for batch, c in cells.items() if c["slab_ms"] <= c["scalar_ms"]
+    ]
+    crossover = min(slab_wins) if slab_wins else None
+
+    emit(
+        "ext_traversal_crossover",
+        format_table(
+            ["batch", f"scalar arm (best of {CROSSOVER_REPEATS})",
+             f"slab arm (best of {CROSSOVER_REPEATS})", "faster"],
+            [
+                [batch, f"{c['scalar_ms']:.1f} ms", f"{c['slab_ms']:.1f} ms",
+                 "slab" if c["slab_ms"] <= c["scalar_ms"] else "scalar"]
+                for batch, c in cells.items()
+            ],
+            title=(
+                f"Extension: reference-mode dispatch arms, python wall time "
+                f"({CROSSOVER_ROWS}x{CROSSOVER_DIM}, degree {CROSSOVER_DEGREE}, "
+                f"itopk {CROSSOVER_ITOPK}; _SCALAR_REFERENCE_ROWS = "
+                f"{traversal._SCALAR_REFERENCE_ROWS}, measured crossover "
+                f"{crossover})"
+            ),
+        ),
+    )
+    _append_entry({
+        "recorded": date.today().isoformat(),
+        "bench": "ext_traversal_crossover",
+        "clock": "wall",
+        "config": {
+            "rows": CROSSOVER_ROWS, "dim": CROSSOVER_DIM,
+            "degree": CROSSOVER_DEGREE, "k": K, "seed": SEED,
+            "itopk": CROSSOVER_ITOPK, "repeats": CROSSOVER_REPEATS,
+            "statistic": "best",
+        },
+        "cells": {f"batch_{batch}": c for batch, c in cells.items()},
+        "costs": {
+            "measured_crossover_rows": crossover,
+            "scalar_reference_rows": traversal._SCALAR_REFERENCE_ROWS,
+        },
+    })
+
+    # Each arm must win on its own side of the dispatch — asserted at the
+    # ends of the measured range only (around the crossover the two are
+    # within run-to-run noise of each other).
+    smallest, largest = min(CROSSOVER_BATCHES), max(CROSSOVER_BATCHES)
+    assert cells[smallest]["scalar_ms"] < cells[smallest]["slab_ms"]
+    assert cells[largest]["slab_ms"] < cells[largest]["scalar_ms"]

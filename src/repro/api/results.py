@@ -70,9 +70,9 @@ class SearchRequest:
 class SearchResult:
     """Merged/normalized output of one batched ANN search.
 
-    Subsumes the old ``ShardedSearchResult``: the shard metadata fields
-    are empty/default for monolithic indexes and populated by sharded
-    searches, so callers never branch on result type.
+    The shard metadata fields are empty/default for monolithic indexes
+    and populated by sharded searches, so callers never branch on result
+    type.
 
     Attributes:
         indices: ``(batch, k)`` neighbor ids; ``INDEX_MASK`` marks

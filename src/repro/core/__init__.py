@@ -8,19 +8,19 @@ submodules here implement its pieces:
 * :mod:`repro.core.nn_descent` — NN-descent initial k-NN graph builder.
 * :mod:`repro.core.optimize` — CAGRA graph optimization (reordering,
   reverse-edge merge).
-* :mod:`repro.core.search` — the CAGRA search loop's executable
-  specification (single-/multi-CTA entry points, cost counters).
+* :mod:`repro.core.search` — the CAGRA search loop's sequential executable
+  specification and the cost counters.
 * :mod:`repro.core.traversal` — the array-parallel traversal engine
-  behind every search entry point (masked live-query stepping, fp16
-  storage, team_size-aware accounting).
+  behind every search entry point (one masked stepping loop over two
+  visited backends, fp16 storage, team_size-aware accounting).
+* :mod:`repro.core.rng_init` — vectorized per-query random streams,
+  bit-identical to ``default_rng([seed, query])``.
 * :mod:`repro.core.hashtable` — open-addressing visited-node hash tables.
 * :mod:`repro.core.topm` — top-M buffer merge primitives.
 * :mod:`repro.core.metrics` — recall, strong connected components,
   2-hop node counts.
 * :mod:`repro.core.sharding` — multi-GPU sharding (Sec. IV-C2 / V-E).
 * :mod:`repro.core.refine` — full-precision re-ranking of FP16 results.
-* :mod:`repro.core.batch_search` — deprecated forwarding shim for the
-  fast path, now :mod:`repro.core.traversal`.
 """
 
 from repro.core.config import (

@@ -221,7 +221,7 @@ class CagraIndex:
         return engine
 
     def _config_engine(self, config: SearchConfig | None):
-        return self.engine(getattr(config, "precision", None) or "fp32")
+        return self.engine(config.precision if config else "fp32")
 
     def search(
         self,

@@ -1,14 +1,14 @@
-"""Vectorized random-initialization blocks for the lockstep fast path.
+"""Vectorized per-query random streams for the traversal engine.
 
-The reference search seeds every query's candidate list from its own
-``np.random.default_rng([seed, query_index])`` stream so a query's result
-never depends on its position in the batch (the CUDA kernels likewise
-derive per-query Philox streams).  The fast path must draw the *same*
-streams — the bitwise regression fixture pins them — but constructing a
-``Generator`` per query made large-batch initialization a serial Python
-loop that dominated auto-tuner sweeps.
+The sequential specification seeds every query's candidate list from its
+own ``np.random.default_rng([seed, query_index])`` stream so a query's
+result never depends on its position in the batch (the CUDA kernels
+likewise derive per-query Philox streams).  The array-parallel engine must
+draw the *same* streams — the bitwise regression fixture pins them — but
+constructing a ``Generator`` per query made large-batch initialization a
+serial Python loop that dominated auto-tuner sweeps.
 
-:func:`random_init_block` produces bit-identical draws for the whole
+:class:`VectorRngStreams` produces bit-identical draws for the whole
 batch with array arithmetic by emulating the exact NumPy pipeline:
 
 * ``SeedSequence([seed, q]).generate_state(4, uint64)`` — the entropy
@@ -27,11 +27,11 @@ chunk for all rows, keep each row's first ``width`` accepted values, and
 draw again for any row that ran short (states persist across chunks).
 
 NumPy documents both the ``SeedSequence`` mixing and the PCG64 stream as
-stable across releases; ``tests/test_search_internals.py`` additionally
+stable across releases; ``tests/test_batch_search.py`` additionally
 cross-checks this module against per-query ``default_rng`` draws on
-every run, and :func:`random_init_block` falls back to the reference
-loop for inputs outside the fast path's envelope (negative/huge seeds,
-``n`` beyond 32 bits).
+every run, and :func:`make_streams` falls back to real per-row Generators
+(:class:`GeneratorRngStreams`) for inputs outside the vectorized
+envelope (negative/huge seeds, ``n`` beyond 32 bits).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "GeneratorRngStreams",
     "VectorRngStreams",
     "make_streams",
-    "random_init_block",
 ]
 
 _M32 = 0xFFFFFFFF
@@ -184,21 +183,13 @@ class _VectorPCG64:
             out[:, 2 * j + 1] = (word >> np.uint64(32)).astype(np.uint32)
         return out
 
-    def select(self, keep: np.ndarray) -> None:
-        """Drop the streams of rows where ``keep`` is False (in place)."""
-        self._hi = self._hi[keep]
-        self._lo = self._lo[keep]
-        self._inc_hi = self._inc_hi[keep]
-        self._inc_lo = self._inc_lo[keep]
-
 
 class GeneratorRngStreams:
     """Per-row ``np.random.Generator`` streams (the compatibility path).
 
-    Used when the caller supplies explicit generators (``search_single_query``)
-    or when the seed falls outside :class:`VectorRngStreams`'s envelope.  The
-    per-row loop here is the *cold* fallback; the traversal hot loop itself
-    stays array-parallel.
+    Used when the seed falls outside :class:`VectorRngStreams`'s envelope.
+    The per-row loop here is the *cold* fallback; the traversal hot loop
+    itself stays array-parallel.
     """
 
     def __init__(self, rngs):
@@ -220,16 +211,12 @@ class GeneratorRngStreams:
                 out[i] = rng.integers(0, n, size=width, dtype=np.uint32)
         return out
 
-    def select(self, keep: np.ndarray) -> None:
-        self._rngs = [rng for rng, live in zip(self._rngs, keep) if live]
-
 
 class VectorRngStreams:
     """Stateful per-row bounded-draw streams, advanced in lockstep.
 
-    Unlike :func:`random_init_block` (one draw per stream), this keeps the
-    raw 32-bit word stream of every row *buffered* across calls, so
-    ``draw`` is bit-identical to calling ``Generator.integers(0, n, width,
+    Keeps the raw 32-bit word stream of every row *buffered* across calls,
+    so ``draw`` is bit-identical to calling ``Generator.integers(0, n, width,
     uint32)`` repeatedly on per-row ``default_rng([seed, row])`` streams —
     including the leftover high half-word the PCG64 bit generator carries
     between calls.  That is exactly what the multi-CTA mapping needs: its
@@ -306,13 +293,6 @@ class VectorRngStreams:
         self._avail -= consumed
         return out
 
-    def select(self, keep: np.ndarray) -> None:
-        """Drop finished rows' streams (dead-query compaction)."""
-        self._gen.select(keep)
-        self._buf = self._buf[keep]
-        self._avail = self._avail[keep]
-        self._rows = int(self._buf.shape[0])
-
 
 def make_streams(seed, seed_offset: int, batch: int, n: int):
     """Per-row ``default_rng([seed, seed_offset + i])`` streams for a block.
@@ -333,61 +313,3 @@ def make_streams(seed, seed_offset: int, batch: int, n: int):
     return GeneratorRngStreams(
         np.random.default_rng([seed, seed_offset + i]) for i in range(batch)
     )
-
-
-def _reference_init_block(
-    seed: int, seed_offset: int, batch: int, n: int, width: int
-) -> np.ndarray:
-    """The per-query Generator loop the vectorized path must reproduce."""
-    out = np.empty((batch, width), dtype=np.uint32)
-    for i in range(batch):
-        rng = np.random.default_rng([seed, seed_offset + i])
-        out[i] = rng.integers(0, n, size=width, dtype=np.uint32)
-    return out
-
-
-def random_init_block(
-    seed: int, seed_offset: int, batch: int, n: int, width: int
-) -> np.ndarray:
-    """``(batch, width)`` uint32 draws, row ``i`` bit-identical to
-    ``default_rng([seed, seed_offset + i]).integers(0, n, width, uint32)``.
-    """
-    if batch < 1 or width < 1:
-        return np.empty((max(batch, 0), max(width, 0)), dtype=np.uint32)
-    in_envelope = (
-        isinstance(seed, (int, np.integer))
-        and int(seed) >= 0
-        and 1 <= n <= _M32
-        and seed_offset >= 0
-        and seed_offset + batch <= _M32 + 1
-    )
-    if not in_envelope:
-        return _reference_init_block(seed, seed_offset, batch, n, width)
-    if n == 1:
-        # numpy's bounded path short-circuits a zero range without
-        # consuming draws; the streams are init-only so parity holds.
-        return np.zeros((batch, width), dtype=np.uint32)
-
-    gen = _VectorPCG64(int(seed), int(seed_offset), batch)
-    # Lemire bounded rejection: out = (draw * n) >> 32, accepted iff the
-    # low 32 bits of the product clear the bias threshold.
-    n64 = np.uint64(n)
-    threshold = np.uint64((2**32 - n) % n)
-    accept_rate = 1.0 - int(threshold) / 2.0**32
-    out = np.zeros((batch, width), dtype=np.uint32)
-    filled = np.zeros(batch, dtype=np.int64)
-    rows = np.arange(batch)
-    while True:
-        deficit = int(width - filled.min())
-        count64 = max(2, int(np.ceil(deficit / (2.0 * accept_rate))) + 2)
-        product = gen.next_raw32(count64).astype(np.uint64) * n64
-        accept = (product & _U32) >= threshold
-        values = (product >> np.uint64(32)).astype(np.uint32)
-        position = np.cumsum(accept, axis=1) - 1 + filled[:, None]
-        write = accept & (position < width)
-        out[np.broadcast_to(rows[:, None], write.shape)[write], position[write]] = (
-            values[write]
-        )
-        filled = np.minimum(filled + accept.sum(axis=1), width)
-        if (filled >= width).all():
-            return out

@@ -30,21 +30,17 @@ simulated kernel time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from repro.core.config import HashTableConfig, SearchConfig
+from repro.core.config import SearchConfig
 from repro.core.distances import distances_to_query
 from repro.core.graph import INDEX_MASK, PARENT_FLAG, FixedDegreeGraph
-from repro.core.hashtable import (
-    ForgettableHashTable,
-    StandardHashTable,
-    standard_table_log2_size,
-)
+from repro.core.hashtable import ForgettableHashTable, StandardHashTable
 from repro.core.topm import bitonic_comparator_count, merge_topm, sort_strategy
 
-__all__ = ["CostReport", "SearchResult", "search_batch", "search_single_query"]  # repro-lint: disable=RL005 — deprecation alias via module __getattr__
+__all__ = ["CostReport", "SearchResult", "search_batch"]
 
 
 @dataclass
@@ -79,49 +75,42 @@ class CostReport:
     def as_dict(self) -> dict:
         """Flat counter mapping for the unified ``repro.api`` surface.
 
-        Keys match the field names; ``extras`` is folded in last so ad-hoc
-        counters appear alongside the standard ones.
+        Keys match the field names, in declaration order; ``extras`` is
+        folded in last so ad-hoc counters appear alongside the standard
+        ones.
         """
         out = {
-            "algo": self.algo,
-            "batch_size": self.batch_size,
-            "cta_count": self.cta_count,
-            "iterations": self.iterations,
-            "distance_computations": self.distance_computations,
-            "skipped_distance_computations": self.skipped_distance_computations,
-            "recomputed_distances": self.recomputed_distances,
-            "candidate_gathers": self.candidate_gathers,
-            "sort_comparator_ops": self.sort_comparator_ops,
-            "radix_sorted_elements": self.radix_sorted_elements,
-            "serial_queue_ops": self.serial_queue_ops,
-            "hash_lookups": self.hash_lookups,
-            "hash_probes": self.hash_probes,
-            "hash_insertions": self.hash_insertions,
-            "hash_resets": self.hash_resets,
-            "hash_in_shared": self.hash_in_shared,
-            "hash_log2_size": self.hash_log2_size,
-            "random_inits": self.random_inits,
-            "kernel_launches": self.kernel_launches,
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "extras"
         }
         out.update(self.extras)
         return out
 
     def merge_from(self, other: "CostReport") -> None:
-        """Accumulate another report's counters (per-query → batch)."""
-        self.cta_count += other.cta_count
-        self.iterations += other.iterations
-        self.distance_computations += other.distance_computations
-        self.skipped_distance_computations += other.skipped_distance_computations
-        self.recomputed_distances += other.recomputed_distances
-        self.candidate_gathers += other.candidate_gathers
-        self.sort_comparator_ops += other.sort_comparator_ops
-        self.radix_sorted_elements += other.radix_sorted_elements
-        self.serial_queue_ops += other.serial_queue_ops
-        self.hash_lookups += other.hash_lookups
-        self.hash_probes += other.hash_probes
-        self.hash_insertions += other.hash_insertions
-        self.hash_resets += other.hash_resets
-        self.random_inits += other.random_inits
+        """Accumulate another report's counters (per-query → batch).
+
+        Every field is an additive counter except the ones named in
+        :data:`_NOT_ADDITIVE`, so a newly declared counter merges without
+        being listed anywhere.
+        """
+        for f in fields(self):
+            if f.name not in _NOT_ADDITIVE:
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
+#: ``CostReport`` fields that :meth:`CostReport.merge_from` leaves alone:
+#: they describe the call (mapping, batch, table placement and size, launch
+#: count, ad-hoc extras) rather than count its work, and are set by whoever
+#: owns the batch-wide report, not summed from per-query parts.
+_NOT_ADDITIVE = frozenset(
+    {
+        "algo",
+        "batch_size",
+        "hash_in_shared",
+        "hash_log2_size",
+        "kernel_launches",
+        "extras",
+    }
+)
 
 
 @dataclass
@@ -138,30 +127,6 @@ class SearchResult:
     indices: np.ndarray
     distances: np.ndarray
     report: CostReport
-
-
-def _make_hash_table(
-    hash_config: HashTableConfig, max_iterations: int, search_width: int, degree: int
-) -> StandardHashTable:
-    if hash_config.kind == "forgettable":
-        return ForgettableHashTable(
-            hash_config.log2_size, reset_interval=hash_config.reset_interval
-        )
-    log2 = max(
-        hash_config.log2_size,
-        standard_table_log2_size(max_iterations, search_width, degree),
-    )
-    return StandardHashTable(log2)
-
-
-def _default_hash_config(algo: str, config: SearchConfig) -> HashTableConfig:
-    """Table II defaults: forgettable/shared for single-CTA, standard/device
-    for multi-CTA."""
-    if config.hash_table is not None:
-        return config.hash_table
-    if algo == "single_cta":
-        return HashTableConfig(kind="forgettable", log2_size=11, reset_interval=2)
-    return HashTableConfig(kind="standard", log2_size=13)
 
 
 def _charge_sort(report: CostReport, candidate_length: int, topm: int) -> None:
@@ -306,48 +271,13 @@ def _greedy_core(
     return topm_ids, topm_dists
 
 
-def _collect_hash_counters(report: CostReport, table: StandardHashTable) -> None:
+def _collect_hash_counters(report: CostReport, table) -> None:
+    """Fold a table's measured hash traffic into ``report`` (a scalar
+    :class:`StandardHashTable` or the engine's row-parallel hash slab)."""
     report.hash_lookups += table.lookups
     report.hash_probes += table.probes
     report.hash_insertions += table.insertions
     report.hash_resets += table.resets
-
-
-def _resolve_cta_per_query(config: SearchConfig) -> int:
-    """Number of worker CTAs per query in multi-CTA mode.
-
-    cuVS launches enough 32-wide workers to cover the requested internal
-    top-M; we use the same rule with a floor of 2 (a single worker would
-    just be a narrow single-CTA search).
-    """
-    if config.cta_per_query:
-        return config.cta_per_query
-    return max(2, (max(config.itopk, 32) + 31) // 32)
-
-
-def _search_single_query_impl(
-    data: np.ndarray,
-    graph: FixedDegreeGraph,
-    query: np.ndarray,
-    k: int,
-    config: SearchConfig,
-    algo: str,
-    rng: np.random.Generator,
-    metric: str = "sqeuclidean",
-    filter_mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, CostReport]:
-    """Search one query with an explicitly chosen implementation.
-
-    The caller-owned ``rng`` stream is consumed exactly as before the
-    engine refactor (same draws, same order), so interleaved calls that
-    share one generator keep their trajectories.
-    """
-    from repro.core.traversal import TraversalEngine
-
-    engine = TraversalEngine(
-        data, graph, metric=metric, precision=getattr(config, "precision", "fp32")
-    )
-    return engine.search_single(query, k, config, algo, rng, filter_mask=filter_mask)
 
 
 def search_batch(
@@ -377,9 +307,7 @@ def search_batch(
     from repro.core.traversal import TraversalEngine
 
     config = config or SearchConfig()
-    engine = TraversalEngine(
-        data, graph, metric=metric, precision=getattr(config, "precision", "fp32")
-    )
+    engine = TraversalEngine(data, graph, metric=metric, precision=config.precision)
     return engine.search(
         queries,
         k,
@@ -388,25 +316,3 @@ def search_batch(
         num_sms=num_sms,
         filter_mask=filter_mask,
     )
-
-
-def __getattr__(name: str):
-    """Deprecation shim: ``search_single_query`` lives on for one release.
-
-    The per-query entry point became
-    :meth:`repro.core.traversal.TraversalEngine.search_single`; batch
-    callers should use :func:`search_batch` (or the engine directly),
-    which amortizes slab setup across the whole batch.
-    """
-    if name == "search_single_query":
-        import warnings
-
-        warnings.warn(
-            "search_single_query is deprecated; use "
-            "repro.core.traversal.TraversalEngine.search_single (or "
-            "search_batch for whole batches)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _search_single_query_impl
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -36,7 +36,6 @@ shards answered (otherwise :class:`ShardQuorumError`).
 from __future__ import annotations
 
 import time
-import warnings
 import weakref
 
 import numpy as np
@@ -48,9 +47,7 @@ from repro.core.index import CagraIndex
 from repro.core.search import CostReport, SearchResult
 from repro.parallel.config import ParallelConfig
 
-# ShardedSearchResult is a module-__getattr__ deprecation alias for
-# repro.api.SearchResult, not a module-level definition.
-__all__ = ["ShardQuorumError", "ShardedCagraIndex", "ShardedSearchResult"]  # repro-lint: disable=RL005 — deprecation alias via module __getattr__
+__all__ = ["ShardQuorumError", "ShardedCagraIndex"]
 
 #: Accepted ``on_shard_failure`` policies.
 _FAILURE_MODES = ("raise", "partial")
@@ -63,21 +60,6 @@ class ShardQuorumError(RuntimeError):
     only useful while most of the index is still reachable, and the quorum
     knob is where the caller draws that line.
     """
-
-
-def __getattr__(name: str):
-    """Deprecation shim: ``ShardedSearchResult`` became the unified
-    :class:`repro.api.SearchResult` (same fields plus ``counters``)."""
-    if name == "ShardedSearchResult":
-        warnings.warn(
-            "ShardedSearchResult is deprecated; sharded searches now return "
-            "repro.api.SearchResult (same shard_reports/shard_seconds/"
-            "degraded/failed_shards/skipped_shards fields)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return AnnSearchResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _ShardRuntime:

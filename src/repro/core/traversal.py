@@ -1,29 +1,28 @@
 """The array-parallel traversal engine behind every CAGRA search entry point.
 
-The CAGRA hot loop used to live twice in this repo: the per-query reference
-in :mod:`repro.core.search` (``_greedy_core`` plus its single-/multi-CTA
-wrappers) and the vectorized lockstep chunk in
-:mod:`repro.core.batch_search`.  :class:`TraversalEngine` unifies them into
-one masked stepping loop where **all live queries advance one hop per
-vectorized step**: parent selection, neighbor gather, first-occurrence
-dedup, distance evaluation, visited probing and the top-M merge all run on
-a ``(live_queries, ...)`` array slab, with finished queries masked out (and
-periodically compacted away) instead of looping per query.
+:class:`TraversalEngine` runs the paper's search (Sec. IV, Fig. 6) as **one
+masked stepping loop** (:meth:`TraversalEngine._traverse`) in which all live
+queries advance one hop per vectorized step: ① top-M merge, ② parent
+selection + neighbor gather, ③ first-visit distance evaluation all run on a
+``(live_queries, ...)`` array slab.  Finished queries retire their buffers
+and are compacted out of the slab, so late iterations only pay for the
+queries still walking.
 
-Two visited backends select the fidelity/speed trade:
+The loop talks to the visited table only through a four-method seam —
+``probe`` (which gathered ids are first visits), ``end_step`` (the
+forgettable reset hook), ``merge`` (the backend's top-M merge rule) and
+``collect`` (hash counters into the report) — and ``mode`` picks the object
+behind it:
 
-* ``mode="reference"`` — a row-parallel emulation of the real
-  open-addressing hash tables (:class:`_HashSlab`), bit-exact against the
-  sequential reference: per-slot probe counts, full-table saturation,
-  forgettable resets with top-M re-registration, ``min_iterations``
-  re-seeding, and multi-CTA worker passes sharing one table and one RNG
-  stream per query.  ``search_batch``'s counters, ids and distances are
-  pinned bitwise against the pre-engine fixture.
-* ``mode="fast"`` — the exact dense boolean visited table with flat hash
-  accounting, byte-for-byte the semantics of the old
-  ``search_batch_fast`` (standard-table behaviour, ``min_iterations``
-  ignored), plus dead-query compaction so throughput tracks *live* queries
-  rather than batch size.
+* ``mode="reference"`` — :class:`_HashSlab`, a row-parallel emulation of the
+  real open-addressing hash tables, bit-exact against the sequential
+  specification (:func:`repro.core.search._greedy_core`): per-slot probe
+  counts, full-table saturation, forgettable resets with top-M
+  re-registration, ``min_iterations`` re-seeding, and multi-CTA worker
+  passes sharing one table and one RNG stream per query.
+* ``mode="fast"`` — :class:`_DenseVisited`, an exact dense boolean table with
+  flat hash accounting (standard-table behaviour, ``min_iterations``
+  ignored) and a sort-only top-M merge.
 
 The engine also owns the fp16 dataset path (``precision="fp16"`` stores the
 vectors half-precision; distances still accumulate in fp32, matching the
@@ -39,21 +38,24 @@ batch).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.config import HashTableConfig, SearchConfig, choose_algo
 from repro.core.distances import as_storage_dtype, gathered_distances
 from repro.core.graph import INDEX_MASK, PARENT_FLAG, FixedDegreeGraph
-from repro.core.hashtable import standard_table_log2_size
-from repro.core.rng_init import make_streams, random_init_block
+from repro.core.hashtable import (
+    ForgettableHashTable,
+    StandardHashTable,
+    standard_table_log2_size,
+)
+from repro.core.rng_init import make_streams
 from repro.core.search import (
     CostReport,
     SearchResult,
     _collect_hash_counters,
-    _default_hash_config,
     _greedy_core,
-    _make_hash_table,
-    _resolve_cta_per_query,
 )
 from repro.core.topm import bitonic_comparator_count, merge_topm, sort_strategy
 
@@ -83,12 +85,13 @@ _COMPACT_FRACTION = 4  # 1/4
 #: Below this many queries, reference mode runs the sequential spec
 #: (:func:`repro.core.search._greedy_core`) per query instead of the hash
 #: slab: the slab's cost is nearly flat in batch size (whole-batch numpy
-#: calls), so under ~10 rows the per-call overhead dominates and the
-#: scalar loop is faster.  Outputs and counters are bitwise-identical
-#: either way (the parity tests pin both against the same fixture) — this
-#: is purely a latency dispatch, mirroring how CAGRA itself picks
-#: single- vs multi-CTA by batch size.
-_SCALAR_REFERENCE_ROWS = 8
+#: calls) while the scalar loop's grows linearly, so the two cross.  The
+#: value is the measured crossover (``benchmarks/bench_ext_traversal.py``,
+#: rows in ``BENCH_traversal.json``).  Outputs and counters are
+#: bitwise-identical either way (the parity tests pin both against the
+#: same fixture) — this is purely a latency dispatch, mirroring how CAGRA
+#: itself picks single- vs multi-CTA by batch size.
+_SCALAR_REFERENCE_ROWS = 16
 
 
 def hot_path(fn):
@@ -102,7 +105,7 @@ def hot_path(fn):
 
 
 # ----------------------------------------------------------------------
-# helpers shared by both backends (moved here from batch_search)
+# helpers shared by both backends
 # ----------------------------------------------------------------------
 def _first_occurrence_rows(ids: np.ndarray) -> np.ndarray:
     """Mask of the first occurrence of each value within its row.
@@ -154,36 +157,25 @@ def _merge_rows(
     cand_dists: np.ndarray,
     m: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-row merge for the **fast** backend: dedupe bare ids
-    (top-M copy wins), keep the best ``m`` by distance.
+    """Sort-only per-row merge for the **dense** backend: keep the best
+    ``m`` entries ordered by (distance, bare id).
 
-    Every ``+inf`` survivor is renormalized to a dummy entry — the dense
-    backend never expands infinite-distance nodes (its visited table is
-    exact, so an inf entry can only be a dup or an artifact).
+    Precondition (what an exact visited table guarantees): the
+    finite-distance entries of a row carry pairwise distinct bare ids — a
+    top-M entry was a first visit once, so every later copy of it is a
+    non-first visit and arrives with ``+inf``.  Dedup is therefore just
+    "``+inf`` means dummy": every infinite entry becomes ``INDEX_MASK``
+    (the dense backend never expands infinite-distance nodes), and one
+    lexsort orders the rest.
     """
-    ids = np.concatenate([topm_ids, cand_ids], axis=1)
     dists = np.concatenate([topm_dists, cand_dists], axis=1)
-    bare = (ids & INDEX_MASK).astype(np.int64)
-
-    # Order by (bare id, original position): the first occurrence of each
-    # bare id is the top-M copy when both exist.
-    position = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
-    order = np.lexsort((position, bare), axis=1)
-    sorted_ids = np.take_along_axis(ids, order, axis=1)
-    sorted_bare = np.take_along_axis(bare, order, axis=1)
-    sorted_dists = np.take_along_axis(dists, order, axis=1)
-    dup = np.zeros_like(sorted_dists, dtype=bool)
-    dup[:, 1:] = sorted_bare[:, 1:] == sorted_bare[:, :-1]
-    sorted_dists = np.where(dup, np.inf, sorted_dists)
-    # Dummy entries (INDEX_MASK) deduped too; re-pad below via inf sort.
-
-    keep = np.argsort(sorted_dists, axis=1, kind="stable")[:, :m]
-    out_ids = np.take_along_axis(sorted_ids, keep, axis=1)
-    out_dists = np.take_along_axis(sorted_dists, keep, axis=1)
-    # Re-normalize removed dummies: positions with inf distance become
-    # dummies again (their stale ids must not be treated as parents).
-    out_ids = np.where(np.isinf(out_dists), INDEX_MASK, out_ids)
-    return out_ids.astype(np.uint32), out_dists
+    ids = np.concatenate([topm_ids, cand_ids], axis=1)
+    ids = np.where(np.isinf(dists), INDEX_MASK, ids)
+    order = np.lexsort((ids & INDEX_MASK, dists), axis=1)[:, :m]
+    return (
+        np.take_along_axis(ids, order, axis=1),
+        np.take_along_axis(dists, order, axis=1),
+    )
 
 
 def _merge_rows_reference(
@@ -193,7 +185,7 @@ def _merge_rows_reference(
     cand_dists: np.ndarray,
     m: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-parallel :func:`repro.core.topm.merge_topm` for the reference
+    """Row-parallel :func:`repro.core.topm.merge_topm` for the hash-slab
     backend.
 
     Unlike :func:`_merge_rows` this keeps the scalar merge's exact
@@ -227,7 +219,7 @@ def _merge_rows_reference(
 
 
 # ----------------------------------------------------------------------
-# row-parallel open-addressing hash slab (reference backend)
+# visited backends (the seam the stepping loop talks through)
 # ----------------------------------------------------------------------
 class _HashSlab:
     """Row-parallel emulation of per-query open-addressing hash tables.
@@ -237,29 +229,50 @@ class _HashSlab:
     (one lookup per started sequence, one probe per inspected slot, silent
     "seen" after ``size`` probes of a full table) match feeding the same
     keys one at a time through
-    :class:`repro.core.hashtable.StandardHashTable`.
+    :class:`repro.core.hashtable.StandardHashTable`.  With a
+    ``reset_interval`` the rows behave like
+    :class:`repro.core.hashtable.ForgettableHashTable`, and the slab also
+    keeps the ever-computed set that turns forgotten-then-revisited nodes
+    into ``recomputed_distances``.
+
+    Every method takes ``row_ids`` — the table row of each live-slab row —
+    so the loop can compact its slab without the table ever shrinking.
     """
 
-    def __init__(self, log2_size: int, rows: int):
+    merge = staticmethod(_merge_rows_reference)
+
+    def __init__(
+        self, rows: int, num_nodes: int, log2_size: int, reset_interval: int = 0
+    ):
         self.log2_size = log2_size
         self.size = 1 << log2_size
         self._mask = self.size - 1
         self.slots = np.full((rows, self.size), _EMPTY, dtype=np.uint32)
+        self.reset_interval = reset_interval
+        # Recomputed distances require the table to forget; with a standard
+        # table "fresh" implies "never computed", so the ever-computed slab
+        # only exists in forgettable mode.
+        self._ever = (
+            np.zeros((rows, num_nodes), dtype=bool) if reset_interval else None
+        )
+        self._since_reset = np.zeros(rows, dtype=np.int64)
         self.lookups = 0
         self.probes = 0
         self.insertions = 0
         self.resets = 0
+        self.recomputed = 0
 
     @hot_path
-    def insert_lane(self, keys: np.ndarray, active: np.ndarray) -> np.ndarray:
+    def _insert_lane(
+        self, row_ids: np.ndarray, keys: np.ndarray, active: np.ndarray
+    ) -> np.ndarray:
         """One ``StandardHashTable.insert`` per active row, in lockstep.
 
         Returns the per-row "was new" mask (False on inactive rows).  The
         probe loop below runs once per *probe step*, not per query: all
         still-unresolved rows inspect their next slot together.
         """
-        rows = keys.shape[0]
-        fresh = np.zeros(rows, dtype=bool)
+        fresh = np.zeros(keys.shape[0], dtype=bool)
         if not active.any():
             return fresh
         keys = keys.astype(np.uint32, copy=False)
@@ -269,19 +282,18 @@ class _HashSlab:
         )
         slot = (product >> np.uint64(32 - self.log2_size)).astype(np.int64)
         unresolved = active.copy()
-        row_idx = np.arange(rows, dtype=np.int64)
         for _ in range(self.size):  # probe steps, capped at table size
             if not unresolved.any():
                 break
             self.probes += int(unresolved.sum())
-            r = row_idx[unresolved]
+            r = np.flatnonzero(unresolved)
             s = slot[r]
-            v = self.slots[r, s]
+            v = self.slots[row_ids[r], s]
             empty = v == _EMPTY
             found = v == keys[r]
             if empty.any():
                 re = r[empty]
-                self.slots[re, s[empty]] = keys[re]
+                self.slots[row_ids[re], s[empty]] = keys[re]
                 self.insertions += int(empty.sum())
                 fresh[re] = True
             resolved = empty | found
@@ -291,43 +303,152 @@ class _HashSlab:
         return fresh
 
     @hot_path
-    def insert_unique(self, keys: np.ndarray, lane_active: np.ndarray) -> np.ndarray:
-        """Sequential-lane batch insert: ``(rows, W)`` keys, fresh mask out.
+    def probe(
+        self, row_ids: np.ndarray, ids: np.ndarray, lane_usable: np.ndarray
+    ) -> np.ndarray:
+        """Insert ``(rows, W)`` ids; mask of the first visits.
 
         Lanes run in key order per row (the warp-serialized order the
         reference uses), each lane vectorized across all rows.
         """
-        fresh = np.zeros(keys.shape, dtype=bool)
-        for lane in range(keys.shape[1]):  # lane loop (width), not per-query
-            fresh[:, lane] = self.insert_lane(keys[:, lane], lane_active[:, lane])
+        fresh = np.zeros(ids.shape, dtype=bool)
+        for lane in range(ids.shape[1]):  # lane loop (width), not per-query
+            fresh[:, lane] = self._insert_lane(
+                row_ids, ids[:, lane], lane_usable[:, lane]
+            )
+        if self._ever is not None:
+            hit_rows = np.broadcast_to(row_ids[:, None], ids.shape)[fresh]
+            hit_ids = ids[fresh]
+            self.recomputed += int(self._ever[hit_rows, hit_ids].sum())
+            self._ever[hit_rows, hit_ids] = True
         return fresh
 
-    def reset_rows(self, rows_mask: np.ndarray) -> None:
-        """Wipe the masked rows' tables (forgettable reset)."""
-        self.slots[rows_mask] = _EMPTY
-        self.resets += int(rows_mask.sum())
+    @hot_path
+    def end_step(
+        self, row_ids: np.ndarray, topm_ids: np.ndarray, expanded: np.ndarray
+    ) -> None:
+        """``ForgettableHashTable.maybe_reset`` for the rows that expanded
+        parents this step (a re-seed step ``continue``s past the hook in
+        the reference): every ``reset_interval`` such steps the row forgets
+        everything except its current top-M bare ids (dummies skipped).
+        """
+        if not self.reset_interval:
+            return
+        self._since_reset[row_ids] += expanded
+        due = expanded & (self._since_reset[row_ids] >= self.reset_interval)
+        if not due.any():
+            return
+        due_rows = row_ids[due]
+        self._since_reset[due_rows] = 0
+        self.slots[due_rows] = _EMPTY
+        self.resets += due_rows.size
+        bare = topm_ids[due] & INDEX_MASK
+        for lane in range(bare.shape[1]):  # top-M lanes, not per-query
+            self._insert_lane(due_rows, bare[:, lane], bare[:, lane] != INDEX_MASK)
+
+    def collect(self, report: CostReport) -> None:
+        _collect_hash_counters(report, self)
+        report.recomputed_distances += self.recomputed
+
+
+class _DenseVisited:
+    """Exact dense boolean visited table with flat hash accounting.
+
+    One lookup per usable lane, a flat two probes per lookup (the one
+    documented modelling difference from the real probe sequences), one
+    insertion per first visit; it never forgets, so there is nothing to do
+    at the end of a step and nothing is ever recomputed.
+    """
+
+    merge = staticmethod(_merge_rows)
+
+    def __init__(self, rows: int, num_nodes: int):
+        # Column ``num_nodes`` is a scratch column: unusable lanes are
+        # redirected there, so they can neither mark a real node visited
+        # nor (by a duplicate-index write) un-mark one.
+        self._scratch = num_nodes
+        self.table = np.zeros((rows, num_nodes + 1), dtype=bool)
+        self.lookups = 0
+        self.insertions = 0
 
     @hot_path
-    def register_topm(self, topm_ids: np.ndarray, rows_mask: np.ndarray) -> None:
-        """Re-register the masked rows' top-M bare ids after a reset.
+    def probe(
+        self, row_ids: np.ndarray, ids: np.ndarray, lane_usable: np.ndarray
+    ) -> np.ndarray:
+        lanes = np.where(lane_usable, ids, self._scratch)
+        rows = row_ids[:, None]
+        fresh = (
+            _first_occurrence_rows(lanes) & lane_usable & ~self.table[rows, lanes]
+        )
+        self.table[rows, lanes] = True
+        self.lookups += int(lane_usable.sum())
+        self.insertions += int(fresh.sum())
+        return fresh
 
-        Dummy (``INDEX_MASK``) entries are skipped, like
-        ``ForgettableHashTable.maybe_reset`` does.
-        """
-        bare = (topm_ids & INDEX_MASK).astype(np.uint32)
-        for lane in range(bare.shape[1]):  # top-M lanes, not per-query
-            active = rows_mask & (bare[:, lane] != INDEX_MASK)
-            self.insert_lane(bare[:, lane], active)
-
-    def select(self, keep: np.ndarray) -> None:
-        """Drop dead rows' tables (dead-query compaction)."""
-        self.slots = self.slots[keep]
+    def end_step(
+        self, row_ids: np.ndarray, topm_ids: np.ndarray, expanded: np.ndarray
+    ) -> None:
+        """Nothing to forget."""
 
     def collect(self, report: CostReport) -> None:
         report.hash_lookups += self.lookups
-        report.hash_probes += self.probes
+        report.hash_probes += 2 * self.lookups
         report.hash_insertions += self.insertions
-        report.hash_resets += self.resets
+
+
+# ----------------------------------------------------------------------
+# the search plan
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _SearchPlan:
+    """Everything one search call derives from ``(config, algo, k)``.
+
+    ``passes`` worker passes of the same loop run back to back, each with
+    an ``itopk``-entry list expanding ``search_width`` parents per step,
+    all sharing one visited table and one RNG stream per query; their
+    buffers merge into a ``merged_itopk`` list.  Single-CTA is the
+    one-pass case, multi-CTA the narrow many-pass one (Sec. IV-C2).
+    """
+
+    algo: str
+    #: Exact dense visited table (``mode="fast"``) instead of a hash slab.
+    dense: bool
+    itopk: int
+    search_width: int
+    passes: int
+    merged_itopk: int
+    max_iterations: int
+    min_iterations: int
+    hash_log2_size: int
+    #: Forgettable reset period; 0 for a standard (never-forgetting) table.
+    reset_interval: int
+
+    @property
+    def hash_in_shared(self) -> bool:
+        """Table II: the forgettable table is the shared-memory one."""
+        return self.reset_interval > 0
+
+    def report(self, **counts) -> CostReport:
+        return CostReport(
+            algo=self.algo,
+            hash_in_shared=self.hash_in_shared,
+            hash_log2_size=self.hash_log2_size,
+            **counts,
+        )
+
+    def visited(self, rows: int, num_nodes: int) -> "_HashSlab | _DenseVisited":
+        """A fresh visited backend for ``rows`` queries."""
+        if self.dense:
+            return _DenseVisited(rows, num_nodes)
+        return _HashSlab(rows, num_nodes, self.hash_log2_size, self.reset_interval)
+
+    def scalar_table(self) -> StandardHashTable:
+        """The sequential specification's table for this plan."""
+        if self.reset_interval:
+            return ForgettableHashTable(
+                self.hash_log2_size, reset_interval=self.reset_interval
+            )
+        return StandardHashTable(self.hash_log2_size)
 
 
 # ----------------------------------------------------------------------
@@ -337,9 +458,9 @@ class TraversalEngine:
     """One array-parallel stepping loop for all CAGRA search mappings.
 
     Owns the (possibly fp16-quantized) dataset and the graph; ``search``
-    dispatches between the dense ``fast`` backend and the hash-emulating
-    ``reference`` backend (which itself maps to single- or multi-CTA per
-    the Fig. 7 rule).
+    picks the visited backend from ``mode`` (and, in reference mode, the
+    single- or multi-CTA mapping per the Fig. 7 rule) and runs the one
+    loop over it.
     """
 
     def __init__(
@@ -364,35 +485,62 @@ class TraversalEngine:
         )
 
     # ------------------------------------------------------------------
-    # public entry point
+    # public entry points
     # ------------------------------------------------------------------
     def search(
         self,
         queries: np.ndarray,
         k: int,
         config: SearchConfig | None = None,
-        mode: str = "auto",
+        mode: str = "fast",
         num_sms: int = 108,
         filter_mask: np.ndarray | None = None,
     ) -> SearchResult:
         """Batched k-ANN search.
 
-        ``mode="reference"`` runs the hash-faithful backend (bitwise the
-        old ``search_batch``); ``mode="fast"`` runs the dense lockstep
-        backend (bitwise the old ``search_batch_fast``); ``mode="auto"``
-        currently selects ``fast``.
+        ``mode="reference"`` runs the hash-faithful backend (per-query
+        open-addressing tables, single- or multi-CTA per the Fig. 7 rule);
+        ``mode="fast"`` runs the dense lockstep backend.
         """
+        if mode not in ("reference", "fast"):
+            raise ValueError(f"mode must be 'reference' or 'fast', got {mode!r}")
+        dense = mode == "fast"
         config = config or SearchConfig()
-        queries = np.atleast_2d(np.asarray(queries))
-        if mode == "auto":
-            mode = "fast"
-        if mode == "fast":
-            return self._search_fast(queries, k, config, filter_mask)
-        if mode != "reference":
-            raise ValueError(
-                f"mode must be 'auto', 'reference' or 'fast', got {mode!r}"
+        queries = self._checked_queries(queries)
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if not dense and k > config.itopk:
+            raise ValueError(f"k={k} exceeds itopk={config.itopk}")
+        filter_mask = self._checked_filter(filter_mask)
+        batch = queries.shape[0]
+        algo = "single_cta" if dense else choose_algo(config, batch, num_sms=num_sms)
+        plan = self._resolve_plan(config, algo, k, dense=dense)
+
+        total = plan.report(batch_size=batch, kernel_launches=1)
+        self._stamp_extras(total, config)
+        indices = np.empty((batch, k), dtype=np.uint32)
+        distances = np.empty((batch, k), dtype=np.float64)
+        if not dense and batch < _SCALAR_REFERENCE_ROWS:
+            # Latency dispatch: tiny batches can't amortize the slab's
+            # whole-batch numpy calls, so run the sequential spec instead
+            # (bitwise-identical outputs and counters).
+            scalar = self._scalar_arm(algo)
+            for i in range(batch):
+                rng = np.random.default_rng([config.seed, i])
+                indices[i], distances[i], report = scalar(
+                    queries[i], k, plan, rng, filter_mask
+                )
+                total.merge_from(report)
+            return SearchResult(indices=indices, distances=distances, report=total)
+        chunk = self._chunk_rows(plan)
+        for start in range(0, batch, chunk):  # memory-bounded chunks
+            sub = queries[start : start + chunk]
+            ids, dists = self._run_chunk(
+                sub, k, plan, config.seed, start, filter_mask, total
             )
-        return self._search_reference(queries, k, config, num_sms, filter_mask)
+            indices[start : start + sub.shape[0]] = ids
+            distances[start : start + sub.shape[0]] = dists
+        return SearchResult(indices=indices, distances=distances, report=total)
 
     def search_single(
         self,
@@ -405,216 +553,98 @@ class TraversalEngine:
     ) -> tuple[np.ndarray, np.ndarray, CostReport]:
         """One query with an explicit algo and a caller-owned RNG stream.
 
-        Backs the deprecated ``search_single_query``: the caller's
-        generator is consumed exactly as the sequential reference would —
-        the engine wraps it in a one-row stream set.
+        Runs the sequential specification, consuming the caller's generator
+        exactly as a per-query ``default_rng([seed, i])`` stream would be —
+        so interleaved calls that share one generator keep their
+        trajectories.
         """
-        query = np.asarray(query)
-        filter_mask = self._checked_filter(filter_mask)
-        if algo == "single_cta":
-            return self._scalar_single_cta(query, k, config, rng, filter_mask)
-        return self._scalar_multi_cta(query, k, config, rng, filter_mask)
-
-    # ------------------------------------------------------------------
-    # reference backend (hash-faithful)
-    # ------------------------------------------------------------------
-    def _search_reference(
-        self,
-        queries: np.ndarray,
-        k: int,
-        config: SearchConfig,
-        num_sms: int,
-        filter_mask: np.ndarray | None,
-    ) -> SearchResult:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if k > max(config.itopk, 1):
-            raise ValueError(f"k={k} exceeds itopk={config.itopk}")
-        filter_mask = self._checked_filter(filter_mask)
-        batch = queries.shape[0]
-        algo = choose_algo(config, batch, num_sms=num_sms)
-
-        total = CostReport(algo=algo, batch_size=batch, kernel_launches=1)
-        self._stamp_extras(total, config)
-        indices = np.empty((batch, k), dtype=np.uint32)
-        distances = np.empty((batch, k), dtype=np.float64)
-        if batch < _SCALAR_REFERENCE_ROWS:
-            # Latency dispatch: tiny batches can't amortize the slab's
-            # whole-batch numpy calls, so run the sequential spec instead
-            # (bitwise-identical outputs and counters).
-            scalar = (
-                self._scalar_single_cta
-                if algo == "single_cta"
-                else self._scalar_multi_cta
-            )
-            hash_in_shared = None
-            for i in range(batch):
-                rng = np.random.default_rng([config.seed, i])
-                ids, dists, report = scalar(queries[i], k, config, rng, filter_mask)
-                indices[i] = ids
-                distances[i] = dists
-                total.merge_from(report)
-                hash_in_shared = report.hash_in_shared
-                total.hash_log2_size = report.hash_log2_size
-            if hash_in_shared is not None:
-                total.hash_in_shared = hash_in_shared
-            return SearchResult(indices=indices, distances=distances, report=total)
-        run = (
-            self._reference_single_cta
-            if algo == "single_cta"
-            else self._reference_multi_cta
+        plan = self._resolve_plan(config, algo, k)
+        return self._scalar_arm(algo)(
+            np.asarray(query), k, plan, rng, self._checked_filter(filter_mask)
         )
-        chunk = self._chunk_rows_reference(config, algo)
-        for start in range(0, batch, chunk):  # memory-bounded chunks
-            sub = queries[start : start + chunk]
-            ids, dists = run(sub, k, config, total, filter_mask, seed_offset=start)
-            indices[start : start + sub.shape[0]] = ids
-            distances[start : start + sub.shape[0]] = dists
-        return SearchResult(indices=indices, distances=distances, report=total)
 
-    def _reference_single_cta(
-        self,
-        queries: np.ndarray,
-        k: int,
-        config: SearchConfig,
-        report: CostReport,
-        filter_mask: np.ndarray | None,
-        seed_offset: int = 0,
-        streams=None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        rows = queries.shape[0]
-        itopk = max(config.itopk, k)
+    # ------------------------------------------------------------------
+    # plan resolution
+    # ------------------------------------------------------------------
+    def _resolve_plan(
+        self, config: SearchConfig, algo: str, k: int, dense: bool = False
+    ) -> _SearchPlan:
+        """The one place the loop shape and hash policy are derived.
+
+        Table II defaults: forgettable/shared-memory table for single-CTA,
+        standard/device-memory table for multi-CTA.  The dense backend has
+        no hash policy of its own — it is accounted as the single-CTA
+        default whatever ``config.hash_table`` says, and it ignores
+        ``min_iterations``.
+        """
         max_iter = config.resolved_max_iterations()
-        hash_config = _default_hash_config("single_cta", config)
-        forgettable = hash_config.kind == "forgettable"
-        if forgettable:
-            log2 = hash_config.log2_size
-            interval = hash_config.reset_interval
+        merged_itopk = max(config.itopk, k)
+        if algo == "single_cta":
+            itopk, search_width, passes = merged_itopk, config.search_width, 1
+            hash_config = HashTableConfig(
+                kind="forgettable", log2_size=11, reset_interval=2
+            )
+            if config.hash_table is not None and not dense:
+                hash_config = config.hash_table
+        else:
+            # cuVS launches enough 32-wide workers to cover the requested
+            # internal top-M; same rule, with a floor of 2 (one worker
+            # would just be a narrow single-CTA search).  Each worker keeps
+            # a 32-entry list and expands one parent (Sec. IV-C2: p = 1).
+            passes = config.cta_per_query or max(
+                2, (max(config.itopk, 32) + 31) // 32
+            )
+            itopk, search_width = 32, 1
+            hash_config = config.hash_table or HashTableConfig(
+                kind="standard", log2_size=13
+            )
+            if hash_config.kind != "standard":
+                raise ValueError(
+                    "multi-CTA requires the standard (device-memory) hash table"
+                )
+        if hash_config.kind == "forgettable":
+            log2, reset_interval = hash_config.log2_size, hash_config.reset_interval
         else:
             log2 = max(
                 hash_config.log2_size,
                 standard_table_log2_size(
-                    max_iter, config.search_width, self.graph.degree
+                    max_iter, search_width * passes, self.graph.degree
                 ),
             )
-            interval = 0
-        slab = _HashSlab(log2, rows)
-        if streams is None:
-            streams = make_streams(
-                config.seed, seed_offset, rows, self.graph.num_nodes
-            )
-        topm_ids, topm_dists = self._hash_pass(
-            queries,
-            itopk,
-            config.search_width,
-            max_iter,
-            config.min_iterations,
-            slab,
-            streams,
-            interval,
-            filter_mask,
-            report,
+            reset_interval = 0
+        return _SearchPlan(
+            algo=algo,
+            dense=dense,
+            itopk=itopk,
+            search_width=search_width,
+            passes=passes,
+            merged_itopk=merged_itopk,
+            max_iterations=max_iter,
+            min_iterations=0 if dense else config.min_iterations,
+            hash_log2_size=log2,
+            reset_interval=reset_interval,
         )
-        report.cta_count += rows
-        slab.collect(report)
-        report.hash_in_shared = forgettable
-        report.hash_log2_size = log2
-        return (topm_ids[:, :k] & INDEX_MASK).astype(np.uint32), topm_dists[:, :k]
 
-    def _reference_multi_cta(
-        self,
-        queries: np.ndarray,
-        k: int,
-        config: SearchConfig,
-        report: CostReport,
-        filter_mask: np.ndarray | None,
-        seed_offset: int = 0,
-        streams=None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        rows = queries.shape[0]
-        num_cta = _resolve_cta_per_query(config)
-        worker_itopk = 32  # per-CTA internal list (Sec. IV-C2: p = 1)
-        max_iter = config.resolved_max_iterations()
-        hash_config = config.hash_table or HashTableConfig(
-            kind="standard", log2_size=13
-        )
-        if hash_config.kind != "standard":
-            raise ValueError(
-                "multi-CTA requires the standard (device-memory) hash table"
-            )
-        log2 = max(
-            hash_config.log2_size,
-            standard_table_log2_size(max_iter, num_cta, self.graph.degree),
-        )
-        slab = _HashSlab(log2, rows)
-        if streams is None:
-            streams = make_streams(
-                config.seed, seed_offset, rows, self.graph.num_nodes
-            )
-        worker_ids: list[np.ndarray] = []
-        worker_dists: list[np.ndarray] = []
-        for _ in range(num_cta):  # sequential worker CTAs, not per-query
-            ids, dists = self._hash_pass(
-                queries,
-                worker_itopk,
-                1,
-                max_iter,
-                config.min_iterations,
-                slab,
-                streams,
-                0,
-                filter_mask,
-                report,
-            )
-            worker_ids.append(ids)
-            worker_dists.append(dists)
-        report.cta_count += rows * num_cta
-        slab.collect(report)
-        report.hash_in_shared = False
-        report.hash_log2_size = log2
-        merged_ids, merged_dists = _merge_rows_reference(
-            np.concatenate(worker_ids, axis=1),
-            np.concatenate(worker_dists, axis=1),
-            np.empty((rows, 0), dtype=np.uint32),
-            np.empty((rows, 0)),
-            max(config.itopk, k),
-        )
-        return (merged_ids[:, :k] & INDEX_MASK).astype(np.uint32), merged_dists[:, :k]
+    # ------------------------------------------------------------------
+    # sequential small-batch arm (the executable spec, per query)
+    # ------------------------------------------------------------------
+    def _scalar_arm(self, algo: str):
+        if algo == "single_cta":
+            return self._scalar_single_cta
+        return self._scalar_multi_cta
 
-    # -- sequential small-batch fallback (the executable spec, per query) --
     def _scalar_single_cta(
         self,
         query: np.ndarray,
         k: int,
-        config: SearchConfig,
+        plan: _SearchPlan,
         rng: np.random.Generator,
         filter_mask: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray, CostReport]:
-        itopk = max(config.itopk, k)
-        max_iter = config.resolved_max_iterations()
-        hash_config = _default_hash_config("single_cta", config)
-        table = _make_hash_table(
-            hash_config, max_iter, config.search_width, self.graph.degree
-        )
-        report = CostReport(
-            algo="single_cta",
-            cta_count=1,
-            hash_in_shared=hash_config.kind == "forgettable",
-            hash_log2_size=table.log2_size,
-        )
-        topm_ids, topm_dists = _greedy_core(
-            self.data,
-            self.graph,
-            query,
-            itopk,
-            config.search_width,
-            max_iter,
-            config.min_iterations,
-            table,
-            rng,
-            self.metric,
-            report,
-            filter_mask=filter_mask,
+        table = plan.scalar_table()
+        report = plan.report(cta_count=1)
+        topm_ids, topm_dists = self._scalar_pass(
+            query, plan, table, rng, filter_mask, report
         )
         _collect_hash_counters(report, table)
         ids = (topm_ids[:k] & INDEX_MASK).astype(np.uint32)
@@ -624,382 +654,255 @@ class TraversalEngine:
         self,
         query: np.ndarray,
         k: int,
-        config: SearchConfig,
+        plan: _SearchPlan,
         rng: np.random.Generator,
         filter_mask: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray, CostReport]:
-        num_cta = _resolve_cta_per_query(config)
-        worker_itopk = 32  # per-CTA internal list (Sec. IV-C2: p = 1)
-        max_iter = config.resolved_max_iterations()
-        hash_config = config.hash_table or HashTableConfig(
-            kind="standard", log2_size=13
-        )
-        if hash_config.kind != "standard":
-            raise ValueError(
-                "multi-CTA requires the standard (device-memory) hash table"
-            )
-        table = _make_hash_table(hash_config, max_iter, num_cta, self.graph.degree)
-        report = CostReport(
-            algo="multi_cta",
-            cta_count=num_cta,
-            hash_in_shared=False,
-            hash_log2_size=table.log2_size,
-        )
-        all_ids: list[np.ndarray] = []
-        all_dists: list[np.ndarray] = []
-        for _ in range(num_cta):  # sequential worker CTAs
-            topm_ids, topm_dists = _greedy_core(
-                self.data,
-                self.graph,
-                query,
-                worker_itopk,
-                1,
-                max_iter,
-                config.min_iterations,
-                table,
-                rng,
-                self.metric,
-                report,
-                filter_mask=filter_mask,
-            )
-            all_ids.append(topm_ids)
-            all_dists.append(topm_dists)
+        table = plan.scalar_table()
+        report = plan.report(cta_count=plan.passes)
+        workers = [
+            self._scalar_pass(query, plan, table, rng, filter_mask, report)
+            for _ in range(plan.passes)  # sequential worker CTAs
+        ]
         _collect_hash_counters(report, table)
         merged_ids, merged_dists = merge_topm(
-            np.concatenate(all_ids),
-            np.concatenate(all_dists),
+            np.concatenate([ids for ids, _ in workers]),
+            np.concatenate([dists for _, dists in workers]),
             np.empty(0, dtype=np.uint32),
             np.empty(0),
-            max(config.itopk, k),
+            plan.merged_itopk,
         )
         ids = (merged_ids[:k] & INDEX_MASK).astype(np.uint32)
         return ids, merged_dists[:k].copy(), report
 
-    @hot_path
-    def _hash_pass(
+    def _scalar_pass(self, query, plan, table, rng, filter_mask, report):
+        return _greedy_core(
+            self.data,
+            self.graph,
+            query,
+            plan.itopk,
+            plan.search_width,
+            plan.max_iterations,
+            plan.min_iterations,
+            table,
+            rng,
+            self.metric,
+            report,
+            filter_mask=filter_mask,
+        )
+
+    # ------------------------------------------------------------------
+    # array-parallel arm: one chunk, one loop, two visited backends
+    # ------------------------------------------------------------------
+    def _run_chunk(
         self,
         queries: np.ndarray,
-        itopk: int,
-        p: int,
-        max_iter: int,
-        min_iter: int,
-        slab: _HashSlab,
-        streams,
-        reset_interval: int,
+        k: int,
+        plan: _SearchPlan,
+        seed: int,
+        seed_offset: int,
         filter_mask: np.ndarray | None,
         report: CostReport,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One greedy pass for all rows, hash-faithful (see module doc).
+        """All of ``plan``'s worker passes for one memory-bounded chunk.
 
-        Used once per batch in single-CTA mode and once per worker CTA in
-        multi-CTA mode (the slab and streams persist across workers, so a
-        later worker sees everything earlier workers visited and continues
-        their RNG streams — the paper's shared device-memory table).
+        The visited table and the per-query RNG streams persist across the
+        passes, so a later worker sees everything earlier workers visited
+        and continues their streams — the paper's shared device-memory
+        table.
+        """
+        rows = queries.shape[0]
+        n = self.graph.num_nodes
+        visited = plan.visited(rows, n)
+        streams = make_streams(seed, seed_offset, rows, n)
+        workers = [
+            self._traverse(queries, plan, visited, streams, filter_mask, report)
+            for _ in range(plan.passes)  # sequential worker CTAs, not per-query
+        ]
+        report.cta_count += rows * plan.passes
+        visited.collect(report)
+        ids, dists = workers[0]
+        if plan.passes > 1:
+            ids, dists = _merge_rows_reference(
+                np.concatenate([ids for ids, _ in workers], axis=1),
+                np.concatenate([dists for _, dists in workers], axis=1),
+                np.empty((rows, 0), dtype=np.uint32),
+                np.empty((rows, 0)),
+                plan.merged_itopk,
+            )
+        return (ids[:, :k] & INDEX_MASK).astype(np.uint32), dists[:, :k]
+
+    @hot_path
+    def _traverse(
+        self,
+        queries: np.ndarray,
+        plan: _SearchPlan,
+        visited,
+        streams,
+        filter_mask: np.ndarray | None,
+        report: CostReport,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One greedy pass for all rows; returns the final top-M buffers.
+
+        *The* stepping loop: everything that distinguishes the two modes
+        is behind ``visited`` (see the module docstring).  ``row_ids[i]`` is
+        the query / visited-table / RNG-stream row that live-slab row ``i``
+        serves; dead rows retire into the output buffers and are compacted
+        out of the slab (never out of ``visited`` or ``streams``, which may
+        be shared with other worker passes), so late steps only pay for
+        live queries.  Dead rows contribute nothing to any counter, so
+        compaction never shows in the report.
         """
         n = self.graph.num_nodes
         degree = self.graph.degree
+        itopk = plan.itopk
+        p = plan.search_width
         width = p * degree
-        rows = queries.shape[0]
-        rown = np.arange(rows)
-        track_ever = reset_interval > 0
-        # Recomputed distances require the table to forget; with a standard
-        # table "fresh" implies "never computed", so the ever-computed slab
-        # only exists in forgettable mode.
-        ever = np.zeros((rows, n), dtype=bool) if track_ever else None
-        since_reset = np.zeros(rows, dtype=np.int64) if track_ever else None
+        total_rows = queries.shape[0]
+        out_ids = np.empty((total_rows, itopk), dtype=np.uint32)
+        out_dists = np.empty((total_rows, itopk), dtype=np.float64)
+        row_ids = np.arange(total_rows, dtype=np.int64)
 
-        # ⓪ random initialization.
-        seed_ids = streams.draw(n, width)
-        report.random_inits += rows * width
-        lane_usable = np.ones((rows, width), dtype=bool)
-        fresh = slab.insert_unique(seed_ids, lane_usable)
-        gather_int = seed_ids.astype(np.int64)
-        gd = gathered_distances(self.data, queries, gather_int, self.metric)
-        merge_dists = np.where(fresh, gd, np.inf)
-        if filter_mask is not None:
-            merge_dists = np.where(filter_mask[gather_int], merge_dists, np.inf)
-        report.distance_computations += int(fresh.sum())
-        report.skipped_distance_computations += int((~fresh).sum())
-        if track_ever:
-            rows2d = np.broadcast_to(rown[:, None], gather_int.shape)
-            ever[rows2d[fresh], gather_int[fresh]] = True
-        merge_ids = seed_ids
+        # ⓪ random initialization (per-query default_rng([seed, i]) streams,
+        # drawn for the whole block at once).
+        cand_ids, cand_dists = self._first_visits(
+            visited,
+            row_ids,
+            queries,
+            streams.draw(n, width),
+            np.ones((total_rows, width), dtype=bool),
+            filter_mask,
+            report,
+        )
+        report.random_inits += total_rows * width
 
-        topm_ids = np.full((rows, itopk), INDEX_MASK, dtype=np.uint32)
-        topm_dists = np.full((rows, itopk), np.inf)
-        live = np.ones(rows, dtype=bool)
-        cand_width = np.full(rows, width, dtype=np.int64)
+        topm_ids = np.full((total_rows, itopk), INDEX_MASK, dtype=np.uint32)
+        topm_dists = np.full((total_rows, itopk), np.inf)
+        live = np.ones(total_rows, dtype=bool)
+        cand_width = np.full(total_rows, width, dtype=np.int64)
 
         iteration = 0
-        while iteration < max_iter and live.any():
+        while iteration < plan.max_iterations and live.any():
+            dead = ~live
+            if dead.any() and _COMPACT_FRACTION * int(dead.sum()) >= dead.size:
+                out_ids[row_ids[dead]] = topm_ids[dead]
+                out_dists[row_ids[dead]] = topm_dists[dead]
+                row_ids = row_ids[live]
+                queries = queries[live]
+                topm_ids = topm_ids[live]
+                topm_dists = topm_dists[live]
+                cand_ids = cand_ids[live]
+                cand_dists = cand_dists[live]
+                cand_width = cand_width[live]
+                live = live[live]
+
             iteration += 1
             report.iterations += int(live.sum())
             _charge_iteration_sort(report, cand_width[live], itopk)
 
             # ① merge candidates into the top-M buffer.  Dead rows carry
             # all-dummy candidates, so the merge is a no-op for them.
-            topm_ids, topm_dists = _merge_rows_reference(
-                topm_ids, topm_dists, merge_ids, merge_dists, itopk
+            topm_ids, topm_dists = visited.merge(
+                topm_ids, topm_dists, cand_ids, cand_dists, itopk
             )
 
             # ② pick the best p unparented entries per live row.
             selectable = ((topm_ids & PARENT_FLAG) == 0) & (topm_ids != INDEX_MASK)
             selectable &= live[:, None]
             pick_order = np.argsort(~selectable, axis=1, kind="stable")[:, :p]
-            picked_mask = np.take_along_axis(selectable, pick_order, axis=1)
-            has_any = picked_mask.any(axis=1)
-            converged = live & ~has_any
+            picked = np.take_along_axis(selectable, pick_order, axis=1)
+            expanding = picked.any(axis=1)
             # Converged before min_iterations: re-seed with fresh random
             # nodes (the kernel's slack iterations); at/after: retire.
-            reseed = (
-                converged
-                if iteration < min_iter
-                else np.zeros(rows, dtype=bool)
-            )
-            live = live & (has_any | reseed)
-            work = live & has_any
+            reseed = live & ~expanding & (iteration < plan.min_iterations)
+            live = expanding | reseed
             if not live.any():
                 break
 
             parent_entries = np.take_along_axis(topm_ids, pick_order, axis=1)
-            usable = picked_mask & work[:, None]
-            flagged = np.where(usable, parent_entries | PARENT_FLAG, parent_entries)
-            np.put_along_axis(topm_ids, pick_order, flagged, axis=1)
-            parent_nodes = np.where(
-                usable, (parent_entries & INDEX_MASK).astype(np.int64), 0
+            np.put_along_axis(
+                topm_ids,
+                pick_order,
+                np.where(picked, parent_entries | PARENT_FLAG, parent_entries),
+                axis=1,
             )
+            # Unpicked slots traverse a harmless stand-in (node 0) whose
+            # lanes are marked unusable below.
+            parent_nodes = np.where(picked, parent_entries & INDEX_MASK, 0)
 
             # ② gather neighbors for expanding rows.
-            gathered = self.graph.neighbors[parent_nodes].reshape(rows, -1).astype(
-                np.int64
+            cand_ids = self.graph.neighbors[parent_nodes.astype(np.intp)].reshape(
+                row_ids.size, width
             )
-            lane_usable = np.repeat(usable, degree, axis=1)
-            report.candidate_gathers += int(usable.sum()) * degree
-            cand_width = np.where(work, usable.sum(axis=1) * degree, cand_width)
+            lane_usable = np.repeat(picked, degree, axis=1)
+            report.candidate_gathers += int(picked.sum()) * degree
+            cand_width = picked.sum(axis=1) * degree
             if reseed.any():
-                draws = streams.draw(n, width, mask=reseed)
-                gathered = np.where(reseed[:, None], draws.astype(np.int64), gathered)
-                lane_usable = lane_usable | reseed[:, None]
-                cand_width = np.where(reseed, width, cand_width)
                 # NB: the reference meters random_inits at ⓪ only — reseed
                 # draws ride the same stream but aren't counted.
+                stream_mask = np.zeros(total_rows, dtype=bool)
+                stream_mask[row_ids] = reseed
+                draws = streams.draw(n, width, mask=stream_mask)[row_ids]
+                cand_ids = np.where(reseed[:, None], draws, cand_ids)
+                lane_usable |= reseed[:, None]
+                cand_width = np.where(reseed, width, cand_width)
 
-            # ③ first-time-only distance computation via the hash slab.
-            cand_u32 = gathered.astype(np.uint32)
-            fresh = slab.insert_unique(cand_u32, lane_usable)
-            gather_int = np.where(lane_usable, gathered, 0)
-            gd = gathered_distances(self.data, queries, gather_int, self.metric)
-            dists = np.where(fresh, gd, np.inf)
-            if filter_mask is not None:
-                dists = np.where(filter_mask[gather_int], dists, np.inf)
-            report.distance_computations += int(fresh.sum())
-            report.skipped_distance_computations += int(
-                (lane_usable & ~fresh).sum()
+            # ③ first-time-only distance computation.
+            cand_ids, cand_dists = self._first_visits(
+                visited, row_ids, queries, cand_ids, lane_usable, filter_mask, report
             )
-            if track_ever:
-                rows2d = np.broadcast_to(rown[:, None], gathered.shape)
-                report.recomputed_distances += int(
-                    (fresh & ever[rows2d, gather_int]).sum()
-                )
-                ever[rows2d[fresh], gathered[fresh]] = True
-            # Unusable lanes become dummies: they sort after every real
-            # entry in the reference merge, so they can never perturb a
-            # row's buffer (unlike a real id with an inf distance, which
-            # the reference keeps and later expands).
-            merge_ids = np.where(lane_usable, cand_u32, INDEX_MASK).astype(np.uint32)
-            merge_dists = dists
+            visited.end_step(row_ids, topm_ids, expanding)
 
-            # Forgettable reset (expanding rows only: a reseed iteration
-            # `continue`s before the reset hook in the reference).
-            if track_ever:
-                since_reset += work.astype(np.int64)
-                due = work & (since_reset >= reset_interval)
-                if due.any():
-                    since_reset[due] = 0
-                    slab.reset_rows(due)
-                    slab.register_topm(topm_ids, due)
-
-        return topm_ids, topm_dists
-
-    # ------------------------------------------------------------------
-    # fast backend (dense visited, flat hash accounting)
-    # ------------------------------------------------------------------
-    def _search_fast(
-        self,
-        queries: np.ndarray,
-        k: int,
-        config: SearchConfig,
-        filter_mask: np.ndarray | None,
-    ) -> SearchResult:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        filter_mask = self._checked_filter(filter_mask)
-        batch = queries.shape[0]
-        itopk = max(config.itopk, k)
-
-        report = CostReport(
-            algo="single_cta",
-            batch_size=batch,
-            hash_in_shared=True,
-            hash_log2_size=11,
-            kernel_launches=1,
-        )
-        self._stamp_extras(report, config)
-        indices = np.empty((batch, k), dtype=np.uint32)
-        distances = np.empty((batch, k), dtype=np.float64)
-        chunk = self._chunk_rows_fast(config, itopk)
-        for start in range(0, batch, chunk):  # memory-bounded chunks
-            sub = queries[start : start + chunk]
-            ids, dists = self._fast_block(
-                sub, k, itopk, config, filter_mask, start, report
-            )
-            indices[start : start + sub.shape[0]] = ids
-            distances[start : start + sub.shape[0]] = dists
-        report.cta_count = batch
-        return SearchResult(indices=indices, distances=distances, report=report)
-
-    @hot_path
-    def _fast_block(
-        self,
-        queries: np.ndarray,
-        k: int,
-        itopk: int,
-        config: SearchConfig,
-        filter_mask: np.ndarray | None,
-        seed_offset: int,
-        report: CostReport,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One dense lockstep chunk — the old ``_search_chunk_fast`` loop
-        plus dead-query compaction (finished rows retire their results and
-        leave the slab, so late iterations only pay for live queries)."""
-        n = self.graph.num_nodes
-        degree = self.graph.degree
-        p = config.search_width
-        width = p * degree
-        max_iter = config.resolved_max_iterations()
-        rows0 = queries.shape[0]
-
-        out_ids = np.empty((rows0, k), dtype=np.uint32)
-        out_dists = np.empty((rows0, k), dtype=np.float64)
-        row_ids = np.arange(rows0, dtype=np.int64)
-
-        # ⓪ per-query random initialization (bit-identical to the
-        # reference's per-query default_rng streams, vectorized).
-        cand_ids = random_init_block(config.seed, seed_offset, rows0, n, width)
-        report.random_inits += rows0 * width
-
-        visited = np.zeros((rows0, n), dtype=bool)
-        rows_idx = np.arange(rows0)[:, None]
-        cand_int = cand_ids.astype(np.int64)
-        fresh = _first_occurrence_rows(cand_int) & ~visited[rows_idx, cand_int]
-        visited[rows_idx, cand_int] = True
-        cand_dists = gathered_distances(self.data, queries, cand_int, self.metric)
-        cand_dists = np.where(fresh, cand_dists, np.inf)
-        if filter_mask is not None:
-            cand_dists = np.where(filter_mask[cand_int], cand_dists, np.inf)
-        report.distance_computations += int(fresh.sum())
-        report.skipped_distance_computations += int((~fresh).sum())
-        report.hash_lookups += fresh.size
-        report.hash_probes += 2 * fresh.size
-        report.hash_insertions += int(fresh.sum())
-
-        topm_ids = np.full((rows0, itopk), INDEX_MASK, dtype=np.uint32)
-        topm_dists = np.full((rows0, itopk), np.inf)
-        active = np.ones(rows0, dtype=bool)
-        cand_width = np.full(rows0, width, dtype=np.int64)
-        sentinels = n + np.arange(width, dtype=np.int64)
-
-        iteration = 0
-        while iteration < max_iter and active.any():
-            # Dead-query compaction: retire finished rows and shrink every
-            # slab once a quarter of the block is dead.  Counters are
-            # untouched — dead rows contribute nothing to any charge.
-            dead = ~active
-            if dead.any() and _COMPACT_FRACTION * int(dead.sum()) >= dead.size:
-                self._retire(
-                    out_ids, out_dists, row_ids[dead], topm_ids[dead],
-                    topm_dists[dead], k,
-                )
-                keep = active
-                row_ids = row_ids[keep]
-                queries = queries[keep]
-                visited = visited[keep]
-                topm_ids = topm_ids[keep]
-                topm_dists = topm_dists[keep]
-                cand_ids = cand_ids[keep]
-                cand_int = cand_int[keep]
-                cand_dists = cand_dists[keep]
-                cand_width = cand_width[keep]
-                active = active[keep]
-                rows_idx = np.arange(active.size)[:, None]
-
-            iteration += 1
-            report.iterations += int(active.sum())
-            _charge_iteration_sort(report, cand_width[active], itopk)
-
-            # ① merge candidates into the top-M buffer.
-            topm_ids, topm_dists = _merge_rows(
-                topm_ids, topm_dists, cand_ids, cand_dists, itopk
-            )
-
-            # ② pick the best p unparented entries per row.
-            selectable = ((topm_ids & PARENT_FLAG) == 0) & (topm_ids != INDEX_MASK)
-            selectable &= active[:, None]
-            pick_order = np.argsort(~selectable, axis=1, kind="stable")[:, :p]
-            picked_mask = np.take_along_axis(selectable, pick_order, axis=1)
-            has_any = picked_mask.any(axis=1)
-            active = active & has_any
-            if not active.any():
-                break
-
-            parent_entries = np.take_along_axis(topm_ids, pick_order, axis=1)
-            parent_nodes = (parent_entries & INDEX_MASK).astype(np.int64)
-            flagged = np.where(
-                picked_mask & active[:, None],
-                parent_entries | PARENT_FLAG,
-                parent_entries,
-            )
-            np.put_along_axis(topm_ids, pick_order, flagged, axis=1)
-
-            # Inactive/unselected slots traverse a harmless stand-in
-            # (node 0) whose candidates are masked to inf below.
-            usable = picked_mask & active[:, None]
-            parent_nodes = np.where(usable, parent_nodes, 0)
-
-            # ② gather neighbors, ③ compute first-time distances.
-            cand_ids = self.graph.neighbors[parent_nodes].reshape(active.size, -1)
-            cand_width = usable.sum(axis=1) * degree
-            report.candidate_gathers += int(usable.sum()) * degree
-            cand_int = cand_ids.astype(np.int64)
-            lane_usable = np.repeat(usable, degree, axis=1)
-            lane_ids = np.where(lane_usable, cand_int, sentinels)
-            fresh = (
-                _first_occurrence_rows(lane_ids)
-                & lane_usable
-                & ~visited[rows_idx, cand_int]
-            )
-            visited[rows_idx, cand_int] |= lane_usable
-            cand_dists = gathered_distances(self.data, queries, cand_int, self.metric)
-            cand_dists = np.where(fresh, cand_dists, np.inf)
-            if filter_mask is not None:
-                cand_dists = np.where(filter_mask[cand_int], cand_dists, np.inf)
-            report.distance_computations += int(fresh.sum())
-            report.skipped_distance_computations += int((lane_usable & ~fresh).sum())
-            report.hash_lookups += int(lane_usable.sum())
-            report.hash_probes += 2 * int(lane_usable.sum())
-            report.hash_insertions += int(fresh.sum())
-
-        self._retire(out_ids, out_dists, row_ids, topm_ids, topm_dists, k)
+        out_ids[row_ids] = topm_ids
+        out_dists[row_ids] = topm_dists
         return out_ids, out_dists
 
-    @staticmethod
-    def _retire(out_ids, out_dists, row_ids, topm_ids, topm_dists, k) -> None:
-        out_ids[row_ids] = topm_ids[:, :k] & INDEX_MASK
-        out_dists[row_ids] = topm_dists[:, :k]
+    @hot_path
+    def _first_visits(
+        self,
+        visited,
+        row_ids: np.ndarray,
+        queries: np.ndarray,
+        ids: np.ndarray,
+        lane_usable: np.ndarray,
+        filter_mask: np.ndarray | None,
+        report: CostReport,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Step ③: distances for first-visited nodes only.
+
+        Returns the merge-ready candidate lanes: non-first visits and
+        filtered-out nodes carry ``+inf``; unusable lanes additionally
+        become dummies — they sort after every real entry in the reference
+        merge, so they can never perturb a row's buffer (unlike a real id
+        with an inf distance, which the reference keeps and later expands).
+        """
+        fresh = visited.probe(row_ids, ids, lane_usable)
+        lanes = ids.astype(np.intp)
+        dists = gathered_distances(self.data, queries, lanes, self.metric)
+        dists = np.where(fresh, dists, np.inf)
+        if filter_mask is not None:
+            dists = np.where(filter_mask[lanes], dists, np.inf)
+        computed = int(fresh.sum())
+        report.distance_computations += computed
+        report.skipped_distance_computations += int(lane_usable.sum()) - computed
+        return np.where(lane_usable, ids, INDEX_MASK), dists
 
     # ------------------------------------------------------------------
     # sizing, validation, accounting
     # ------------------------------------------------------------------
+    def _checked_queries(self, queries) -> np.ndarray:
+        """Typed, early rejection of queries the traversal would mangle."""
+        queries = np.atleast_2d(np.asarray(queries))
+        dim = self.data.shape[1]
+        if queries.ndim != 2 or queries.shape[1] != dim:
+            raise ValueError(
+                f"query dim {queries.shape[-1]} does not match index dim {dim}"
+            )
+        if not np.isfinite(queries).all():
+            bad = int(np.flatnonzero(~np.isfinite(queries).all(axis=1))[0])
+            raise ValueError(f"query row {bad} contains NaN or inf")
+        return queries
+
     def _checked_filter(self, filter_mask):
         if filter_mask is None:
             return None
@@ -1025,40 +928,15 @@ class TraversalEngine:
         gather = width * dim * (storage + compute)
         return lanes + gather + 12 * itopk
 
-    def _chunk_rows_fast(self, config: SearchConfig, itopk: int) -> int:
-        width = config.search_width * self.graph.degree
-        per_row = self.graph.num_nodes + self._gather_bytes_per_row(width, itopk)
-        return max(1, _VISITED_BUDGET_BYTES // max(1, per_row))
-
-    def _chunk_rows_reference(self, config: SearchConfig, algo: str) -> int:
-        max_iter = config.resolved_max_iterations()
-        degree = self.graph.degree
-        if algo == "single_cta":
-            hash_config = _default_hash_config("single_cta", config)
-            if hash_config.kind == "forgettable":
-                log2 = hash_config.log2_size
-                ever = self.graph.num_nodes  # ever-computed bool slab
-            else:
-                log2 = max(
-                    hash_config.log2_size,
-                    standard_table_log2_size(max_iter, config.search_width, degree),
-                )
-                ever = 0
-            width = config.search_width * degree
-            itopk = config.itopk
-        else:
-            num_cta = _resolve_cta_per_query(config)
-            hash_config = config.hash_table or HashTableConfig(
-                kind="standard", log2_size=13
-            )
-            log2 = max(
-                hash_config.log2_size,
-                standard_table_log2_size(max_iter, num_cta, degree),
-            )
-            ever = 0
-            width = degree
-            itopk = 32
-        per_row = 4 * (1 << log2) + ever + self._gather_bytes_per_row(width, itopk)
+    def _chunk_rows(self, plan: _SearchPlan) -> int:
+        """Rows per chunk so one chunk's visited table + slab fit the budget."""
+        n = self.graph.num_nodes
+        if plan.dense:
+            table = n
+        else:  # uint32 slots, plus the ever-computed slab when forgettable
+            table = 4 * (1 << plan.hash_log2_size) + (n if plan.reset_interval else 0)
+        width = plan.search_width * self.graph.degree
+        per_row = table + self._gather_bytes_per_row(width, plan.itopk)
         return max(1, _VISITED_BUDGET_BYTES // max(1, per_row))
 
     def _stamp_extras(self, report: CostReport, config: SearchConfig) -> None:
@@ -1093,7 +971,5 @@ def search_batch_fast(
     ``CagraIndex.search_fast``) amortizes the fp16 conversion instead.
     """
     config = config or SearchConfig()
-    engine = TraversalEngine(
-        data, graph, metric=metric, precision=getattr(config, "precision", "fp32")
-    )
+    engine = TraversalEngine(data, graph, metric=metric, precision=config.precision)
     return engine.search(queries, k, config=config, mode="fast", filter_mask=filter_mask)

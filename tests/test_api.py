@@ -9,14 +9,12 @@ Covers the acceptance criteria of the protocol refactor:
   detection for every kind;
 * CAGRA search results stay bitwise identical to the pre-refactor
   seeded regression fixture (reference, fast, multi-CTA, and sharded
-  paths);
-* the ``ShardedSearchResult`` deprecation shim warns and aliases.
+  paths).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -258,17 +256,6 @@ class TestValueObjects:
 
 
 class TestDeprecationShim:
-    def test_sharded_search_result_alias_warns(self):
-        import repro.core.sharding as sharding
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            alias = sharding.ShardedSearchResult
-        assert alias is SearchResult
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
     def test_unknown_attribute_still_raises(self):
         import repro.core.sharding as sharding
 

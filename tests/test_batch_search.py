@@ -6,7 +6,7 @@ import pytest
 from repro import SearchConfig
 from repro.core.graph import INDEX_MASK, PARENT_FLAG
 from repro.core.metrics import recall
-from repro.core.traversal import _merge_rows, search_batch_fast  # noqa: F401
+from repro.core.traversal import _merge_rows, _merge_rows_reference
 
 
 class TestMergeRows:
@@ -25,9 +25,9 @@ class TestMergeRows:
         topm_d = np.array([[1.5]])
         cand = np.array([[7]], dtype=np.uint32)
         cand_d = np.array([[1.5]])
-        ids, _ = _merge_rows(topm, topm_d, cand, cand_d, 2)
-        assert ids[0, 0] == flagged
-        assert ids[0, 1] == INDEX_MASK
+        ids, dists = _merge_rows_reference(topm, topm_d, cand, cand_d, 2)
+        np.testing.assert_array_equal(ids, [[flagged, INDEX_MASK]])
+        np.testing.assert_array_equal(dists, [[1.5, np.inf]])
 
     def test_matches_scalar_merge_topm(self):
         from repro.core.topm import merge_topm
@@ -38,13 +38,13 @@ class TestMergeRows:
             topm_d = np.sort(rng.random(8))
             cand_ids = rng.choice(100, size=12, replace=True).astype(np.uint32)
             cand_d = rng.random(12)
+            cand_d[rng.random(12) < 0.25] = np.inf  # non-first visits
             ref_ids, ref_d = merge_topm(topm_ids, topm_d, cand_ids, cand_d, 8)
-            fast_ids, fast_d = _merge_rows(
+            got_ids, got_d = _merge_rows_reference(
                 topm_ids[None], topm_d[None], cand_ids[None], cand_d[None], 8
             )
-            np.testing.assert_allclose(fast_d[0], ref_d)
-            finite = np.isfinite(ref_d)
-            np.testing.assert_array_equal(fast_ids[0][finite], ref_ids[finite])
+            np.testing.assert_array_equal(got_d[0], ref_d)
+            np.testing.assert_array_equal(got_ids[0], ref_ids)  # inf slots too
 
     def test_rows_independent(self):
         rng = np.random.default_rng(1)
@@ -267,6 +267,86 @@ class TestCounterParity:
         )
 
 
+    def test_partial_parent_pick_regression(self):
+        """``search_width`` > unparented entries left: the unpicked parent
+        slots traverse a stand-in node whose lanes are unusable.  Those
+        lanes used to share a duplicate-index write with usable lanes on
+        the dense table and could un-mark a node just visited, so it was
+        "first visited" (and its distance charged) twice."""
+        from repro import CagraIndex
+        from repro.core.graph import FixedDegreeGraph
+
+        rng = np.random.default_rng(14)
+        n = int(rng.integers(20, 80))
+        degree = int(rng.choice([4, 6, 8]))
+        data = rng.standard_normal((n, 4)).astype(np.float32)
+        neighbors = rng.integers(0, n, size=(n, degree)).astype(np.uint32)
+        index = CagraIndex(data, FixedDegreeGraph(neighbors))
+        queries = rng.standard_normal((6, 4)).astype(np.float32)
+        width = int(rng.choice([2, 3]))
+        itopk = int(rng.choice([8, 16]))
+        fast_config, ref_config = self._configs(itopk, seed=14, search_width=width)
+        self._assert_parity(index, queries, 4, fast_config, ref_config)
+
+
+def _duplicate_vector_case():
+    """300 rows drawn from only 60 distinct vectors: every query sees
+    exact distance ties between distinct ids, the case where the top-M
+    merge's tie-break (bare id) decides the result order."""
+    from repro import CagraIndex, GraphBuildConfig
+
+    rng = np.random.default_rng(11)
+    distinct = rng.standard_normal((60, 8)).astype(np.float32)
+    data = np.repeat(distinct, 5, axis=0)[rng.permutation(300)]
+    queries = rng.standard_normal((16, 8)).astype(np.float32)
+    index = CagraIndex.build(data, GraphBuildConfig(graph_degree=8, seed=0))
+    mask = np.ones(300, dtype=bool)
+    mask[::3] = False
+    return index, queries, mask
+
+
+class TestDuplicateVectorRegression:
+    """``search_fast`` on a tie-heavy dataset stays bitwise what it was
+    before the sort-only merge: ``fixtures/duplicate_vectors_fast.npz``
+    holds ids, distances and the 14 parity counters recorded from the
+    lexsort-dedup merge (commit 91b03fc) on :func:`_duplicate_vector_case`.
+    """
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        import os
+
+        path = os.path.join(
+            os.path.dirname(__file__), "fixtures", "duplicate_vectors_fast.npz"
+        )
+        with np.load(path) as archive:
+            expected = {key: archive[key] for key in archive.files}
+        return _duplicate_vector_case() + (expected,)
+
+    @pytest.mark.parametrize("search_width", [1, 2])
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_bitwise_against_recorded_run(self, case, search_width, filtered):
+        index, queries, mask, expected = case
+        result = index.search_fast(
+            queries,
+            10,
+            SearchConfig(itopk=32, seed=5, search_width=search_width),
+            filter_mask=mask if filtered else None,
+        )
+        prefix = f"w{search_width}_{'filtered' if filtered else 'plain'}"
+        # The case is only a regression if ties actually reach the output.
+        assert (np.diff(expected[f"{prefix}_distances"], axis=1) == 0).any()
+        np.testing.assert_array_equal(result.indices, expected[f"{prefix}_indices"])
+        np.testing.assert_array_equal(
+            result.distances, expected[f"{prefix}_distances"]
+        )
+        counters = result.report.as_dict()
+        got = np.array([counters[name] for name in PARITY_COUNTERS], dtype=np.int64)
+        np.testing.assert_array_equal(got, expected[f"{prefix}_counters"])
+        if filtered:
+            assert mask[result.indices].all()
+
+
 class TestChunkReportIntegrity:
     def test_chunk_totals_are_exact(self, small_index, small_queries, monkeypatch):
         """The engine accumulates all chunks into one report; chunking must
@@ -281,13 +361,13 @@ class TestChunkReportIntegrity:
             traversal, "_VISITED_BUDGET_BYTES", small_index.size * 7
         )
         calls = []
-        original = traversal.TraversalEngine._fast_block
+        original = traversal.TraversalEngine._run_chunk
 
         def recording(self, queries, *args, **kwargs):
             calls.append(queries.shape[0])
             return original(self, queries, *args, **kwargs)
 
-        monkeypatch.setattr(traversal.TraversalEngine, "_fast_block", recording)
+        monkeypatch.setattr(traversal.TraversalEngine, "_run_chunk", recording)
         total = small_index.search_fast(small_queries, 5, config).report
         assert len(calls) > 1
         assert sum(calls) == len(small_queries)
@@ -296,8 +376,9 @@ class TestChunkReportIntegrity:
 
 
 class TestRandomInitBlock:
-    """The vectorized RNG init must be bit-identical to per-query
-    ``default_rng([seed, q])`` draws (the regression fixture pins them)."""
+    """The vectorized RNG streams' ⓪-seed draw must be bit-identical to
+    per-query ``default_rng([seed, q])`` draws (the regression fixture
+    pins them)."""
 
     CASES = (
         (0, 0, 7, 1000, 32),
@@ -308,36 +389,45 @@ class TestRandomInitBlock:
         (42, 0, 4, 2**32 - 1, 16),  # near-full 32-bit range
     )
 
+    @staticmethod
+    def _per_query(seed, offset, batch, n, width):
+        expected = np.empty((batch, width), dtype=np.uint32)
+        for i in range(batch):
+            rng = np.random.default_rng([seed, offset + i])
+            expected[i] = rng.integers(0, n, size=width, dtype=np.uint32)
+        return expected
+
     def test_matches_per_query_generator(self):
-        from repro.core.rng_init import random_init_block
+        from repro.core.rng_init import VectorRngStreams, make_streams
 
         for seed, offset, batch, n, width in self.CASES:
-            expected = np.empty((batch, width), dtype=np.uint32)
-            for i in range(batch):
-                rng = np.random.default_rng([seed, offset + i])
-                expected[i] = rng.integers(0, n, size=width, dtype=np.uint32)
-            got = random_init_block(seed, offset, batch, n, width)
-            np.testing.assert_array_equal(got, expected, err_msg=str(
-                (seed, offset, batch, n, width)))
+            streams = make_streams(seed, offset, batch, n)
+            assert isinstance(streams, VectorRngStreams)
+            np.testing.assert_array_equal(
+                streams.draw(n, width),
+                self._per_query(seed, offset, batch, n, width),
+                err_msg=str((seed, offset, batch, n, width)),
+            )
 
     def test_single_node_short_circuit(self):
-        from repro.core.rng_init import random_init_block
+        from repro.core.rng_init import make_streams
 
         np.testing.assert_array_equal(
-            random_init_block(5, 0, 3, 1, 8), np.zeros((3, 8), dtype=np.uint32)
+            make_streams(5, 0, 3, 1).draw(1, 8), np.zeros((3, 8), dtype=np.uint32)
         )
 
     def test_out_of_envelope_falls_back(self):
-        from repro.core.rng_init import _reference_init_block, random_init_block
+        from repro.core.rng_init import GeneratorRngStreams, make_streams
 
         # n = 2**32 exceeds the 32-bit Lemire envelope but is a valid
-        # numpy bound; the reference loop must take over transparently.
+        # numpy bound; real per-row Generators must take over transparently.
+        streams = make_streams(0, 0, 3, 2**32)
+        assert isinstance(streams, GeneratorRngStreams)
         np.testing.assert_array_equal(
-            random_init_block(0, 0, 3, 2**32, 8),
-            _reference_init_block(0, 0, 3, 2**32, 8),
+            streams.draw(2**32, 8), self._per_query(0, 0, 3, 2**32, 8)
         )
 
     def test_empty_shapes(self):
-        from repro.core.rng_init import random_init_block
+        from repro.core.rng_init import make_streams
 
-        assert random_init_block(0, 0, 0, 10, 4).shape == (0, 4)
+        assert make_streams(0, 0, 0, 10).draw(10, 4).shape == (0, 4)

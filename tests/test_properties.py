@@ -164,24 +164,75 @@ class TestBatchMergeProperties:
         n_cand=st.integers(0, 20),
     )
     def test_vectorized_merge_matches_scalar(self, seed, rows, m, n_cand):
+        """``_merge_rows_reference`` *is* row-parallel ``merge_topm``:
+        exact ids (dummies and inf-distance real ids included), parent
+        flags, distances, and position tie-breaks."""
+        from repro.core.graph import INDEX_MASK, PARENT_FLAG
         from repro.core.topm import merge_topm
-        from repro.core.traversal import _merge_rows
+        from repro.core.traversal import _merge_rows_reference
 
         rng = np.random.default_rng(seed)
         topm_ids = np.stack(
             [rng.choice(200, size=m, replace=False) for _ in range(rows)]
         ).astype(np.uint32)
-        topm_d = np.sort(rng.random((rows, m)), axis=1)
+        topm_ids[rng.random((rows, m)) < 0.3] |= PARENT_FLAG
+        # Coarse distances force exact ties; infs exercise the "real id
+        # with an infinite distance survives" rule.
+        topm_d = np.sort(rng.integers(0, 6, (rows, m)).astype(np.float64), axis=1)
+        topm_d[:, m - m // 3 :] = np.inf
+        topm_ids[:, m - m // 4 :] = INDEX_MASK
         cand_ids = rng.choice(200, size=(rows, n_cand), replace=True).astype(np.uint32)
-        cand_d = rng.random((rows, n_cand))
-        fast_ids, fast_d = _merge_rows(topm_ids, topm_d, cand_ids, cand_d, m)
+        cand_d = rng.integers(0, 6, (rows, n_cand)).astype(np.float64)
+        cand_d[rng.random((rows, n_cand)) < 0.3] = np.inf
+        got_ids, got_d = _merge_rows_reference(topm_ids, topm_d, cand_ids, cand_d, m)
         for r in range(rows):
             ref_ids, ref_d = merge_topm(
                 topm_ids[r], topm_d[r], cand_ids[r], cand_d[r], m
             )
-            np.testing.assert_allclose(fast_d[r], ref_d)
-            finite = np.isfinite(ref_d)
-            np.testing.assert_array_equal(fast_ids[r][finite], ref_ids[finite])
+            np.testing.assert_array_equal(got_d[r], ref_d)
+            np.testing.assert_array_equal(got_ids[r], ref_ids)
+
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(1, 4),
+        m=st.integers(1, 12),
+        n_cand=st.integers(0, 20),
+    )
+    def test_sort_only_merge_under_its_precondition(self, seed, rows, m, n_cand):
+        """The dense backend's merge, given what an exact visited table
+        guarantees (finite entries carry distinct bare ids per row): the
+        best ``m`` finite entries ordered by (distance, bare id), flags
+        kept, and every inf slot a dummy."""
+        from repro.core.graph import INDEX_MASK, PARENT_FLAG
+        from repro.core.traversal import _merge_rows
+
+        rng = np.random.default_rng(seed)
+        total = m + n_cand
+        ids = np.stack(
+            [rng.choice(200, size=total, replace=False) for _ in range(rows)]
+        ).astype(np.uint32)
+        dists = rng.integers(0, 6, (rows, total)).astype(np.float64)  # ties
+        # Stale / non-first-visit lanes: arbitrary (even repeated) ids, +inf.
+        stale = rng.random((rows, total)) < 0.3
+        dists[stale] = np.inf
+        ids[stale] = rng.integers(0, 200, int(stale.sum()))
+        ids[:, :m] |= np.where(rng.random((rows, m)) < 0.3, PARENT_FLAG, 0).astype(
+            np.uint32
+        )
+        out_ids, out_d = _merge_rows(
+            ids[:, :m], dists[:, :m], ids[:, m:], dists[:, m:], m
+        )
+        assert out_ids.dtype == np.uint32 and out_ids.shape == (rows, m)
+        for r in range(rows):
+            finite = np.flatnonzero(np.isfinite(dists[r]))
+            best = sorted(
+                finite, key=lambda j: (dists[r, j], int(ids[r, j] & INDEX_MASK))
+            )[:m]
+            np.testing.assert_array_equal(out_ids[r, : len(best)], ids[r, best])
+            np.testing.assert_array_equal(out_d[r, : len(best)], dists[r, best])
+            assert (out_ids[r, len(best) :] == INDEX_MASK).all()
+            assert np.isinf(out_d[r, len(best) :]).all()
 
 
 class TestReverseListProperties:

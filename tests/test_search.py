@@ -7,7 +7,7 @@ from repro import SearchConfig
 from repro.core.config import HashTableConfig
 from repro.core.graph import INDEX_MASK
 from repro.core.metrics import recall
-from repro.core.search import CostReport, search_batch, search_single_query
+from repro.core.search import CostReport, search_batch
 
 
 class TestSearchBatch:
@@ -150,6 +150,42 @@ class TestCostReport:
         assert a.iterations == 5
         assert a.cta_count == 3
 
+    def test_every_field_round_trips(self):
+        """``as_dict`` and ``merge_from`` are derived from the dataclass
+        fields, so no counter can be declared and then forgotten by one
+        of them (a new counter needs no edit here either)."""
+        import dataclasses
+
+        descriptive = {
+            "algo", "batch_size", "hash_in_shared", "hash_log2_size",
+            "kernel_launches", "extras",
+        }
+        names = [f.name for f in dataclasses.fields(CostReport)]
+        counters = [name for name in names if name not in descriptive]
+        assert descriptive < set(names) and "hash_probes" in counters
+        total = CostReport(
+            algo="multi_cta", batch_size=4, hash_in_shared=False,
+            hash_log2_size=13, kernel_launches=1, extras={"team_size": 8},
+            **{name: 100 + i for i, name in enumerate(counters)},
+        )
+        part = CostReport(
+            algo="single_cta", batch_size=1, hash_in_shared=True,
+            hash_log2_size=11, kernel_launches=3, extras={"team_size": 2},
+            **{name: 1 + i for i, name in enumerate(counters)},
+        )
+        total.merge_from(part)
+        merged = total.as_dict()
+        assert list(merged) == [n for n in names if n != "extras"] + ["team_size"]
+        for i, name in enumerate(counters):
+            assert merged[name] == 101 + 2 * i, name
+        # The fields that describe the call keep the owner's values.
+        assert merged["algo"] == "multi_cta"
+        assert merged["batch_size"] == 4
+        assert merged["hash_in_shared"] is False
+        assert merged["hash_log2_size"] == 13
+        assert merged["kernel_launches"] == 1
+        assert merged["team_size"] == 8
+
 
 class TestSearchKnobs:
     def test_search_width_scales_candidates(self, small_index, small_queries):
@@ -210,14 +246,8 @@ class TestSearchSingleQuery:
     def test_explicit_algo_dispatch(self, small_index, small_queries):
         rng = np.random.default_rng(0)
         for algo in ("single_cta", "multi_cta"):
-            ids, dists, report = search_single_query(
-                small_index.dataset,
-                small_index.graph,
-                small_queries[0],
-                5,
-                SearchConfig(itopk=32),
-                algo,
-                rng,
+            ids, dists, report = small_index.engine().search_single(
+                small_queries[0], 5, SearchConfig(itopk=32), algo, rng
             )
             assert ids.shape == (5,)
             assert report.algo == algo
@@ -226,12 +256,13 @@ class TestSearchSingleQuery:
         """Paper Sec. IV-C2: multi-CTA searches num_cta * d nodes per
         round vs p * d for single-CTA — higher recall at equal rounds."""
         rng = np.random.default_rng(0)
-        _, _, single = search_single_query(
-            small_index.dataset, small_index.graph, small_queries[0], 5,
-            SearchConfig(itopk=64), "single_cta", np.random.default_rng(0),
+        engine = small_index.engine()
+        _, _, single = engine.search_single(
+            small_queries[0], 5, SearchConfig(itopk=64), "single_cta",
+            np.random.default_rng(0),
         )
-        _, _, multi = search_single_query(
-            small_index.dataset, small_index.graph, small_queries[0], 5,
-            SearchConfig(itopk=64), "multi_cta", np.random.default_rng(0),
+        _, _, multi = engine.search_single(
+            small_queries[0], 5, SearchConfig(itopk=64), "multi_cta",
+            np.random.default_rng(0),
         )
         assert multi.cta_count > single.cta_count

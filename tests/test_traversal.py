@@ -13,14 +13,13 @@ Acceptance suite for the hot-loop unification:
   stable ids, halves the stamped storage width, and is deterministic;
 * the chunk-size heuristic accounts for the per-live-query slab width
   (an fp16 engine never gets *smaller* chunks than fp32);
-* the ``search_batch_fast`` / ``search_single_query`` deprecation shims
-  warn and forward.
+* malformed queries (wrong dim, NaN/inf) are rejected typed and early at
+  the one engine entry, on every path.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -238,12 +237,9 @@ class TestChunkHeuristic:
         _, _, index, _ = regression
         fp32 = index.engine("fp32")
         fp16 = index.engine("fp16")
-        assert fp16._chunk_rows_fast(CONFIG, 64) >= fp32._chunk_rows_fast(
-            CONFIG, 64
-        )
-        assert fp16._chunk_rows_reference(
-            CONFIG, "single_cta"
-        ) >= fp32._chunk_rows_reference(CONFIG, "single_cta")
+        for dense in (True, False):
+            plan = fp32._resolve_plan(CONFIG, "single_cta", 10, dense=dense)
+            assert fp16._chunk_rows(plan) >= fp32._chunk_rows(plan)
 
     def test_gather_bytes_scale_with_storage(self, regression):
         _, _, index, _ = regression
@@ -262,49 +258,70 @@ class TestChunkHeuristic:
         assert_pinned(chunked, expected, "fast")
 
 
-class TestDeprecationShims:
-    def test_batch_search_module_warns_and_forwards(self):
-        import repro.core.batch_search as batch_search
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            alias = batch_search.search_batch_fast
-        assert alias is traversal.search_batch_fast
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        with pytest.raises(AttributeError):
-            batch_search.no_such_name
-
-    def test_search_single_query_warns_and_works(self, regression):
-        import repro.core.search as search
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fn = search.search_single_query
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        _, queries, index, expected = regression
-        rng = np.random.default_rng([0, 0])
-        ids, dists, _ = fn(
-            index.dataset, index.graph, queries[0], 10, CONFIG, "single_cta", rng
-        )
-        np.testing.assert_array_equal(ids, expected["single_indices"][0])
-        with pytest.raises(AttributeError):
-            search.no_such_name
-
-
 class TestEngineValidation:
     def test_mode_validated(self, regression):
         _, queries, index, _ = regression
-        with pytest.raises(ValueError, match="mode"):
-            index.engine().search(queries, 10, config=CONFIG, mode="warp")
+        # "auto" is the adapter's Table-II dispatch, not an engine mode.
+        for mode in ("warp", "auto"):
+            with pytest.raises(ValueError, match="mode"):
+                index.engine().search(queries, 10, config=CONFIG, mode=mode)
 
     def test_k_exceeding_itopk_rejected_in_reference(self, regression):
         _, queries, index, _ = regression
         with pytest.raises(ValueError, match="exceeds itopk"):
             index.search(queries, 70, config=CONFIG)
 
-    def test_auto_mode_is_fast(self, regression):
+
+class TestQueryValidation:
+    """Malformed queries fail typed at ``TraversalEngine.search`` — before
+    any traversal work, and the same way on every path."""
+
+    @staticmethod
+    def _paths(index):
+        yield "reference-scalar", lambda q: index.search(q[:1], 10, config=CONFIG)
+        yield "reference-slab", lambda q: index.search(q, 10, config=CONFIG)
+        yield "fast", lambda q: index.search_fast(q, 10, config=CONFIG)
+
+    def test_wrong_dim_names_both_dims(self, regression):
         _, queries, index, _ = regression
-        auto = index.engine().search(queries, 10, config=CONFIG, mode="auto")
-        fast = index.search_fast(queries, 10, config=CONFIG)
-        np.testing.assert_array_equal(auto.indices, fast.indices)
-        assert auto.report.as_dict() == fast.report.as_dict()
+        for name, run in self._paths(index):
+            with pytest.raises(ValueError, match=r"query dim 8 .* index dim 24"):
+                run(queries[:, :8])
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_names_the_row(self, regression, poison):
+        _, queries, index, _ = regression
+        bad = queries.copy()
+        bad[0, 3] = poison
+        later = queries.copy()
+        later[5, 0] = poison
+        for name, run in self._paths(index):
+            with pytest.raises(ValueError, match="query row 0 contains NaN or inf"):
+                run(bad)
+        with pytest.raises(ValueError, match="query row 5"):
+            index.search_fast(later, 10, config=CONFIG)
+
+    def test_sharded_path_rejects_too(self, regression):
+        data, queries, _, _ = regression
+        from repro.core.sharding import ShardedCagraIndex
+
+        sharded = ShardedCagraIndex.build(
+            data, 3, GraphBuildConfig(graph_degree=16, seed=0)
+        )
+        bad = queries.copy()
+        bad[2, 1] = np.nan
+        try:
+            for search in (sharded.search, sharded.search_fast):
+                with pytest.raises(ValueError, match="query row 2"):
+                    search(bad, 10, config=CONFIG)
+                with pytest.raises(ValueError, match="index dim 24"):
+                    search(queries[:, :8], 10, config=CONFIG)
+        finally:
+            sharded.close()
+
+    def test_single_vector_query_still_accepted(self, regression):
+        _, queries, index, _ = regression
+        one = index.search_fast(queries[0], 10, config=CONFIG)
+        np.testing.assert_array_equal(
+            one.indices, index.search_fast(queries[:1], 10, config=CONFIG).indices
+        )
