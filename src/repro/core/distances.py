@@ -111,6 +111,12 @@ def distances_to_query(
     return np.einsum("ij,ij->i", diff, diff)
 
 
+#: Bytes of gathered rows one block of :func:`gathered_distances` may hold:
+#: the best of 256 KiB / 512 KiB / 1 MiB on the 3000 x 96 build and on the
+#: batch-512 search (EXPERIMENTS.md, "Cache-blocked construction").
+_GATHER_BLOCK_BYTES = 256 << 10
+
+
 def gathered_distances(
     data: np.ndarray,
     queries: np.ndarray,
@@ -122,22 +128,38 @@ def gathered_distances(
     ``indices`` has shape ``(n_queries, width)``; the result ``[i, j]`` is the
     distance between ``queries[i]`` and ``data[indices[i, j]]``.  This is the
     access pattern of the CAGRA candidate-list distance step (step ③).
+
+    Query rows go through in blocks whose ``(rows, width, dim)`` gather fits
+    :data:`_GATHER_BLOCK_BYTES`, so it is reduced while still in cache.
+    Every reduction is per row: the block size cannot change a bit of the
+    result.
     """
     _check_metric(metric)
     dtype = _compute_dtype(data)
-    gathered = np.asarray(data[indices], dtype=dtype)  # (q, w, dim)
-    q = np.asarray(queries, dtype=dtype)[:, None, :]  # (q, 1, dim)
-    if metric == "cosine":
-        norms = np.linalg.norm(gathered, axis=2, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        gathered = gathered / norms
-        qn = np.linalg.norm(q, axis=2, keepdims=True)
-        qn[qn == 0.0] = 1.0
-        q = q / qn
-    if metric in ("inner_product", "cosine"):
-        return -np.einsum("qwd,qod->qw", gathered, q)
-    diff = gathered - q
-    return np.einsum("qwd,qwd->qw", diff, diff)
+    indices = np.asarray(indices)
+    queries = np.asarray(queries, dtype=dtype)
+    out = np.empty(indices.shape, dtype=dtype)
+    row_bytes = indices.shape[1] * data.shape[1] * dtype.itemsize
+    block = max(1, _GATHER_BLOCK_BYTES // max(1, row_bytes))
+    for start in range(0, len(out), block):
+        rows = slice(start, start + block)
+        # Fancy indexing (and any widening) copies: ``gathered`` is private
+        # to this block and is updated in place.
+        gathered = data[indices[rows]].astype(dtype, copy=False)  # (b, w, dim)
+        q = queries[rows, None, :]  # (b, 1, dim)
+        if metric == "cosine":
+            norms = np.linalg.norm(gathered, axis=2, keepdims=True)
+            norms[norms == 0.0] = 1.0
+            gathered /= norms
+            qn = np.linalg.norm(q, axis=2, keepdims=True)
+            qn[qn == 0.0] = 1.0
+            q = q / qn
+        if metric == "sqeuclidean":
+            gathered -= q
+            np.einsum("qwd,qwd->qw", gathered, gathered, out=out[rows])
+        else:
+            np.einsum("qwd,qod->qw", gathered, q, out=out[rows])
+    return out if metric == "sqeuclidean" else np.negative(out, out=out)
 
 
 def distance_function(metric: str) -> Callable[[np.ndarray, np.ndarray], float]:

@@ -139,6 +139,9 @@ class CagraIndex:
             config: build parameters (degree, reordering flavour, metric...).
             dataset_dtype: ``float32`` or ``float16`` storage (the paper's
                 half-precision mode).
+
+        Raises ``ValueError`` on a bad shape, and naming the first row that
+        holds NaN or inf (NN-descent orders distances by their bits).
         """
         config = config or GraphBuildConfig()
         dataset = np.asarray(dataset)
@@ -150,6 +153,11 @@ class CagraIndex:
                 f"{MAX_DATASET_SIZE}"
             )
         stored = as_storage_dtype(dataset, dataset_dtype)
+        # Checked as stored: a finite float32 can overflow float16 to inf.
+        finite = np.isfinite(stored).all(axis=1)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"dataset row {bad} contains NaN or inf (as {dataset_dtype})")
 
         started = time.perf_counter()
         knn = build_knn_graph(stored, config.resolved_intermediate_degree, config)

@@ -58,6 +58,10 @@ def _sample_columns(rng: np.random.Generator, width: int, take: int, rows: int) 
     return rng.integers(0, width, size=(rows, take))
 
 
+_SIGN, _HALF = np.uint32(1 << 31), np.uint64(32)
+_INF_KEY = np.uint64(0x7F800000 ^ (1 << 31)) << _HALF  # (+inf, id 0) key
+
+
 def _merge_candidates(
     ids: np.ndarray,
     dists: np.ndarray,
@@ -70,23 +74,38 @@ def _merge_candidates(
     Returns the new ``(ids, dists)`` arrays plus a boolean mask of entries
     whose id is genuinely new to the row (set membership, not position).
     Duplicate ids within a row keep only their best distance; the rows stay
-    sorted ascending by distance.
+    sorted ascending by distance, ties by ascending id.
+
+    Every entry is one ``uint64``: a 32-bit id and the float32 distance as
+    *ordered bits* (sign bit flipped for positives, every bit for negatives:
+    unsigned order is then float order).  Both orderings are a plain in-place
+    ``sort`` of such keys — equal keys are the same (id, distance) pair, so
+    nothing needs a stable sort, an argsort or a gather.  Distances must not
+    be NaN (``CagraIndex.build`` rejects non-finite data); ``-0.0`` comes
+    back as ``+0.0``.
     """
-    all_ids = np.concatenate([ids, cand_ids], axis=1)
-    all_dists = np.concatenate([dists, cand_dists], axis=1)
+    all_dists = np.concatenate([dists, cand_dists], axis=1, dtype=np.float32)
+    all_dists += np.float32(0.0)  # -0.0 -> +0.0: they tie, so must their bits
+    bits = all_dists.view(np.uint32)
+    bits ^= (bits.view(np.int32) >> 31).view(np.uint32) | _SIGN
 
-    # Deduplicate per row: sort by (id, dist), mark repeats of the same id
-    # as +inf so only the best copy of each id survives the distance sort.
-    order = np.lexsort((all_dists, all_ids), axis=1)
-    sorted_ids = np.take_along_axis(all_ids, order, axis=1)
-    sorted_dists = np.take_along_axis(all_dists, order, axis=1)
-    dup = np.zeros_like(sorted_dists, dtype=bool)
-    dup[:, 1:] = sorted_ids[:, 1:] == sorted_ids[:, :-1]
-    sorted_dists[dup] = np.inf
-
-    keep = np.argsort(sorted_dists, axis=1, kind="stable")[:, :k]
-    new_ids = np.take_along_axis(sorted_ids, keep, axis=1)
-    new_dists = np.take_along_axis(sorted_dists, keep, axis=1)
+    # Deduplicate per row: sort by (id, dist); a repeat of the previous id
+    # is a worse copy and gets +inf, so only the best copy of each id
+    # survives the distance sort.
+    keys = np.concatenate([ids, cand_ids], axis=1, dtype=np.uint64, casting="unsafe")
+    keys <<= _HALF
+    keys |= bits
+    keys.sort(axis=1)
+    sorted_ids = keys >> _HALF
+    keys <<= _HALF  # (dist, 0)
+    np.putmask(keys[:, 1:], sorted_ids[:, 1:] == sorted_ids[:, :-1], _INF_KEY)
+    keys |= sorted_ids
+    keys.sort(axis=1)
+    keys = keys[:, :k]
+    new_ids = (keys & np.uint64(0xFFFFFFFF)).astype(ids.dtype)
+    bits = (keys >> _HALF).astype(np.uint32)
+    bits ^= ((bits >> 31) - np.uint32(1)) | _SIGN
+    new_dists = bits.view(np.float32)
 
     # Set-based newness: an entry counts as an update only if its id was not
     # in the old row at all (positions churn every round and never settle).
@@ -213,10 +232,8 @@ def build_knn_graph(
         # --- 2-hop expansion ----------------------------------------------
         sources = np.concatenate([fwd, rev], axis=1)  # (n, 2*sample)
         # candidates[v] = sampled neighbors of each sampled source of v.
-        cand = ids[sources.reshape(-1)]  # (n*2s, k)
-        hop_cols = _sample_columns(rng, k, sample, cand.shape[0])
-        cand = np.take_along_axis(cand, hop_cols, axis=1)  # (n*2s, sample)
-        cand = cand.reshape(n, -1)  # (n, 2*sample*sample)
+        hop_cols = _sample_columns(rng, k, sample, sources.size)  # (n*2s, sample)
+        cand = ids[sources.reshape(-1, 1), hop_cols].reshape(n, -1)  # (n, 2s*sample)
         cand = np.concatenate([cand, sources], axis=1)
 
         # Drop self-candidates by replacing them with an existing neighbor

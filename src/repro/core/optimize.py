@@ -42,7 +42,11 @@ __all__ = [
     "optimize_graph",
 ]
 
-_BLOCK = 256  # nodes processed per vectorized batch in the detour counter
+_BLOCK = 256  # most nodes processed per vectorized batch in the detour counter
+#: Bytes the detour counter's dense rank table (rows-per-batch x N int16) may
+#: take: rows per batch shrink as N grows, so its random two-hop lookups keep
+#: hitting cache (EXPERIMENTS.md, "Cache-blocked construction").
+_RANK_TABLE_BYTES = 512 << 10
 
 
 @dataclass
@@ -80,63 +84,55 @@ def count_detourable_routes(
             NGT criterion uses real distances (distance-based reordering);
             when ``None`` the initial rank substitutes for the distance
             (rank-based reordering, the CAGRA default).
-        block: rows per vectorized batch.
+        block: most rows per vectorized batch; fewer when that many rows
+            of the rank table would exceed :data:`_RANK_TABLE_BYTES`.
 
     Returns:
         ``(N, d_init)`` int64 counts aligned with ``neighbors``.
     """
     n, d_init = neighbors.shape
-    counts = np.zeros((n, d_init), dtype=np.int64)
-    col = np.arange(d_init)
+    if d_init > np.iinfo(np.int16).max:
+        raise ValueError(f"d_init {d_init} does not fit the int16 rank table")
+    counts = np.empty((n, d_init), dtype=np.int64)
+    col = np.arange(d_init, dtype=np.int16)
     # a = rank of X→Z (first hop), j = rank of Z→Y in Z's list (second hop).
-    a_grid = col[None, :, None]
-    j_grid = col[None, None, :]
+    max_aj = np.maximum(col[:, None], col[None, :])
+    block = max(1, min(block, _RANK_TABLE_BYTES // (2 * n)))
+    # rank_tab[local row of X, node Y] = rank of Y in X's list, -1 if absent.
+    absent = np.int16(-1)
+    rank_tab = np.full(block * n, absent, dtype=np.int16)
+    local = np.arange(block, dtype=np.intp)[:, None]
 
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = np.arange(start, stop, dtype=np.int64)
-        b = len(rows)
-        nx = neighbors[start:stop].astype(np.int64)  # (b, d_init) = Z ids
-        two_hop = neighbors[nx].astype(np.int64)  # (b, d_init, d_init) = Y ids
-
-        # Locate each two-hop target Y inside X's own adjacency row.  Rows
-        # are made globally unique with a per-row offset so one flat
-        # searchsorted covers the whole block.
-        order = np.argsort(nx, axis=1, kind="stable")
-        sorted_nx = np.take_along_axis(nx, order, axis=1)
-        offsets = (rows - start) * np.int64(n)
-        flat_sorted = (sorted_nx + offsets[:, None]).ravel()
-        keys = (two_hop + offsets[:, None, None]).reshape(b, -1) + 0  # (b, d²)
-        pos = np.searchsorted(flat_sorted, keys.ravel())
-        pos_clipped = np.minimum(pos, flat_sorted.size - 1)
-        found = flat_sorted[pos_clipped] == keys.ravel()
-        # Map the match position back to the rank of Y in X's (unsorted,
-        # i.e. distance-ordered) adjacency row.
-        local_sorted_pos = pos_clipped - (pos_clipped // d_init) * d_init
-        row_of_pos = pos_clipped // d_init
-        rank_y = order[row_of_pos, local_sorted_pos]  # (b*d²,)
-        rank_y = rank_y.reshape(b, d_init, d_init)
-        found = found.reshape(b, d_init, d_init)
+        nx = neighbors[start : start + block].astype(np.intp)  # (b, d_init) = Z ids
+        b = len(nx)
+        base = local[:b] * n
+        slots = nx + base
+        # One column at a time, highest rank first: a node listed twice keeps
+        # its lowest rank whatever order a fancy assignment writes in.
+        for rank in range(d_init - 1, -1, -1):
+            rank_tab[slots[:, rank]] = rank
+        two_hop = neighbors[nx]  # (b, d_init, d_init) = Y ids
+        # Rank of each two-hop target Y inside X's own adjacency row.
+        rank_y = rank_tab.take(two_hop + base[:, :, None])
+        rank_tab[slots] = absent
 
         if distances is None:
-            # Rank-based: detourable iff max(a, j) < rank(X→Y).
-            detour = found & (np.maximum(a_grid, j_grid) < rank_y)
+            # Rank-based: detourable iff max(a, j) < rank(X→Y), which an
+            # absent Y (rank -1) never satisfies.
+            detour = max_aj < rank_y
         else:
-            w_xz = distances[start:stop][:, :, None]  # (b, d_init, 1)
-            w_zy = distances[nx]  # (b, d_init, d_init)
+            w_x = distances[start : start + block]
             w_xy = np.take_along_axis(
-                distances[start:stop], rank_y.reshape(b, -1), axis=1
-            ).reshape(b, d_init, d_init)
-            detour = found & (np.maximum(w_xz, w_zy) < w_xy)
+                w_x, rank_y.reshape(b, -1).astype(np.intp), axis=1
+            ).reshape(rank_y.shape)
+            w_via = np.maximum(w_x[:, :, None], distances[nx])
+            detour = (rank_y != absent) & (w_via < w_xy)
 
-        block_counts = np.zeros((b, d_init), dtype=np.int64)
-        np.add.at(
-            block_counts,
-            (np.repeat(np.arange(b), d_init * d_init)[detour.ravel()],
-             rank_y.ravel()[detour.ravel()]),
-            1,
-        )
-        counts[start:stop] = block_counts
+        hits = (rank_y + (local[:b] * d_init)[:, :, None])[detour]
+        counts[start : start + block] = np.bincount(
+            hits, minlength=b * d_init
+        ).reshape(b, d_init)
     return counts
 
 
@@ -211,8 +207,9 @@ def merge_reverse_edges(
                         seen.add(cand)
                         advanced = True
                         break
-            if not advanced and not use_reverse:
-                # Forward exhausted: drain remaining reverse edges.
+            if not advanced:
+                # Forward exhausted: drain remaining reverse edges (on a
+                # reverse slot they already are, and the row is done).
                 while rev_pos < len(rev):
                     cand = int(rev[rev_pos])
                     rev_pos += 1

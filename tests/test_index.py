@@ -6,8 +6,51 @@ import numpy as np
 import pytest
 
 from repro import CagraIndex, FixedDegreeGraph, GraphBuildConfig, SearchConfig
+from repro.core.distances import METRICS, as_storage_dtype
 from repro.core.metrics import recall
 from repro.core.nn_descent import build_knn_graph
+
+BUILD_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "build_regression.npz"
+)
+
+
+def _build_regression_outputs() -> dict[str, np.ndarray]:
+    """Everything a build decides, for metric x reordering x storage dtype.
+
+    240 x 12 rows: Gaussian, with rows 10-19 exact copies of rows 0-9
+    (zero distances and distance ties between different ids) and one
+    all-zero row (zero norm under cosine, ``-0.0`` under inner product).
+    Re-record (only ever from a commit whose build is trusted) with
+    ``np.savez_compressed(BUILD_FIXTURE, **_build_regression_outputs())``.
+    """
+    rng = np.random.default_rng(2024)
+    data = rng.standard_normal((240, 12)).astype(np.float32)
+    data[10:20] = data[:10]
+    data[20] = 0.0
+    out: dict[str, np.ndarray] = {}
+    for metric in METRICS:
+        for dtype in ("float32", "float16"):
+            config = GraphBuildConfig(graph_degree=8, metric=metric, seed=11)
+            knn = build_knn_graph(as_storage_dtype(data, dtype), 16, config)
+            prefix = f"{metric}_{dtype}"
+            out[f"{prefix}_knn_ids"] = knn.graph.neighbors
+            out[f"{prefix}_knn_distances"] = knn.distances
+            for reordering in ("rank", "distance"):
+                index = CagraIndex.build(
+                    data,
+                    GraphBuildConfig(
+                        graph_degree=8, metric=metric, seed=11, reordering=reordering
+                    ),
+                    dataset_dtype=dtype,
+                )
+                report = index.build_report
+                out[f"{prefix}_{reordering}_neighbors"] = index.graph.neighbors
+                out[f"{prefix}_{reordering}_counters"] = np.array(
+                    [report.nn_descent_iterations, report.knn_distance_computations],
+                    dtype=np.int64,
+                )
+    return out
 
 
 class TestBuild:
@@ -43,6 +86,32 @@ class TestBuild:
         with pytest.raises(ValueError):
             CagraIndex.build(np.zeros((1, 4), dtype=np.float32))
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dataset_names_the_row(self, small_data, poison):
+        bad = small_data[:300].copy()
+        bad[7, 3] = poison
+        bad[9, 0] = poison
+        with pytest.raises(ValueError, match="dataset row 7 contains NaN or inf"):
+            CagraIndex.build(bad, GraphBuildConfig(graph_degree=8))
+
+    def test_fp16_overflow_is_non_finite_as_stored(self, small_data):
+        big = small_data[:300].copy()
+        big[4, 0] = 1e5  # finite in float32, inf in float16
+        CagraIndex.build(big, GraphBuildConfig(graph_degree=8))
+        with pytest.raises(ValueError, match=r"dataset row 4 .* \(as float16\)"):
+            with np.errstate(over="ignore"):
+                CagraIndex.build(
+                    big, GraphBuildConfig(graph_degree=8), dataset_dtype="float16"
+                )
+
+    def test_sharded_build_rejects_non_finite_too(self, small_data):
+        from repro.core.sharding import ShardedCagraIndex
+
+        bad = small_data[:300].copy()
+        bad[11, 2] = np.nan
+        with pytest.raises(ValueError, match="contains NaN or inf"):
+            ShardedCagraIndex.build(bad, 2, GraphBuildConfig(graph_degree=8))
+
     def test_fp16_storage(self, small_data):
         index = CagraIndex.build(
             small_data[:300], GraphBuildConfig(graph_degree=8), dataset_dtype="float16"
@@ -66,6 +135,43 @@ class TestBuild:
     def test_bad_metric_rejected(self, small_data, small_index):
         with pytest.raises(ValueError, match="metric"):
             CagraIndex(small_data, small_index.graph, metric="hamming")
+
+
+class TestBuildRegression:
+    """``CagraIndex.build`` stays bit for bit what it was before the
+    cache-blocked construction kernels: ``fixtures/build_regression.npz``
+    was recorded from commit fbd6118 (unblocked gather, lexsort merge,
+    searchsorted detour counter) by :func:`_build_regression_outputs`.
+    """
+
+    def test_bitwise_against_recorded_builds(self):
+        with np.load(BUILD_FIXTURE) as archive:
+            expected = {key: archive[key] for key in archive.files}
+        got = _build_regression_outputs()
+        assert sorted(got) == sorted(expected)
+        for key, value in got.items():
+            assert value.dtype == expected[key].dtype, key
+            np.testing.assert_array_equal(value, expected[key], err_msg=key)
+
+
+class TestBuildMemory:
+    def test_traced_peak_is_a_fixed_multiple_of_the_index(self):
+        """No build temporary scales with ``N x width x dim``: numpy reports
+        its buffers to ``tracemalloc``, and the peak of a 2000 x 64 build is
+        set by the ``(N, 252)`` 8-byte candidate/key arrays of an NN-descent
+        round (~42x the index here).  The unblocked ``(N, 220, dim)`` gather
+        plus its ``diff`` alone were 225 MB, ~350x."""
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((2000, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            index = CagraIndex.build(data, GraphBuildConfig(graph_degree=16, seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * index.memory_bytes()
 
 
 class TestSearchApi:

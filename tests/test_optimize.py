@@ -292,3 +292,20 @@ class TestInterleaveOrder:
         merged = merge_reverse_edges(pruned)
         # Node 5 has no incoming edges: its merged row is its forward row.
         np.testing.assert_array_equal(sorted(merged.neighbors[5].tolist()), [0, 1])
+
+    def test_both_lists_dry_on_a_reverse_slot_terminates(self):
+        """Node 1 lists only {2, 0} and only nodes 0, 2 and 5 list it: at a
+        reverse slot both of its lists run dry while the row is still short.
+        The merge used to spin there forever; it now falls through to the
+        random fill and every row still ends up with ``d`` distinct ids."""
+        rows = np.array(
+            [[5, 4, 3, 1], [2, 0, 0, 0], [1, 5, 4, 6], [3, 4, 6, 5],
+             [4, 3, 3, 6], [1, 5, 4, 0], [2, 6, 3, 0]],
+            dtype=np.uint32,
+        )
+        merged = merge_reverse_edges(
+            FixedDegreeGraph(rows), rng=np.random.default_rng(1)
+        ).neighbors
+        assert merged.shape == (7, 4)
+        for node, row in enumerate(merged.tolist()):
+            assert len(set(row)) == 4 and node not in row

@@ -6,16 +6,22 @@ Invariants checked:
 * bitonic sort equals NumPy sort for any key array;
 * merge_topm equals a reference top-M selection for any inputs;
 * detour-route counting equals the literal O(d²) reference on random
-  graphs;
-* NN-descent merge keeps rows sorted and deduplicated;
+  graphs, with duplicate neighbour ids and at any block size;
+* NN-descent merge keeps rows sorted and deduplicated, and its packed-key
+  sorts reproduce the lexsort + stable-argsort merge they replaced;
+* the row-blocked gathered-distance kernel is bitwise its one-block self;
 * graph reverse lists invert the edge relation exactly.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core import distances as distances_module
+from repro.core.distances import METRICS, gathered_distances
 from repro.core.graph import FixedDegreeGraph, INDEX_MASK
 from repro.core.hashtable import StandardHashTable
 from repro.core.nn_descent import _merge_candidates
@@ -138,7 +144,156 @@ class TestDetourCountProperties:
         assert (counts <= bound).all() or (counts <= 5 * 5).all()
 
 
+def _first_rank_detour_counts(neighbors, distances=None):
+    """The literal Fig. 2 / Eq. 3 loop; a node listed twice in X's row is
+    found at its *lowest* rank (what the stable sort + left ``searchsorted``
+    of the previous counter did — ``test_optimize.reference_detour_counts``
+    takes the highest and so only agrees on duplicate-free rows)."""
+    n, d = neighbors.shape
+    counts = np.zeros((n, d), dtype=np.int64)
+    for x in range(n):
+        position: dict[int, int] = {}
+        for r, y in enumerate(neighbors[x]):
+            position.setdefault(int(y), r)
+        for a in range(d):
+            z = int(neighbors[x, a])
+            for j in range(d):
+                r_y = position.get(int(neighbors[z, j]))
+                if r_y is None:
+                    continue
+                if distances is None:
+                    counts[x, r_y] += max(a, j) < r_y
+                else:
+                    counts[x, r_y] += (
+                        max(distances[x, a], distances[z, j]) < distances[x, r_y]
+                    )
+    return counts
+
+
+class TestDenseRankDetourProperties:
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 30),
+        d=st.integers(1, 7),
+        use_distances=st.booleans(),
+    )
+    def test_duplicate_ids_and_any_block(self, seed, n, d, use_distances):
+        rng = np.random.default_rng(seed)
+        # Ids drawn with replacement (self loops included): most rows
+        # repeat a neighbour, so "lowest rank wins" is exercised.
+        neighbors = rng.integers(0, n, size=(n, d)).astype(np.uint32)
+        distances = None
+        if use_distances:
+            # A few distinct values: ties between w(X→Z), w(Z→Y), w(X→Y).
+            distances = np.sort(
+                rng.integers(0, 4, size=(n, d)).astype(np.float32), axis=1
+            )
+        expected = _first_rank_detour_counts(neighbors, distances)
+        for block in (1, 3, n, 256):
+            got = count_detourable_routes(neighbors, distances, block=block)
+            np.testing.assert_array_equal(got, expected)
+        # The byte budget caps rows per batch below ``block``: one row here.
+        with mock.patch("repro.core.optimize._RANK_TABLE_BYTES", 1):
+            got = count_detourable_routes(neighbors, distances)
+        np.testing.assert_array_equal(got, expected)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return values.view(np.uint32 if values.dtype == np.float32 else np.uint64)
+
+
+class TestBlockedGatherProperties:
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rows=st.integers(1, 23),
+        width=st.integers(1, 12),
+        dim=st.integers(1, 33),
+        metric=st.sampled_from(METRICS),
+        dtype=st.sampled_from(["float32", "float16", "float64"]),
+        # Bytes per block: 1 forces one row per block whatever the shape;
+        # the others give several rows and a ragged last block.
+        block_bytes=st.sampled_from([1, 700, 3000, 10_000]),
+    )
+    def test_bitwise_equal_to_one_block(
+        self, seed, rows, width, dim, metric, dtype, block_bytes
+    ):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((40, dim)).astype(dtype)
+        data[3] = 0.0  # zero norm under cosine, -0.0 under inner product
+        queries = rng.standard_normal((rows, dim)).astype(np.float32)
+        indices = rng.integers(0, 40, size=(rows, width))
+        with mock.patch.object(distances_module, "_GATHER_BLOCK_BYTES", 1 << 40):
+            whole = gathered_distances(data, queries, indices, metric)
+        with mock.patch.object(distances_module, "_GATHER_BLOCK_BYTES", block_bytes):
+            blocked = gathered_distances(data, queries, indices, metric)
+        assert blocked.dtype == whole.dtype and blocked.shape == (rows, width)
+        np.testing.assert_array_equal(_bits(blocked), _bits(whole))
+
+    def test_row_wider_than_the_real_budget(self):
+        """width x dim x 4 bytes above the module's own constant: the block
+        degenerates to one row and still takes the same code."""
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((50, 320)).astype(np.float32)
+        indices = rng.integers(0, 50, size=(5, 260))
+        assert 260 * 320 * 4 > distances_module._GATHER_BLOCK_BYTES
+        blocked = gathered_distances(data, data[:5], indices)
+        for row in range(5):
+            alone = gathered_distances(data, data[row : row + 1], indices[row : row + 1])
+            np.testing.assert_array_equal(_bits(blocked[row]), _bits(alone[0]))
+
+
+def _lexsort_merge_oracle(ids, dists, cand_ids, cand_dists, k):
+    """The two-key ``lexsort`` + stable ``argsort`` merge that
+    ``_merge_candidates`` used before it packed keys, kept as its oracle."""
+    all_ids = np.concatenate([ids, cand_ids], axis=1)
+    all_dists = np.concatenate([dists, cand_dists], axis=1)
+    order = np.lexsort((all_dists, all_ids), axis=1)
+    sorted_ids = np.take_along_axis(all_ids, order, axis=1)
+    sorted_dists = np.take_along_axis(all_dists, order, axis=1)
+    dup = np.zeros_like(sorted_dists, dtype=bool)
+    dup[:, 1:] = sorted_ids[:, 1:] == sorted_ids[:, :-1]
+    sorted_dists[dup] = np.inf
+    keep = np.argsort(sorted_dists, axis=1, kind="stable")[:, :k]
+    new_ids = np.take_along_axis(sorted_ids, keep, axis=1)
+    new_dists = np.take_along_axis(sorted_dists, keep, axis=1)
+    entered = np.array(
+        [[new not in set(old) for new in row] for row, old in zip(new_ids, ids)]
+    )
+    return new_ids, new_dists, entered
+
+
 class TestNnDescentMergeProperties:
+    @settings(max_examples=4 * MAX_EXAMPLES, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        rows=st.integers(1, 5),
+        k=st.integers(1, 10),
+        n_cand=st.integers(0, 14),
+        universe=st.sampled_from([3, 12, 2**31 - 1]),
+    )
+    def test_packed_keys_match_lexsort_oracle(self, seed, rows, k, n_cand, universe):
+        rng = np.random.default_rng(seed)
+        # Few distinct values, so ties between different ids are the rule:
+        # both zeros, negatives (inner product), +inf (padding), extremes.
+        pool = np.array(
+            [-0.0, 0.0, -3.5, -1e-30, 1e-30, 0.25, 0.25, 7.0, np.inf,
+             np.finfo(np.float32).max, -np.finfo(np.float32).max],
+            dtype=np.float32,
+        )
+        ids = rng.integers(0, universe, size=(rows, k), dtype=np.int64)
+        cand = rng.integers(0, universe, size=(rows, n_cand), dtype=np.int64)
+        dists = rng.choice(pool, size=(rows, k))
+        cand_d = rng.choice(pool, size=(rows, n_cand))
+        got = _merge_candidates(ids, dists, cand, cand_d, k)
+        want = _lexsort_merge_oracle(ids, dists, cand, cand_d, k)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            # == on values: a -0.0 comes back as +0.0 (documented).
+            np.testing.assert_array_equal(g, w)
+
+
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(seed=st.integers(0, 10_000), k=st.integers(2, 12))
     def test_rows_sorted_and_unique(self, seed, k):
