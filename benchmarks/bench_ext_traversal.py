@@ -15,6 +15,12 @@ small batch sizes on the end-to-end benchmark's shape, which is the
 measurement ``_SCALAR_REFERENCE_ROWS`` in :mod:`repro.core.traversal` is
 set from.
 
+A third bench times one batch-512 ``search_fast`` on the same shape and
+splits it by step — visited probe, first-visit distances, top-M merge,
+parent pick — by wrapping the four kernels with wall-clock timers, next
+to the same measurement taken at the commit before the step became
+work-proportional (``STEP_SPLIT_BEFORE``).
+
 Alongside the human-readable tables in ``benchmarks/results/``, each run
 appends a machine-readable entry to ``BENCH_traversal.json`` at the
 repo root so engine-vs-legacy headroom is tracked across PRs (the
@@ -59,6 +65,27 @@ CROSSOVER_DEGREE = 32
 CROSSOVER_ITOPK = 32
 CROSSOVER_BATCHES = (1, 2, 4, 8, 12, 16, 24, 32)
 CROSSOVER_REPEATS = 5
+
+#: The batch-512 step split runs on the same shape (benchmarks/e2e's
+#: ``fast_batch`` phase: 512 queries per ``search_fast``).
+SPLIT_BATCH = 512
+SPLIT_REPEATS = 9
+
+#: ``test_fast_b512_step_split`` as measured at commit 697f8e4 (the parent
+#: of the work-proportional step) on the same 2-core box: the same timer
+#: wrappers, with the then-inline parent pick hoisted into a function so it
+#: could be wrapped.  Milliseconds of one batch-512 ``search_fast``:
+#: ``best_ms`` unwrapped (best of 9), the rest from the wrapped
+#: median-total run.
+STEP_SPLIT_BEFORE = {
+    "commit": "697f8e4",
+    "best_ms": 132.06,
+    "total_ms": 131.76,
+    "probe_ms": 24.93,
+    "distance_ms": 49.09,
+    "merge_ms": 40.98,
+    "pick_ms": 5.4,
+}
 
 
 def _append_entry(entry):
@@ -183,19 +210,25 @@ def test_engine_vs_legacy_qps(setup, benchmark):
     assert qps["engine_fast"] >= qps["legacy"]
 
 
-def test_reference_dispatch_crossover(benchmark):
+@pytest.fixture(scope="module")
+def bench_shape():
+    """Index and queries at the end-to-end benchmark's shape."""
+    data = clustered_gaussian(CROSSOVER_ROWS, CROSSOVER_DIM, seed=SEED)
+    index = CagraIndex.build(
+        data, GraphBuildConfig(graph_degree=CROSSOVER_DEGREE, seed=SEED)
+    )
+    queries = make_queries(data, SPLIT_BATCH, seed=SEED + 1)
+    return index, queries, SearchConfig(itopk=CROSSOVER_ITOPK, seed=SEED)
+
+
+def test_reference_dispatch_crossover(bench_shape, benchmark):
     """Scalar arm vs slab arm of reference mode at batch 1..32.
 
     Both arms return bitwise-identical results, so the only question is
     which is faster at which batch size; ``_SCALAR_REFERENCE_ROWS`` is the
     smallest batch the slab should serve.
     """
-    data = clustered_gaussian(CROSSOVER_ROWS, CROSSOVER_DIM, seed=SEED)
-    index = CagraIndex.build(
-        data, GraphBuildConfig(graph_degree=CROSSOVER_DEGREE, seed=SEED)
-    )
-    queries = make_queries(data, max(CROSSOVER_BATCHES), seed=SEED + 1)
-    config = SearchConfig(itopk=CROSSOVER_ITOPK, seed=SEED)
+    index, queries, config = bench_shape
 
     def best_ms(batch, forced_threshold):
         with mock.patch.object(traversal, "_SCALAR_REFERENCE_ROWS", forced_threshold):
@@ -263,3 +296,147 @@ def test_reference_dispatch_crossover(benchmark):
     smallest, largest = min(CROSSOVER_BATCHES), max(CROSSOVER_BATCHES)
     assert cells[smallest]["scalar_ms"] < cells[smallest]["slab_ms"]
     assert cells[largest]["slab_ms"] < cells[largest]["scalar_ms"]
+
+
+def _timed(totals, name, fn):
+    """``fn`` with its wall time accumulated into ``totals[name]``."""
+
+    def wrapper(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            totals[name] += time.perf_counter() - started
+
+    return wrapper
+
+
+def test_fast_b512_step_split(bench_shape, benchmark):
+    """One batch-512 ``search_fast`` and where its wall time goes.
+
+    ``probe`` is the dense visited table's first-visit test (intra-gather
+    dedup included), ``distance`` the rest of step ③ (compacting the fresh
+    lanes, gather + reduce, scatter), ``merge`` step ①'s top-M merge and
+    ``pick`` step ②'s parent choice; what is left is the loop's own
+    bookkeeping (neighbor gather, RNG seeding, compaction, counters).
+    """
+    index, queries, config = bench_shape
+
+    def best_ms():
+        times = []
+        for _ in range(SPLIT_REPEATS):
+            t0 = time.perf_counter()
+            result = index.search_fast(queries, K, config)
+            times.append(time.perf_counter() - t0)
+        return min(times) * 1e3, result.report
+
+    def split_ms():
+        totals = dict.fromkeys(("probe", "first_visits", "merge", "pick"), 0.0)
+        dense = traversal._DenseVisited
+        with mock.patch.object(
+            dense, "probe", _timed(totals, "probe", dense.probe)
+        ), mock.patch.object(
+            traversal.TraversalEngine,
+            "_first_visits",
+            _timed(totals, "first_visits", traversal.TraversalEngine._first_visits),
+        ), mock.patch.object(
+            dense, "merge", staticmethod(_timed(totals, "merge", traversal._merge_rows))
+        ), mock.patch.object(
+            traversal, "_pick_parents", _timed(totals, "pick", traversal._pick_parents)
+        ):
+            t0 = time.perf_counter()
+            index.search_fast(queries, K, config)
+            total = time.perf_counter() - t0
+        totals["distance"] = totals.pop("first_visits") - totals["probe"]
+        return total, totals
+
+    def run():
+        wall_ms, report = best_ms()
+        # The split of the median-total run of the repeats (one wrapped run
+        # is noisy; the wrappers themselves cost well under 1 %).
+        runs = sorted((split_ms() for _ in range(SPLIT_REPEATS)), key=lambda r: r[0])
+        return wall_ms, report, runs[len(runs) // 2]
+
+    wall_ms, report, (split_total, split) = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
+    after = {
+        "best_ms": round(wall_ms, 2),
+        "total_ms": round(split_total * 1e3, 2),
+        **{f"{name}_ms": round(split[name] * 1e3, 2)
+           for name in ("probe", "distance", "merge", "pick")},
+    }
+    shares = {
+        name: round(split[name] / split_total, 3)
+        for name in ("probe", "distance", "merge", "pick")
+    }
+    shares["other"] = round(1.0 - sum(shares.values()), 3)
+    gathered_ratio = (
+        report.distance_computations + report.skipped_distance_computations
+    ) / report.distance_computations
+
+    before = STEP_SPLIT_BEFORE
+    emit(
+        "ext_traversal_step_split",
+        format_table(
+            ["part", f"before ({before['commit']})", "after", "share of after"],
+            [
+                [name, f"{before[f'{name}_ms']:.1f} ms", f"{after[f'{name}_ms']:.1f} ms",
+                 f"{shares[name]:.0%}"]
+                for name in ("probe", "distance", "merge", "pick")
+            ]
+            + [["(loop bookkeeping)", "", "", f"{shares['other']:.0%}"],
+               ["one search_fast (best of "
+                f"{SPLIT_REPEATS})", f"{before['best_ms']:.1f} ms",
+                f"{after['best_ms']:.1f} ms", ""]],
+            title=(
+                f"Extension: batch-{SPLIT_BATCH} search_fast by step, python wall "
+                f"time ({CROSSOVER_ROWS}x{CROSSOVER_DIM}, degree {CROSSOVER_DEGREE}, "
+                f"itopk {CROSSOVER_ITOPK}; usable lanes per computed distance "
+                f"{gathered_ratio:.2f})"
+            ),
+        ),
+    )
+    config_cell = {
+        "rows": CROSSOVER_ROWS, "dim": CROSSOVER_DIM, "degree": CROSSOVER_DEGREE,
+        "k": K, "seed": SEED, "itopk": CROSSOVER_ITOPK, "batch": SPLIT_BATCH,
+        "repeats": SPLIT_REPEATS,
+    }
+    _append_entry({
+        "recorded": date.today().isoformat(),
+        "bench": "ext_traversal_fast_b512",
+        "clock": "wall",
+        "config": {**config_cell, "statistic": "best"},
+        "cells": {
+            "before": {
+                "commit": before["commit"],
+                "wall_ms": before["best_ms"],
+                "qps": round(SPLIT_BATCH / before["best_ms"] * 1e3, 1),
+            },
+            "after": {
+                "wall_ms": after["best_ms"],
+                "qps": round(SPLIT_BATCH / after["best_ms"] * 1e3, 1),
+            },
+        },
+        "costs": {
+            "speedup": round(before["best_ms"] / after["best_ms"], 3),
+            "distance_computations": report.distance_computations,
+            "usable_lanes_per_distance": round(gathered_ratio, 3),
+        },
+    })
+    _append_entry({
+        "recorded": date.today().isoformat(),
+        "bench": "ext_traversal_step_split",
+        "clock": "wall",
+        "config": {**config_cell, "statistic": "median-total run"},
+        "cells": {
+            "before_ms": {k: v for k, v in before.items() if k != "commit"},
+            "after_ms": after,
+            "after_share": shares,
+        },
+        "costs": {"before_commit": before["commit"]},
+    })
+
+    # The four parts are disjoint slices of one search (no timing floor is
+    # asserted: ``before`` was measured on one particular box).
+    assert 0.0 < sum(split.values()) < split_total

@@ -122,17 +122,21 @@ def gathered_distances(
     queries: np.ndarray,
     indices: np.ndarray,
     metric: str = "sqeuclidean",
+    query_rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row-wise gathered distances.
 
-    ``indices`` has shape ``(n_queries, width)``; the result ``[i, j]`` is the
-    distance between ``queries[i]`` and ``data[indices[i, j]]``.  This is the
-    access pattern of the CAGRA candidate-list distance step (step ③).
+    ``indices`` has shape ``(n_rows, width)``; the result ``[i, j]`` is the
+    distance between row ``i``'s query and ``data[indices[i, j]]``.  Row
+    ``i``'s query is ``queries[i]``, or ``queries[query_rows[i]]`` when
+    ``query_rows`` is given — the flat (query, node) pairs of the CAGRA
+    first-visit distance step (step ③) name their queries that way instead
+    of materializing one query copy per pair.
 
-    Query rows go through in blocks whose ``(rows, width, dim)`` gather fits
+    Rows go through in blocks whose ``(rows, width, dim)`` gather fits
     :data:`_GATHER_BLOCK_BYTES`, so it is reduced while still in cache.
-    Every reduction is per row: the block size cannot change a bit of the
-    result.
+    Every reduction is per (row, column) pair: neither the block size nor
+    the shape the pairs arrive in can change a bit of the result.
     """
     _check_metric(metric)
     dtype = _compute_dtype(data)
@@ -146,7 +150,8 @@ def gathered_distances(
         # Fancy indexing (and any widening) copies: ``gathered`` is private
         # to this block and is updated in place.
         gathered = data[indices[rows]].astype(dtype, copy=False)  # (b, w, dim)
-        q = queries[rows, None, :]  # (b, 1, dim)
+        q = queries[rows] if query_rows is None else queries[query_rows[rows]]
+        q = q[:, None, :]  # (b, 1, dim)
         if metric == "cosine":
             norms = np.linalg.norm(gathered, axis=2, keepdims=True)
             norms[norms == 0.0] = 1.0

@@ -273,10 +273,19 @@ class CagraIndex:
         on_stage=None,
     ) -> SearchResult:
         """Vectorized lockstep batch search (single-CTA semantics, exact
-        visited tracking) — typically ~10x faster in Python than
-        :meth:`search`; see :mod:`repro.core.traversal`.  ``on_stage``
-        is the unified instrumentation hook (one ``core.search_fast``
-        event per call)."""
+        visited tracking) — typically ~10x or more faster in Python than
+        :meth:`search`; see :mod:`repro.core.traversal`.  A step costs
+        what its ``CostReport`` is charged for: distances are gathered and
+        reduced for first visits only.
+
+        Distances accumulate in float32 (fp32 and fp16 storage alike) and
+        are returned as float64; the top-M merge sorts packed
+        (distance, id) keys, which presumes no NaN distance — queries and
+        indexed data are both checked finite on the way in — and returns a
+        ``-0.0`` distance (an inner product of exactly zero) as ``+0.0``.
+
+        ``on_stage`` is the unified instrumentation hook (one
+        ``core.search_fast`` event per call)."""
         started = time.perf_counter() if on_stage is not None else 0.0
         result = self._config_engine(config).search(
             queries,

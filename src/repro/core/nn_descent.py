@@ -30,6 +30,11 @@ import numpy as np
 from repro.core.config import GraphBuildConfig
 from repro.core.distances import gathered_distances, pairwise_distances
 from repro.core.graph import FixedDegreeGraph
+from repro.core.topm import (
+    INF_ORDER_BITS,
+    float32_from_order_bits,
+    float32_order_bits,
+)
 
 __all__ = ["KnnGraphResult", "build_knn_graph", "brute_force_knn_graph"]
 
@@ -58,8 +63,8 @@ def _sample_columns(rng: np.random.Generator, width: int, take: int, rows: int) 
     return rng.integers(0, width, size=(rows, take))
 
 
-_SIGN, _HALF = np.uint32(1 << 31), np.uint64(32)
-_INF_KEY = np.uint64(0x7F800000 ^ (1 << 31)) << _HALF  # (+inf, id 0) key
+_HALF = np.uint64(32)
+_INF_KEY = np.uint64(INF_ORDER_BITS) << _HALF  # (+inf, id 0) key
 
 
 def _merge_candidates(
@@ -77,17 +82,16 @@ def _merge_candidates(
     sorted ascending by distance, ties by ascending id.
 
     Every entry is one ``uint64``: a 32-bit id and the float32 distance as
-    *ordered bits* (sign bit flipped for positives, every bit for negatives:
-    unsigned order is then float order).  Both orderings are a plain in-place
+    *ordered bits* (:func:`repro.core.topm.float32_order_bits`: unsigned
+    order is float order).  Both orderings are a plain in-place
     ``sort`` of such keys — equal keys are the same (id, distance) pair, so
     nothing needs a stable sort, an argsort or a gather.  Distances must not
     be NaN (``CagraIndex.build`` rejects non-finite data); ``-0.0`` comes
     back as ``+0.0``.
     """
-    all_dists = np.concatenate([dists, cand_dists], axis=1, dtype=np.float32)
-    all_dists += np.float32(0.0)  # -0.0 -> +0.0: they tie, so must their bits
-    bits = all_dists.view(np.uint32)
-    bits ^= (bits.view(np.int32) >> 31).view(np.uint32) | _SIGN
+    bits = float32_order_bits(
+        np.concatenate([dists, cand_dists], axis=1, dtype=np.float32)
+    )
 
     # Deduplicate per row: sort by (id, dist); a repeat of the previous id
     # is a worse copy and gets +inf, so only the best copy of each id
@@ -103,9 +107,7 @@ def _merge_candidates(
     keys.sort(axis=1)
     keys = keys[:, :k]
     new_ids = (keys & np.uint64(0xFFFFFFFF)).astype(ids.dtype)
-    bits = (keys >> _HALF).astype(np.uint32)
-    bits ^= ((bits >> 31) - np.uint32(1)) | _SIGN
-    new_dists = bits.view(np.float32)
+    new_dists = float32_from_order_bits((keys >> _HALF).astype(np.uint32))
 
     # Set-based newness: an entry counts as an update only if its id was not
     # in the old row at all (positions churn every round and never settle).

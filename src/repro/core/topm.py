@@ -11,6 +11,11 @@ with NumPy; :func:`bitonic_sort` is a real bitonic network used to (a)
 count comparator stages for the cost model and (b) let the tests verify
 the network against the NumPy result.  :func:`sort_strategy` encodes the
 <=512 register-sort rule so the cost model charges the right kernel.
+
+:func:`float32_order_bits` / :func:`float32_from_order_bits` are the key
+trick behind the array-parallel merges (the dense traversal backend's and
+NN-descent's): a float32 distance as ``uint32`` bits whose unsigned order
+is the float order, so (distance, id) pairs sort as one ``uint64`` each.
 """
 
 from __future__ import annotations
@@ -21,10 +26,40 @@ __all__ = [
     "bitonic_sort",
     "bitonic_merge",
     "bitonic_comparator_count",
+    "float32_from_order_bits",
+    "float32_order_bits",
     "merge_topm",
     "radix_topk",
     "sort_strategy",
 ]
+
+
+#: :func:`float32_order_bits` of ``+inf``; every finite distance encodes below.
+INF_ORDER_BITS = np.uint32(0xFF800000)
+
+_SIGN = np.uint32(1 << 31)
+
+
+def float32_order_bits(dists: np.ndarray) -> np.ndarray:
+    """Encode float32 distances **in place** as ``uint32`` *ordered bits*.
+
+    Sign bit flipped for positives, every bit for negatives: unsigned
+    integer order is then float order, so a distance can be the high half
+    of a packed sort key (the NN-descent merge and the dense engine merge
+    both sort ``order bits << 32 | id``).  ``-0.0`` is folded into ``+0.0``
+    first — they compare equal, so must their bits.  Distances must not be
+    NaN.  Returns a view of ``dists``' own buffer, which is consumed.
+    """
+    dists += np.float32(0.0)
+    bits = dists.view(np.uint32)
+    bits ^= (bits.view(np.int32) >> 31).view(np.uint32) | _SIGN
+    return bits
+
+
+def float32_from_order_bits(bits: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`float32_order_bits`, also in place on ``bits``."""
+    bits ^= ((bits >> 31) - np.uint32(1)) | _SIGN
+    return bits.view(np.float32)
 
 
 def _next_pow2(x: int) -> int:

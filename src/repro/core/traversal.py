@@ -57,7 +57,14 @@ from repro.core.search import (
     _collect_hash_counters,
     _greedy_core,
 )
-from repro.core.topm import bitonic_comparator_count, merge_topm, sort_strategy
+from repro.core.topm import (
+    INF_ORDER_BITS,
+    bitonic_comparator_count,
+    float32_from_order_bits,
+    float32_order_bits,
+    merge_topm,
+    sort_strategy,
+)
 
 __all__ = [
     "TraversalEngine",
@@ -75,8 +82,10 @@ _HASH_MULT = 0x9E3779B9
 _KEY_MASK = 0xFFFFFFFF
 
 #: Budget for per-chunk traversal state (bytes); chunks are sized so the
-#: whole per-row slab — visited/hash slots, top-M buffer, candidate lanes
-#: and the gather scratch at the dataset's storage width — stays below it.
+#: per-row slab — visited/hash slots, top-M buffer, candidate lanes — stays
+#: below it.  The gather block of ``gathered_distances`` (a constant few
+#: hundred KiB — vectors at the storage width, their compute-width copy and
+#: the matching queries — whatever the batch) rides on top.
 _VISITED_BUDGET_BYTES = 256 * 1024 * 1024
 
 #: Compact the live slab once at least this fraction of its rows is dead.
@@ -116,14 +125,47 @@ def _first_occurrence_rows(ids: np.ndarray) -> np.ndarray:
     insertion).  The lockstep path must dedupe the same way *before*
     consulting the visited table, or intra-gather duplicates are
     double-counted.
+
+    One in-place sort of ``value << lane_bits | lane`` per row: equal
+    values end up adjacent with their lanes ascending, so every key that
+    repeats its left neighbour's value is a non-first occurrence — and
+    only those (few) lanes are scattered back.  Values must fit ``64 -
+    lane_bits`` bits (node ids stop at ``INDEX_MASK``, 31 bits).
     """
-    order = np.argsort(ids, axis=1, kind="stable")
-    sorted_ids = np.take_along_axis(ids, order, axis=1)
-    first_sorted = np.ones(ids.shape, dtype=bool)
-    first_sorted[:, 1:] = sorted_ids[:, 1:] != sorted_ids[:, :-1]
-    first = np.empty(ids.shape, dtype=bool)
-    np.put_along_axis(first, order, first_sorted, axis=1)
+    width = ids.shape[1]
+    lane_bits = np.uint64((width - 1).bit_length())
+    keys = ids.astype(np.uint64)
+    keys <<= lane_bits
+    keys |= np.arange(width, dtype=np.uint64)
+    keys.sort(axis=1)
+    values = keys >> lane_bits
+    repeat = np.zeros(ids.shape, dtype=bool)
+    np.equal(values[:, 1:], values[:, :-1], out=repeat[:, 1:])
+    at = np.flatnonzero(repeat)  # flat (row, sorted position)
+    lane_mask = (np.uint64(1) << lane_bits) - np.uint64(1)
+    lanes = (keys.reshape(-1)[at] & lane_mask).astype(np.intp)
+    first = np.ones(ids.shape, dtype=bool)
+    first.reshape(-1)[at - at % width + lanes] = False
     return first
+
+
+def _pick_parents(selectable: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step ②'s choice: the first ``p`` selectable positions of each row.
+
+    Returns ``(positions, picked)``, both ``(rows, p)``.  A row with fewer
+    than ``p`` selectable entries fills up with its first unselectable
+    positions, ``picked`` False there.  One sort of ``unselectable <<
+    lane_bits | lane`` per row — the keys are distinct, so it needs no
+    stable argsort.
+    """
+    width = selectable.shape[1]
+    lane_bits = (width - 1).bit_length()
+    lanes = np.arange(width, dtype=np.uint32)
+    keys = np.where(selectable, lanes, lanes | np.uint32(1 << lane_bits))
+    keys.sort(axis=1)
+    head = keys[:, :p]
+    picked = head < np.uint32(1 << lane_bits)
+    return (head & np.uint32((1 << lane_bits) - 1)).astype(np.intp), picked
 
 
 def _charge_iteration_sort(
@@ -136,10 +178,9 @@ def _charge_iteration_sort(
     below ``search_width * degree`` when a query has fewer unparented
     top-M entries than ``search_width`` — so must we.
     """
-    for length, count in zip(*np.unique(lengths, return_counts=True)):
-        length, count = int(length), int(count)
-        if length == 0:
-            continue
+    counts = np.bincount(lengths)
+    for length in np.flatnonzero(counts[1:]) + 1:  # distinct lengths, not queries
+        length, count = int(length), int(counts[length])
         if sort_strategy(length) == "warp_bitonic":
             report.sort_comparator_ops += count * bitonic_comparator_count(length)
         else:
@@ -148,6 +189,11 @@ def _charge_iteration_sort(
         report.sort_comparator_ops += count * (
             bitonic_comparator_count(merged) // max(1, merged.bit_length()) * 2
         )
+
+
+#: Packed-key layout of the dense merge: ``order bits << 32 | bare id << 1
+#: | parent bit``.
+_HALF = np.uint64(32)
 
 
 def _merge_rows(
@@ -160,22 +206,45 @@ def _merge_rows(
     """Sort-only per-row merge for the **dense** backend: keep the best
     ``m`` entries ordered by (distance, bare id).
 
-    Precondition (what an exact visited table guarantees): the
-    finite-distance entries of a row carry pairwise distinct bare ids — a
-    top-M entry was a first visit once, so every later copy of it is a
-    non-first visit and arrives with ``+inf``.  Dedup is therefore just
-    "``+inf`` means dummy": every infinite entry becomes ``INDEX_MASK``
-    (the dense backend never expands infinite-distance nodes), and one
-    lexsort orders the rest.
+    Preconditions: no distance is NaN or ``-inf``, and (what an exact
+    visited table guarantees) the finite-distance entries of a row carry
+    pairwise distinct bare ids — a top-M entry was a first visit once, so
+    every later copy of it is a non-first visit and arrives with ``+inf``.  Dedup is
+    therefore just "``+inf`` means dummy": every infinite entry becomes
+    ``INDEX_MASK`` (the dense backend never expands infinite-distance
+    nodes), and one sort orders the rest.
+
+    float32 distances (every ``CagraIndex``: fp32 and fp16 storage both
+    accumulate in fp32) pack into one ``uint64`` per entry — ``order bits
+    << 32 | bare id << 1 | parent bit``
+    (:func:`repro.core.topm.float32_order_bits`) — and the merge is one
+    in-place ``sort`` of those keys: distinct bare ids mean the parent bit
+    never decides an order.  ``-0.0`` comes back as ``+0.0``, and the
+    returned distances stay float32.  Any other distance dtype (an engine
+    handed a float64 dataset) takes a two-key ``lexsort``; both arms order
+    float32-representable inputs identically.
     """
     dists = np.concatenate([topm_dists, cand_dists], axis=1)
-    ids = np.concatenate([topm_ids, cand_ids], axis=1)
-    ids = np.where(np.isinf(dists), INDEX_MASK, ids)
-    order = np.lexsort((ids & INDEX_MASK, dists), axis=1)[:, :m]
-    return (
-        np.take_along_axis(ids, order, axis=1),
-        np.take_along_axis(dists, order, axis=1),
-    )
+    ids = np.concatenate([topm_ids, cand_ids], axis=1, dtype=np.uint32)
+    if dists.dtype != np.float32:
+        ids = np.where(np.isinf(dists), INDEX_MASK, ids)
+        order = np.lexsort((ids & INDEX_MASK, dists), axis=1)[:, :m]
+        return (
+            np.take_along_axis(ids, order, axis=1),
+            np.take_along_axis(dists, order, axis=1),
+        )
+    keys = float32_order_bits(dists).astype(np.uint64)
+    keys <<= _HALF
+    keys |= (ids << 1) | (ids >> 31)  # the flag rotates down to bit 0
+    keys.sort(axis=1)
+    keys = keys[:, :m]
+    low = keys.astype(np.uint32)
+    bits = (keys >> _HALF).astype(np.uint32)
+    out_ids = (low >> 1) | (low << 31)
+    # The +inf entries sorted last, in whatever order their ids gave them;
+    # they all leave as the same dummy, so that order never shows.
+    out_ids[bits >= INF_ORDER_BITS] = INDEX_MASK
+    return out_ids, float32_from_order_bits(bits)
 
 
 def _merge_rows_reference(
@@ -376,11 +445,12 @@ class _DenseVisited:
         self, row_ids: np.ndarray, ids: np.ndarray, lane_usable: np.ndarray
     ) -> np.ndarray:
         lanes = np.where(lane_usable, ids, self._scratch)
-        rows = row_ids[:, None]
-        fresh = (
-            _first_occurrence_rows(lanes) & lane_usable & ~self.table[rows, lanes]
-        )
-        self.table[rows, lanes] = True
+        # Flat cell offsets: numpy gathers and scatters through one 1-D
+        # index about twice as fast as through a broadcast (row, lane) pair.
+        cells = lanes + (row_ids * self.table.shape[1])[:, None]
+        table = self.table.reshape(-1)
+        fresh = _first_occurrence_rows(lanes) & lane_usable & ~table[cells]
+        table[cells] = True
         self.lookups += int(lane_usable.sum())
         self.insertions += int(fresh.sum())
         return fresh
@@ -777,7 +847,7 @@ class TraversalEngine:
         report.random_inits += total_rows * width
 
         topm_ids = np.full((total_rows, itopk), INDEX_MASK, dtype=np.uint32)
-        topm_dists = np.full((total_rows, itopk), np.inf)
+        topm_dists = np.full((total_rows, itopk), np.inf, dtype=cand_dists.dtype)
         live = np.ones(total_rows, dtype=bool)
         cand_width = np.full(total_rows, width, dtype=np.int64)
 
@@ -807,10 +877,10 @@ class TraversalEngine:
             )
 
             # ② pick the best p unparented entries per live row.
-            selectable = ((topm_ids & PARENT_FLAG) == 0) & (topm_ids != INDEX_MASK)
-            selectable &= live[:, None]
-            pick_order = np.argsort(~selectable, axis=1, kind="stable")[:, :p]
-            picked = np.take_along_axis(selectable, pick_order, axis=1)
+            # (a parented entry has the flag bit set, a dummy *is* INDEX_MASK:
+            # both compare >= INDEX_MASK.)
+            selectable = (topm_ids < INDEX_MASK) & live[:, None]
+            pick_order, picked = _pick_parents(selectable, p)
             expanding = picked.any(axis=1)
             # Converged before min_iterations: re-seed with fresh random
             # nodes (the kernel's slack iterations); at/after: retire.
@@ -819,12 +889,10 @@ class TraversalEngine:
             if not live.any():
                 break
 
-            parent_entries = np.take_along_axis(topm_ids, pick_order, axis=1)
-            np.put_along_axis(
-                topm_ids,
-                pick_order,
-                np.where(picked, parent_entries | PARENT_FLAG, parent_entries),
-                axis=1,
+            slab_rows = np.arange(row_ids.size)[:, None]
+            parent_entries = topm_ids[slab_rows, pick_order]
+            topm_ids[slab_rows, pick_order] = np.where(
+                picked, parent_entries | PARENT_FLAG, parent_entries
             )
             # Unpicked slots traverse a harmless stand-in (node 0) whose
             # lanes are marked unusable below.
@@ -870,21 +938,32 @@ class TraversalEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Step ③: distances for first-visited nodes only.
 
-        Returns the merge-ready candidate lanes: non-first visits and
-        filtered-out nodes carry ``+inf``; unusable lanes additionally
-        become dummies — they sort after every real entry in the reference
-        merge, so they can never perturb a row's buffer (unlike a real id
-        with an inf distance, which the reference keeps and later expands).
+        The ``fresh`` lanes are compacted into flat (query row, node) pairs,
+        so the gather and the reduction touch exactly the
+        ``distance_computations`` vectors the report is charged for, and
+        the results scatter back into a ``+inf`` slab.  Returns the
+        merge-ready candidate lanes: non-first visits and filtered-out
+        nodes carry ``+inf``; unusable lanes additionally become dummies —
+        they sort after every real entry in the reference merge, so they
+        can never perturb a row's buffer (unlike a real id with an inf
+        distance, which the reference keeps and later expands).
         """
         fresh = visited.probe(row_ids, ids, lane_usable)
-        lanes = ids.astype(np.intp)
-        dists = gathered_distances(self.data, queries, lanes, self.metric)
-        dists = np.where(fresh, dists, np.inf)
+        at = np.flatnonzero(fresh)  # flat (slab row, lane)
+        nodes = ids.reshape(-1)[at].astype(np.intp)
+        found = gathered_distances(
+            self.data,
+            queries,
+            nodes[:, None],
+            self.metric,
+            query_rows=at // ids.shape[1],
+        )[:, 0]
         if filter_mask is not None:
-            dists = np.where(filter_mask[lanes], dists, np.inf)
-        computed = int(fresh.sum())
-        report.distance_computations += computed
-        report.skipped_distance_computations += int(lane_usable.sum()) - computed
+            found = np.where(filter_mask[nodes], found, np.inf)
+        dists = np.full(ids.shape, np.inf, dtype=found.dtype)
+        dists.reshape(-1)[at] = found
+        report.distance_computations += nodes.size
+        report.skipped_distance_computations += int(lane_usable.sum()) - nodes.size
         return np.where(lane_usable, ids, INDEX_MASK), dists
 
     # ------------------------------------------------------------------
@@ -913,31 +992,36 @@ class TraversalEngine:
             raise ValueError("filter_mask excludes every node")
         return filter_mask
 
-    def _gather_bytes_per_row(self, width: int, itopk: int) -> int:
-        """Per-live-row bytes of candidate lanes + distance gather scratch.
+    @staticmethod
+    def _slab_bytes_per_row(width: int, itopk: int) -> int:
+        """Bytes one live slab row keeps resident at a step's peak, its
+        visited-table row aside.
 
-        The gather materializes ``width`` vectors at the *storage* width
-        plus an fp32 compute copy — so fp16 datasets genuinely halve the
-        dominant term instead of over-allocating as if every lane were a
-        full-precision row.
+        * candidate lanes — ids, usable / first-visit masks, table cell
+          offsets, the first-occurrence sort keys and the distance slab:
+          about 48 bytes a lane;
+        * top-M — the buffer and its retired copy, plus the merge's
+          concatenated ids, distances and packed keys over ``itopk + width``
+          entries.
+
+        The gathered vectors are **not** per row: step ③ hands
+        ``gathered_distances`` flat first-visit pairs, and it holds one
+        constant-size block of vectors (and of their queries) at a time
+        however large the batch — so neither ``dim`` nor the dataset's
+        storage width moves the chunk size.
         """
-        dim = int(self.data.shape[1])
-        storage = int(self.data.dtype.itemsize)
-        compute = 8 if self.data.dtype == np.float64 else 4
-        lanes = width * 32  # ids/dists/masks/scratch per candidate lane
-        gather = width * dim * (storage + compute)
-        return lanes + gather + 12 * itopk
+        return 48 * width + 24 * itopk + 24 * (itopk + width)
 
     def _chunk_rows(self, plan: _SearchPlan) -> int:
         """Rows per chunk so one chunk's visited table + slab fit the budget."""
         n = self.graph.num_nodes
         if plan.dense:
-            table = n
+            table = n + 1
         else:  # uint32 slots, plus the ever-computed slab when forgettable
             table = 4 * (1 << plan.hash_log2_size) + (n if plan.reset_interval else 0)
         width = plan.search_width * self.graph.degree
-        per_row = table + self._gather_bytes_per_row(width, plan.itopk)
-        return max(1, _VISITED_BUDGET_BYTES // max(1, per_row))
+        per_row = table + self._slab_bytes_per_row(width, plan.itopk)
+        return max(1, _VISITED_BUDGET_BYTES // per_row)
 
     def _stamp_extras(self, report: CostReport, config: SearchConfig) -> None:
         """Record the knobs the GPU cost model prices per-point.

@@ -9,6 +9,8 @@ Invariants checked:
   graphs, with duplicate neighbour ids and at any block size;
 * NN-descent merge keeps rows sorted and deduplicated, and its packed-key
   sorts reproduce the lexsort + stable-argsort merge they replaced;
+* the traversal engine's packed top-M merge, first-occurrence mask and
+  parent pick reproduce the stable multi-key code they replaced;
 * the row-blocked gathered-distance kernel is bitwise its one-block self;
 * graph reverse lists invert the edge relation exactly.
 """
@@ -231,6 +233,35 @@ class TestBlockedGatherProperties:
         assert blocked.dtype == whole.dtype and blocked.shape == (rows, width)
         np.testing.assert_array_equal(_bits(blocked), _bits(whole))
 
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        pairs=st.integers(0, 40),
+        dim=st.integers(1, 33),
+        metric=st.sampled_from(METRICS),
+        dtype=st.sampled_from(["float32", "float16", "float64"]),
+        block_bytes=st.sampled_from([1, 700, 1 << 40]),
+    )
+    def test_query_rows_bitwise_equal_to_query_copies(
+        self, seed, pairs, dim, metric, dtype, block_bytes
+    ):
+        """Flat (query row, node) pairs — the engine's first-visit shape —
+        get the bits of the same pairs inside a full (rows, width) slab."""
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((40, dim)).astype(dtype)
+        data[3] = 0.0
+        queries = rng.standard_normal((6, dim)).astype(np.float32)
+        slab = rng.integers(0, 40, size=(6, 9))
+        full = gathered_distances(data, queries, slab, metric)
+        at = np.sort(rng.choice(slab.size, size=pairs, replace=False))
+        with mock.patch.object(distances_module, "_GATHER_BLOCK_BYTES", block_bytes):
+            flat = gathered_distances(
+                data, queries, slab.reshape(-1)[at][:, None], metric,
+                query_rows=at // 9,
+            )
+        assert flat.dtype == full.dtype and flat.shape == (pairs, 1)
+        np.testing.assert_array_equal(_bits(flat[:, 0]), _bits(full.reshape(-1)[at]))
+
     def test_row_wider_than_the_real_budget(self):
         """width x dim x 4 bytes above the module's own constant: the block
         degenerates to one row and still takes the same code."""
@@ -388,6 +419,141 @@ class TestBatchMergeProperties:
             np.testing.assert_array_equal(out_d[r, : len(best)], dists[r, best])
             assert (out_ids[r, len(best) :] == INDEX_MASK).all()
             assert np.isinf(out_d[r, len(best) :]).all()
+
+
+def _lexsort_rows_oracle(topm_ids, topm_dists, cand_ids, cand_dists, m):
+    """The two-key ``lexsort`` + two ``take_along_axis`` merge the dense
+    backend ran before it packed keys, kept as the packed merge's oracle."""
+    dists = np.concatenate([topm_dists, cand_dists], axis=1)
+    ids = np.concatenate([topm_ids, cand_ids], axis=1)
+    ids = np.where(np.isinf(dists), INDEX_MASK, ids)
+    order = np.lexsort((ids & INDEX_MASK, dists), axis=1)[:, :m]
+    return (
+        np.take_along_axis(ids, order, axis=1),
+        np.take_along_axis(dists, order, axis=1),
+    )
+
+
+def _stable_first_occurrence_oracle(ids):
+    """Stable ``argsort`` + ``take_along_axis`` + ``put_along_axis``: what
+    ``_first_occurrence_rows`` did before its single-key sort."""
+    order = np.argsort(ids, axis=1, kind="stable")
+    sorted_ids = np.take_along_axis(ids, order, axis=1)
+    first_sorted = np.ones(ids.shape, dtype=bool)
+    first_sorted[:, 1:] = sorted_ids[:, 1:] != sorted_ids[:, :-1]
+    first = np.empty(ids.shape, dtype=bool)
+    np.put_along_axis(first, order, first_sorted, axis=1)
+    return first
+
+
+def _stable_pick_oracle(selectable, p):
+    """The stable-``argsort`` parent pick ``_pick_parents`` replaced."""
+    order = np.argsort(~selectable, axis=1, kind="stable")[:, :p]
+    return order, np.take_along_axis(selectable, order, axis=1)
+
+
+class TestPackedTraversalKernels:
+    """The engine's single-key sorts against the stable multi-key code
+    they replaced (oracles above)."""
+
+    #: Few distinct values, so ties between different ids are the rule
+    #: (duplicate vectors): both zeros, negatives (inner product), extremes.
+    POOL = np.array(
+        [-0.0, 0.0, -3.5, -1e-30, 1e-30, 0.25, 0.25, 7.0,
+         np.finfo(np.float32).max, -np.finfo(np.float32).max],
+        dtype=np.float32,
+    )
+
+    @settings(max_examples=4 * MAX_EXAMPLES, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        rows=st.integers(1, 4),
+        m=st.integers(1, 12),
+        n_cand=st.integers(0, 20),
+        universe=st.sampled_from([40, int(INDEX_MASK)]),
+        stale_rate=st.sampled_from([0.0, 0.3, 0.9]),
+    )
+    def test_packed_merge_matches_lexsort_oracle(
+        self, seed, rows, m, n_cand, universe, stale_rate
+    ):
+        """float32 inputs take the packed arm, the same values as float64
+        the lexsort arm; both must be the oracle's answer — ids with their
+        ``PARENT_FLAG``, distances, dummies in every ``+inf`` slot (a high
+        ``stale_rate`` leaves fewer than ``m`` finite entries)."""
+        from repro.core.graph import PARENT_FLAG
+        from repro.core.traversal import _merge_rows
+
+        rng = np.random.default_rng(seed)
+        total = m + n_cand
+        ids = np.stack(
+            [rng.choice(universe, size=total, replace=False) for _ in range(rows)]
+        ).astype(np.uint32)
+        dists = rng.choice(self.POOL, size=(rows, total))
+        # Non-first visits: +inf carrying real (even repeated) ids.
+        stale = rng.random((rows, total)) < stale_rate
+        dists[stale] = np.inf
+        ids[stale] = rng.integers(0, universe, int(stale.sum()))
+        ids[:, :m] |= np.where(rng.random((rows, m)) < 0.4, PARENT_FLAG, 0).astype(
+            np.uint32
+        )
+        want_ids, want_d = _lexsort_rows_oracle(
+            ids[:, :m], dists[:, :m].astype(np.float64),
+            ids[:, m:], dists[:, m:].astype(np.float64), m,
+        )
+        for dtype in (np.float32, np.float64):
+            got_ids, got_d = _merge_rows(
+                ids[:, :m], dists[:, :m].astype(dtype),
+                ids[:, m:], dists[:, m:].astype(dtype), m,
+            )
+            assert got_ids.dtype == np.uint32 and got_d.dtype == dtype
+            np.testing.assert_array_equal(got_ids, want_ids)
+            # == on values: the packed arm returns -0.0 as +0.0 (documented).
+            np.testing.assert_array_equal(got_d, want_d)
+        kept = want_ids != INDEX_MASK
+        np.testing.assert_array_equal(np.isfinite(want_d), kept)
+
+    @settings(max_examples=4 * MAX_EXAMPLES, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        rows=st.integers(1, 5),
+        width=st.sampled_from([1, 2, 3, 7, 8, 33, 96]),
+        universe=st.sampled_from([1, 3, 50, int(INDEX_MASK) + 1]),
+        dtype=st.sampled_from([np.uint32, np.int64]),
+    )
+    def test_first_occurrence_matches_stable_argsort(
+        self, seed, rows, width, universe, dtype
+    ):
+        """Width 1, non-power-of-two widths, ids up to ``INDEX_MASK``, and
+        all-equal rows (``universe`` 1)."""
+        from repro.core.traversal import _first_occurrence_rows
+
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, universe, size=(rows, width)).astype(dtype)
+        ids[0, -1] = universe - 1  # the largest id is always present
+        got = _first_occurrence_rows(ids)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, _stable_first_occurrence_oracle(ids))
+
+    @settings(max_examples=4 * MAX_EXAMPLES, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        rows=st.integers(1, 5),
+        width=st.sampled_from([1, 4, 5, 32, 100]),
+        p=st.sampled_from([1, 2, 4]),
+        rate=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    )
+    def test_parent_pick_matches_stable_argsort(self, seed, rows, width, p, rate):
+        """Low ``rate`` leaves rows with fewer selectable entries than
+        ``search_width``: the fill-up positions and their ``picked=False``
+        must match too (they decide which stand-in lanes are gathered)."""
+        from repro.core.traversal import _pick_parents
+
+        rng = np.random.default_rng(seed)
+        selectable = rng.random((rows, width)) < rate
+        positions, picked = _pick_parents(selectable, p)
+        want_positions, want_picked = _stable_pick_oracle(selectable, p)
+        np.testing.assert_array_equal(positions, want_positions)
+        np.testing.assert_array_equal(picked, want_picked)
 
 
 class TestReverseListProperties:

@@ -5,13 +5,47 @@ import pytest
 
 from repro.core.graph import INDEX_MASK, PARENT_FLAG
 from repro.core.topm import (
+    INF_ORDER_BITS,
     bitonic_comparator_count,
     bitonic_merge,
     bitonic_sort,
+    float32_from_order_bits,
+    float32_order_bits,
     merge_topm,
     radix_topk,
     sort_strategy,
 )
+
+
+class TestFloat32OrderBits:
+    """The key trick shared by the NN-descent merge and the dense engine
+    merge: unsigned order of the bits is float order."""
+
+    VALUES = np.array(
+        [-np.inf, -np.finfo(np.float32).max, -3.5, -1e-30, -1e-45, -0.0, 0.0,
+         1e-45, 1e-30, 0.25, 7.0, np.finfo(np.float32).max, np.inf],
+        dtype=np.float32,
+    )
+
+    def test_unsigned_order_is_float_order(self):
+        bits = float32_order_bits(self.VALUES.copy())
+        assert bits.dtype == np.uint32
+        # strictly increasing apart from the one tie: -0.0 == +0.0
+        steps = np.diff(bits.astype(np.int64))
+        assert (steps[np.diff(self.VALUES) > 0] > 0).all()
+        assert bits[5] == bits[6]
+        assert bits[-1] == INF_ORDER_BITS and (bits[:-1] < INF_ORDER_BITS).all()
+
+    def test_round_trip_folds_negative_zero(self):
+        back = float32_from_order_bits(float32_order_bits(self.VALUES.copy()))
+        assert back.dtype == np.float32
+        np.testing.assert_array_equal(back, self.VALUES)
+        assert not np.signbit(back[5])  # -0.0 came back as +0.0
+
+    def test_encodes_in_place(self):
+        values = self.VALUES.copy()
+        bits = float32_order_bits(values)
+        assert np.shares_memory(bits, values)
 
 
 class TestBitonicMerge:

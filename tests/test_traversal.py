@@ -11,8 +11,11 @@ Acceptance suite for the hot-loop unification:
   same pinned results when forced onto the other arm's batch shape;
 * fp16 dataset storage keeps recall within 0.01 of fp32 with mostly
   stable ids, halves the stamped storage width, and is deterministic;
-* the chunk-size heuristic accounts for the per-live-query slab width
-  (an fp16 engine never gets *smaller* chunks than fp32);
+* the chunk-size heuristic charges what a live row keeps resident (an
+  fp16 engine never gets *smaller* chunks than fp32), and a chunk boundary
+  inside the batch shows in no output and no counter;
+* step ③ gathers exactly ``report.distance_computations`` vectors and its
+  flat-pair distances are bitwise the full-slab ones;
 * malformed queries (wrong dim, NaN/inf) are rejected typed and early at
   the one engine entry, on every path.
 """
@@ -229,9 +232,22 @@ class TestFp16Storage:
         assert PRECISIONS == ("fp32", "fp16")
 
 
+def _search_modes(index):
+    """The array-parallel modes: (name, batch -> SearchResult)."""
+    half = np.arange(index.size) % 2 == 0
+    fp16 = CONFIG.with_overrides(precision="fp16")
+    yield "fast", lambda q: index.search_fast(q, 10, config=CONFIG)
+    yield "fp16", lambda q: index.search_fast(q, 10, config=fp16)
+    yield "filtered", lambda q: index.search_fast(
+        q, 10, config=CONFIG, filter_mask=half
+    )
+    # batch 32 >= _SCALAR_REFERENCE_ROWS: the hash slab, not the scalar spec
+    yield "slab-reference", lambda q: index.search(q, 10, config=CONFIG)
+
+
 class TestChunkHeuristic:
-    """Satellite: the chunk sizer charges the *storage* width per lane,
-    so fp16 never over-allocates (chunks can only grow vs fp32)."""
+    """The chunk sizer charges what a live row keeps resident; the gathered
+    vectors are one constant block, so the storage width does not move it."""
 
     def test_fp16_rows_at_least_fp32(self, regression):
         _, _, index, _ = regression
@@ -241,11 +257,20 @@ class TestChunkHeuristic:
             plan = fp32._resolve_plan(CONFIG, "single_cta", 10, dense=dense)
             assert fp16._chunk_rows(plan) >= fp32._chunk_rows(plan)
 
-    def test_gather_bytes_scale_with_storage(self, regression):
+    def test_row_bytes_track_resident_state(self, regression):
+        """Lanes and top-M scale the model; ``dim`` and the storage dtype do
+        not (the vectors are gathered in constant-size blocks), so fp16 and
+        fp32 engines chunk alike."""
         _, _, index, _ = regression
-        fp32 = index.engine("fp32")._gather_bytes_per_row(16, 64)
-        fp16 = index.engine("fp16")._gather_bytes_per_row(16, 64)
-        assert fp16 < fp32
+        fp32, fp16 = index.engine("fp32"), index.engine("fp16")
+        base = fp32._slab_bytes_per_row(16, 64)
+        assert fp16._slab_bytes_per_row(16, 64) == base
+        assert fp32._slab_bytes_per_row(32, 64) > base
+        assert fp32._slab_bytes_per_row(16, 128) > base
+        plan = fp32._resolve_plan(CONFIG, "single_cta", 10, dense=True)
+        assert fp16._chunk_rows(plan) == fp32._chunk_rows(plan)
+        # dense: the visited row (one byte per node) dominates a short row
+        assert fp32._chunk_rows(plan) <= traversal._VISITED_BUDGET_BYTES // index.size
 
     def test_forced_chunking_is_transparent(self, regression, monkeypatch):
         """A tiny budget forces many chunks; totals stay bitwise pinned."""
@@ -256,6 +281,102 @@ class TestChunkHeuristic:
         np.testing.assert_array_equal(whole.indices, chunked.indices)
         assert whole.report.as_dict() == chunked.report.as_dict()
         assert_pinned(chunked, expected, "fast")
+
+    @pytest.mark.parametrize("mode", ["fast", "fp16", "filtered"])
+    def test_chunk_boundary_inside_the_batch(self, regression, monkeypatch, mode):
+        """A budget of five rows: chunks of 5 (and a ragged last one of 2)
+        split the 32-query batch, and nothing — ids, distances, any
+        counter — shows it."""
+        _, queries, index, _ = regression
+        run = dict(_search_modes(index))[mode]
+        whole = run(queries)
+        engine = index.engine("fp16" if mode == "fp16" else "fp32")
+        plan = engine._resolve_plan(CONFIG, "single_cta", 10, dense=True)
+        per_row = traversal._VISITED_BUDGET_BYTES // engine._chunk_rows(plan)
+        monkeypatch.setattr(traversal, "_VISITED_BUDGET_BYTES", 5 * per_row + 1)
+        sizes = []
+        original = TraversalEngine._run_chunk
+        monkeypatch.setattr(
+            TraversalEngine,
+            "_run_chunk",
+            lambda self, sub, *a, **kw: sizes.append(len(sub))
+            or original(self, sub, *a, **kw),
+        )
+        chunked = run(queries)
+        assert sizes == [5] * 6 + [2]
+        np.testing.assert_array_equal(whole.indices, chunked.indices)
+        np.testing.assert_array_equal(whole.distances, chunked.distances)
+        assert whole.report.as_dict() == chunked.report.as_dict()
+
+
+class TestWorkProportionalStep:
+    """Step ③ gathers and reduces exactly the vectors the report is
+    charged for, and gets the bits a full-slab evaluation would."""
+
+    @pytest.mark.parametrize(
+        "mode", ["fast", "fp16", "filtered", "slab-reference"]
+    )
+    def test_gathered_vectors_equal_distance_computations(
+        self, regression, monkeypatch, mode
+    ):
+        _, queries, index, _ = regression
+        gathered = []
+        original = traversal.gathered_distances
+
+        def counting(data, q, indices, *args, **kwargs):
+            gathered.append(np.asarray(indices).size)
+            return original(data, q, indices, *args, **kwargs)
+
+        monkeypatch.setattr(traversal, "gathered_distances", counting)
+        assert len(queries) >= traversal._SCALAR_REFERENCE_ROWS
+        report = dict(_search_modes(index))[mode](queries).report
+        assert report.distance_computations > 0
+        assert report.skipped_distance_computations > 0
+        assert sum(gathered) == report.distance_computations
+
+    @pytest.mark.parametrize("dim", [7, 12, 96, 100, 128])
+    @pytest.mark.parametrize("metric", ["sqeuclidean", "inner_product", "cosine"])
+    @pytest.mark.parametrize("dtype", ["float16", "float32", "float64"])
+    def test_first_visit_distances_bitwise_full_slab(self, dtype, metric, dim):
+        """Compacting the fresh lanes into flat (query, node) pairs must
+        not change a bit of any distance: every reduction is per pair."""
+        from repro.core.distances import gathered_distances
+        from repro.core.graph import INDEX_MASK, FixedDegreeGraph
+
+        rng = np.random.default_rng(dim)
+        n, rows, width = 50, 9, 12
+        data = rng.standard_normal((n, dim)).astype(dtype)
+        data[3] = 0.0  # zero norm under cosine, -0.0 under inner product
+        graph = FixedDegreeGraph(rng.integers(0, n, size=(n, 4)).astype(np.uint32))
+        engine = TraversalEngine(data, graph, metric=metric)
+        queries = rng.standard_normal((rows, dim)).astype(np.float32)
+        ids = rng.integers(0, n, size=(rows, width)).astype(np.uint32)
+        ids[0, :3] = 3
+        usable = rng.random((rows, width)) < 0.8
+        allowed = rng.random(n) < 0.7
+        plan = engine._resolve_plan(CONFIG, "single_cta", 10, dense=True)
+        visited = plan.visited(rows, n)
+        visited.table[:, ::5] = True  # already-visited nodes
+        seen = visited.table[np.arange(rows)[:, None], ids.astype(np.intp)]
+        report = plan.report()
+        out_ids, dists = engine._first_visits(
+            visited, np.arange(rows), queries, ids, usable, allowed, report
+        )
+        full = gathered_distances(data, queries, ids.astype(np.intp), metric)
+        fresh = np.isfinite(dists)
+        assert fresh.any() and not fresh.all()
+        assert dists.dtype == full.dtype
+        np.testing.assert_array_equal(
+            dists[fresh].view(f"u{dists.itemsize}"),
+            full[fresh].view(f"u{full.itemsize}"),
+        )
+        assert not (fresh & (seen | ~usable | ~allowed[ids])).any()
+        np.testing.assert_array_equal(out_ids, np.where(usable, ids, INDEX_MASK))
+        # filtered-out first visits are still computed (and charged)
+        assert report.distance_computations >= int(fresh.sum())
+        assert report.distance_computations + report.skipped_distance_computations == int(
+            usable.sum()
+        )
 
 
 class TestEngineValidation:
