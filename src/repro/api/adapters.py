@@ -62,6 +62,19 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
+def _checked_queries(queries, k: int, dim: int) -> np.ndarray:
+    """``queries`` as 2-D, after the request checks the traversal engine
+    makes for CAGRA — same typed errors, raised before any work."""
+    queries = np.atleast_2d(np.asarray(queries))
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if queries.ndim != 2 or queries.shape[1] != dim:
+        raise ValueError(
+            f"query dim {queries.shape[-1]} does not match index dim {dim}"
+        )
+    return queries
+
+
 class AnnIndexAdapter:
     """Base adapter: wraps one native index behind the unified surface.
 
@@ -284,7 +297,7 @@ class _BeamAnnIndex(AnnIndexAdapter):
         on_stage=None,
     ) -> SearchResult:
         _check_mode(mode)  # beam baselines have one execution path
-        queries = np.atleast_2d(np.asarray(queries))
+        queries = _checked_queries(queries, k, self.dim)
         k_search = min(int(k), self.size)
         mask = None
         if filter_mask is not None:
@@ -413,7 +426,7 @@ class BruteForceIndex(AnnIndexAdapter):
         on_stage=None,
     ) -> SearchResult:
         _check_mode(mode)
-        queries = np.atleast_2d(np.asarray(queries))
+        queries = _checked_queries(queries, k, self.dim)
         with stage_timer(on_stage, "bruteforce.search") as stage:
             if filter_mask is not None:
                 mask = np.asarray(filter_mask, dtype=bool)

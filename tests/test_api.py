@@ -135,6 +135,16 @@ class TestConformance:
         assert result.indices.shape == (1, 3)
 
     @pytest.mark.parametrize("kind", ALL_SURFACES)
+    def test_bad_requests_fail_typed_before_any_work(self, adapters, api_queries, kind):
+        """k < 1 and a wrong-dim query raise the traversal engine's typed
+        errors on every backend, not a (batch, 0) result or a numpy
+        broadcasting failure."""
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            adapters[kind].search(api_queries, 0)
+        with pytest.raises(ValueError, match="query dim 8 does not match index dim 16"):
+            adapters[kind].search(api_queries[:, :8], 3)
+
+    @pytest.mark.parametrize("kind", ALL_SURFACES)
     def test_search_request_object(self, adapters, api_queries, kind):
         request = SearchRequest(queries=api_queries, k=4)
         result = adapters[kind].search_request(request)

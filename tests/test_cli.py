@@ -334,3 +334,206 @@ class TestTuneCommand:
         with pytest.raises(SystemExit):
             main(["tune", "--dataset", "deep-1m", "--scale", "400",
                   "--itopk-grid", "16,banana"])
+
+
+_SMALL = ["--dataset", "deep-1m", "--scale", "300", "--degree", "8",
+          "--queries", "12"]
+
+
+def _json_run(capsys, argv):
+    """Run ``main(argv + --format json)``; return (exit code, payload)."""
+    rc = main([*argv, "--format", "json"])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+class TestJsonPayloadKeys:
+    """``--format json`` is an interface: pin each command's key set."""
+
+    def test_search_keys(self, capsys):
+        rc, payload = _json_run(capsys, ["search", *_SMALL, "--index-kind", "cagra"])
+        assert rc == 0
+        assert set(payload) == {
+            "queries", "k", "itopk", "search_width", "max_iterations",
+            "team_size", "precision", "profile", "tuned", "algo",
+            "index_kind", "fast_path", "elapsed_seconds", "recall",
+            "distance_computations_per_query", "degraded",
+        }
+        assert payload["index_kind"] == "cagra" and payload["degraded"] is False
+
+    def test_bench_keys(self, capsys):
+        rc, payload = _json_run(
+            capsys, ["bench", *_SMALL, "--hnsw-m", "4", "--hnsw-efc", "20"]
+        )
+        assert rc == 0
+        assert set(payload) == {
+            "dataset", "n", "dim", "metric", "batch", "k", "index_kind",
+            "profile", "search_width", "max_iterations", "hnsw", "curves",
+            "speedup_vs_hnsw_at_recall", "stages",
+        }
+        assert [curve["method"] for curve in payload["curves"]] == ["CAGRA", "HNSW"]
+        assert set(payload["curves"][0]["points"][0]) == {
+            "param", "recall", "qps", "seconds", "distance_computations_per_query",
+        }
+        assert payload["stages"][0]["name"] == "build.cagra"
+
+    def test_tune_keys(self, tmp_path, capsys):
+        rc, payload = _json_run(capsys, [
+            "tune", *_SMALL, "-k", "5", "--itopk-grid", "8,32",
+            "--width-grid", "1", "--recall-target", "0.8",
+            "--out", str(tmp_path / "tuned.json"),
+        ])
+        assert rc == 0
+        assert set(payload) == {"path", "profile"}
+        assert set(payload["profile"]) == {
+            "version", "fingerprint", "index_kind", "k", "metric",
+            "recall_target", "batch_size", "meets_target", "chosen",
+            "baseline", "sweep", "created",
+        }
+
+    def test_serve_keys(self, capsys):
+        rc, payload = _json_run(capsys, [
+            "serve", *_SMALL, "--requests", "30", "--rate", "400", "--itopk", "32",
+        ])
+        assert rc == 0
+        assert set(payload) == {
+            "mode", "offered_rate_qps", "requests", "submitted", "completed",
+            "rejected", "timed_out", "failed", "duration_seconds",
+            "achieved_qps", "latency_ms", "recall", "stats", "health",
+        }
+
+
+class TestServeBaselineBackend:
+    def test_serve_over_hnsw(self, capsys):
+        rc, payload = _json_run(capsys, [
+            "serve", *_SMALL, "--index-kind", "hnsw", "--requests", "30",
+            "--rate", "400", "--max-batch", "8", "--itopk", "32",
+        ])
+        assert rc == 0
+        assert payload["failed"] == 0 and payload["completed"] == 30
+        assert payload["recall"] > 0.8
+
+
+class TestRouteCommand:
+    def test_route_quota_json(self, capsys):
+        rc, payload = _json_run(capsys, [
+            "route", *_SMALL, "--replicas", "2", "--requests", "80",
+            "--clients", "2", "--tenants", "3", "--quota-rate", "50",
+            "--itopk", "32",
+        ])
+        assert rc == 0
+        assert set(payload) == {
+            "replicas", "dispatch", "hedge", "requests", "tenants", "ok",
+            "quota_rejected", "timed_out", "failed", "hedged", "hedge_wins",
+            "duration_seconds", "latency_ms", "recall", "quota_check",
+            "stats", "health",
+        }
+        assert payload["failed"] == 0
+        assert payload["quota_check"]["exact_match"] is True
+        # The schedule is seeded, so the token-bucket outcome is exact.
+        assert payload["quota_rejected"] == 27 and payload["ok"] == 53
+        assert payload["ok"] + payload["quota_rejected"] == payload["requests"] == 80
+        assert payload["recall"] > 0.5  # batch-position seeding: noisy at this size
+
+    def test_route_text_reports_quota_verdict(self, capsys):
+        rc = main(["route", *_SMALL, "--replicas", "2", "--requests", "40",
+                   "--clients", "2", "--quota-rate", "400", "--itopk", "32"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "routing over 2 replicas" in out
+        assert "quota rejections vs token-bucket model: exact" in out
+
+
+class TestStreamCommand:
+    def test_stream_json(self, capsys):
+        rc, payload = _json_run(capsys, [
+            "stream", *_SMALL, "--ops", "80", "--clients", "2",
+            "--itopk", "32", "--rebuild-min-rows", "8",
+        ])
+        assert rc == 0
+        assert set(payload) == {
+            "ops", "searches", "inserts", "deletes", "failures",
+            "duration_seconds", "search_latency_ms",
+            "final_recall_vs_live_oracle", "deleted_ids_served_after_run",
+            "freshness", "decisions", "stats",
+        }
+        assert payload["failures"] == 0
+        assert payload["deleted_ids_served_after_run"] == []
+        assert payload["ops"] == 80
+        assert payload["searches"] + payload["inserts"] + payload["deletes"] == 80
+        assert payload["final_recall_vs_live_oracle"] > 0.9
+        # 300 rows - 150-row insert pool, then the seeded writes; base vs
+        # memtable rows depend on when the rebuilder promoted, the sum does not.
+        assert payload["freshness"]["live_rows"] == (
+            150 + payload["inserts"] - payload["deletes"]
+        )
+
+    def test_mutable_serve_writes_wal(self, tmp_path, capsys):
+        wal_dir = tmp_path / "wal"
+        rc, payload = _json_run(capsys, [
+            "serve", *_SMALL, "--requests", "30", "--rate", "400",
+            "--itopk", "32", "--mutable", "--wal-dir", str(wal_dir),
+        ])
+        assert rc == 0 and payload["failed"] == 0
+        assert (wal_dir / "wal.jsonl").is_file()
+        assert (wal_dir / "checkpoint.npz").is_file()
+
+
+class TestServeFleetDelegation:
+    """``serve --replicas N`` is ``route`` over the same flags: route's
+    defaults, and nothing a fleet cannot honour is dropped silently."""
+
+    FLEET = ["serve", *_SMALL, "--replicas", "2", "--requests", "30", "--itopk", "32"]
+
+    @pytest.mark.parametrize("extra", [
+        ["--mutable"], ["--wal-dir", "WAL"], ["--auto-rebuild"],
+        ["--rebuild-interval-s", "0.1"], ["--rebuild-calibrate"],
+        ["--mode", "closed"],
+    ])
+    def test_single_server_flags_refused_by_name(self, tmp_path, capsys, extra):
+        extra = [str(tmp_path / "wal") if part == "WAL" else part for part in extra]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.FLEET, *extra])
+        assert exit_info.value.code == 2
+        assert extra[0] in capsys.readouterr().err
+        assert not (tmp_path / "wal").exists()
+
+    def test_fleet_runs_with_route_defaults(self, capsys):
+        rc, payload = _json_run(capsys, self.FLEET)
+        assert rc == 0 and payload["failed"] == 0 and payload["replicas"] == 2
+        route = build_parser().parse_args(["route"])
+        # Fleet breakers are on at route's threshold (they were off: the
+        # delegated run used to inherit serve's per-shard default of 0).
+        assert route.breaker_threshold >= 1
+        for replica in payload["health"]["replicas"].values():
+            assert replica["breaker"] is not None
+        assert payload["requests"] == 30 and payload["tenants"] == route.tenants
+
+    def test_explicit_flags_still_reach_the_fleet(self, capsys):
+        rc, payload = _json_run(capsys, [*self.FLEET, "--breaker-threshold", "0"])
+        assert rc == 0
+        assert all(r["breaker"] is None for r in payload["health"]["replicas"].values())
+
+
+class TestSeedReachesEveryBuild:
+    def test_serve_and_build_agree_on_the_graph(self, tmp_path, capsys, monkeypatch):
+        """``serve`` used to build the seed-0 graph whatever ``--seed`` said
+        (2.9 % of this graph's edges differ between build seeds 0 and 3)."""
+        from repro.api import load_index
+        from repro.cli import serving
+
+        served = []
+        index_from_args = serving.index_from_args
+
+        def capture(*args, **kwargs):
+            served.append(index_from_args(*args, **kwargs))
+            return served[-1]
+
+        monkeypatch.setattr(serving, "index_from_args", capture)
+        path = str(tmp_path / "seed3.npz")
+        assert main(["build", *_SMALL, "--seed", "3", "--out", path]) == 0
+        assert main(["serve", *_SMALL, "--seed", "3", "--requests", "10",
+                     "--itopk", "32"]) == 0
+        capsys.readouterr()
+        assert np.array_equal(
+            served[0].inner.graph.neighbors, load_index(path).graph.neighbors
+        )

@@ -17,11 +17,18 @@ from repro.core.optimize import (
 
 
 def reference_detour_counts(neighbors: np.ndarray, distances=None) -> np.ndarray:
-    """O(N * d^2) literal implementation of Fig. 2 / Eq. 3 for testing."""
+    """O(N * d^2) literal implementation of Fig. 2 / Eq. 3 for testing.
+
+    Tie rule: when X's list repeats a neighbour id, every detour through
+    it is charged to its *lowest* rank (first occurrence) — the rule the
+    product and the property oracle in ``test_properties.py`` follow.
+    """
     n, d = neighbors.shape
     counts = np.zeros((n, d), dtype=np.int64)
     for x in range(n):
-        position = {int(y): r for r, y in enumerate(neighbors[x])}
+        position: dict[int, int] = {}
+        for r, y in enumerate(neighbors[x]):
+            position.setdefault(int(y), r)
         for a in range(d):  # rank of X -> Z
             z = int(neighbors[x, a])
             for j in range(d):  # rank of Z -> Y in Z's list
@@ -64,6 +71,23 @@ class TestDetourCounts:
         fast = count_detourable_routes(neighbors, distances=distances, block=13)
         slow = reference_detour_counts(neighbors, distances)
         np.testing.assert_array_equal(fast, slow)
+
+    @pytest.mark.parametrize("use_distances", [False, True])
+    def test_repeated_neighbour_id_counts_at_lowest_rank(self, use_distances):
+        rng = np.random.default_rng(4)
+        n, d = 40, 6
+        neighbors = np.array(
+            [rng.choice([j for j in range(n) if j != i], size=d, replace=False)
+             for i in range(n)]
+        )
+        neighbors[:, 4] = neighbors[:, 1]  # every list repeats one id
+        distances = None
+        if use_distances:
+            distances = np.sort(rng.random((n, d)), axis=1).astype(np.float32)
+        fast = count_detourable_routes(neighbors, distances=distances, block=16)
+        slow = reference_detour_counts(neighbors, distances)
+        np.testing.assert_array_equal(fast, slow)
+        assert (fast[:, 4] == 0).all()  # the repeat's own slot is never charged
 
     def test_first_edge_never_detourable_rank_based(self):
         """Rank 0 edges cannot be detoured: max(a, j) < 0 is impossible."""
