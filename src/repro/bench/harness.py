@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.beam import BeamCounters
-from repro.core.config import SearchConfig
+from repro.core.config import SearchConfig, choose_algo
 from repro.core.index import CagraIndex
 from repro.core.metrics import recall as recall_of
-from repro.core.search import CostReport
+from repro.core.search import CostReport, scale_report
 from repro.gpusim import CpuCostModel, GpuCostModel
 
 __all__ = [
@@ -59,37 +59,6 @@ class MethodCurve:
         return max((p.recall for p in self.points), default=0.0)
 
 
-def scale_report(report: CostReport, factor: float) -> CostReport:
-    """Scale a batch's counters to a larger simulated batch.
-
-    Counters grow linearly with query count; per-query behaviour (and so
-    recall) is unchanged.  ``cta_count`` and ``batch_size`` scale with the
-    same factor so wave scheduling sees the full batch.
-    """
-    scaled = CostReport(
-        algo=report.algo,
-        batch_size=max(1, int(round(report.batch_size * factor))),
-        cta_count=max(1, int(round(report.cta_count * factor))),
-        iterations=int(report.iterations * factor),
-        serial_queue_ops=int(report.serial_queue_ops * factor),
-        distance_computations=int(report.distance_computations * factor),
-        skipped_distance_computations=int(report.skipped_distance_computations * factor),
-        recomputed_distances=int(report.recomputed_distances * factor),
-        candidate_gathers=int(report.candidate_gathers * factor),
-        sort_comparator_ops=int(report.sort_comparator_ops * factor),
-        radix_sorted_elements=int(report.radix_sorted_elements * factor),
-        hash_lookups=int(report.hash_lookups * factor),
-        hash_probes=int(report.hash_probes * factor),
-        hash_insertions=int(report.hash_insertions * factor),
-        hash_resets=int(report.hash_resets * factor),
-        hash_in_shared=report.hash_in_shared,
-        hash_log2_size=report.hash_log2_size,
-        random_inits=int(report.random_inits * factor),
-        kernel_launches=report.kernel_launches,
-    )
-    return scaled
-
-
 def beam_to_report(
     counters: BeamCounters,
     degree: int,
@@ -122,6 +91,36 @@ def beam_to_report(
     )
 
 
+def _run_sweep(
+    method, search_fn, queries, truth, k, params, batch_size, price
+) -> MethodCurve:
+    """The one sweep body behind the four public runners.
+
+    For each knob value, ``search_fn(queries, k, param)`` runs the real
+    algorithm and returns ``(ids, dists, counters)`` (counters: anything
+    with ``distance_computations``); ``price(param, counters, factor)``
+    returns the modelled timing of the simulated batch, ``factor`` being
+    simulated / real batch size.
+    """
+    real_batch = np.atleast_2d(queries).shape[0]
+    factor = batch_size / real_batch
+    points = []
+    for param in params:
+        ids, _, counters = search_fn(queries, k, param)
+        timing = price(param, counters, factor)
+        points.append(
+            SweepPoint(
+                param=param,
+                recall=recall_of(ids, truth),
+                qps=timing.qps(batch_size),
+                seconds=timing.seconds,
+                distance_computations_per_query=counters.distance_computations
+                / real_batch,
+            )
+        )
+    return MethodCurve(method=method, points=points)
+
+
 def run_cagra_sweep(
     index: CagraIndex,
     queries: np.ndarray,
@@ -142,19 +141,23 @@ def run_cagra_sweep(
     gpu = gpu or GpuCostModel()
     base_config = base_config or SearchConfig()
     dtype_bytes = dtype_bytes or index.dataset.dtype.itemsize
-    real_batch = np.atleast_2d(queries).shape[0]
-    points = []
-    for itopk in itopk_values:
-        config = base_config.with_overrides(itopk=max(itopk, k))
-        result = index.search(queries, k, config=config, num_sms=gpu.spec.num_sms)
-        factor = batch_size / real_batch
-        report = scale_report(result.report, factor)
+
+    def config_for(itopk: int) -> SearchConfig:
+        return base_config.with_overrides(itopk=max(itopk, k))
+
+    def search(queries, k, itopk):
+        result = index.search(
+            queries, k, config=config_for(itopk), num_sms=gpu.spec.num_sms
+        )
+        return result.indices, result.distances, result.report
+
+    def price(itopk, report, factor):
+        config = config_for(itopk)
+        report = scale_report(report, factor)
         # Re-resolve the algo for the simulated batch (Fig. 7 rule applies
         # to the batch actually launched, not the probe batch).
-        from repro.core.config import choose_algo
-
         report.algo = choose_algo(config, batch_size, num_sms=gpu.spec.num_sms)
-        timing = gpu.search_time(
+        return gpu.search_time(
             report,
             index.dim,
             dtype_bytes=dtype_bytes,
@@ -162,17 +165,8 @@ def run_cagra_sweep(
             itopk=config.itopk,
             search_width=config.search_width,
         )
-        points.append(
-            SweepPoint(
-                param=itopk,
-                recall=recall_of(result.indices, truth),
-                qps=timing.qps(batch_size),
-                seconds=timing.seconds,
-                distance_computations_per_query=result.report.distance_computations
-                / real_batch,
-            )
-        )
-    return MethodCurve(method=method, points=points)
+
+    return _run_sweep(method, search, queries, truth, k, itopk_values, batch_size, price)
 
 
 def run_hnsw_sweep(
@@ -186,32 +180,16 @@ def run_hnsw_sweep(
     cpu: CpuCostModel | None = None,
     method: str = "HNSW",
 ) -> MethodCurve:
-    """Recall–QPS curve for an HNSW index over ``ef`` values."""
-    cpu = cpu or CpuCostModel()
-    real_batch = np.atleast_2d(queries).shape[0]
-    dim = hnsw.data.shape[1]
-    points = []
-    for ef in ef_values:
-        ids, _, counters = hnsw.search(queries, k, ef=ef)
-        factor = batch_size / real_batch
-        timing = cpu.search_time(
-            int(counters.distance_computations * factor),
-            int(counters.hops * factor),
-            dim,
-            batch_size,
-            threads=threads,
-        )
-        points.append(
-            SweepPoint(
-                param=ef,
-                recall=recall_of(ids, truth),
-                qps=timing.qps(batch_size),
-                seconds=timing.seconds,
-                distance_computations_per_query=counters.distance_computations
-                / real_batch,
-            )
-        )
-    return MethodCurve(method=method, points=points)
+    """Recall–QPS curve for an HNSW index over ``ef`` values (the CPU
+    beam sweep with ``ef`` as the beam width)."""
+
+    def search(queries, k, ef):
+        return hnsw.search(queries, k, ef=ef)
+
+    return run_beam_sweep_cpu(
+        method, search, queries, truth, k, ef_values, batch_size,
+        dim=hnsw.data.shape[1], threads=threads, cpu=cpu,
+    )
 
 
 def run_beam_sweep_gpu(
@@ -235,31 +213,18 @@ def run_beam_sweep_gpu(
     un-teamed (poorly coalesced) vector loads these baselines use.
     """
     gpu = gpu or GpuCostModel()
-    real_batch = np.atleast_2d(queries).shape[0]
-    points = []
-    for beam in beam_values:
-        ids, _, counters = search_fn(queries, k, beam)
-        report = beam_to_report(counters, degree, beam)
-        report = scale_report(report, batch_size / real_batch)
-        timing = gpu.search_time(
-            report,
+
+    def price(beam, counters, factor):
+        return gpu.search_time(
+            scale_report(beam_to_report(counters, degree, beam), factor),
             dim,
             dtype_bytes=dtype_bytes,
             team_size=32,
             itopk=beam,
             mem_efficiency=0.3,
         )
-        points.append(
-            SweepPoint(
-                param=beam,
-                recall=recall_of(ids, truth),
-                qps=timing.qps(batch_size),
-                seconds=timing.seconds,
-                distance_computations_per_query=counters.distance_computations
-                / real_batch,
-            )
-        )
-    return MethodCurve(method=method, points=points)
+
+    return _run_sweep(method, search_fn, queries, truth, k, beam_values, batch_size, price)
 
 
 def run_beam_sweep_cpu(
@@ -277,26 +242,14 @@ def run_beam_sweep_cpu(
     """Curve for a CPU beam-search baseline (NSSG under the HNSW-style
     multi-threaded bottom-layer searcher, as the Fig. 13 setup does)."""
     cpu = cpu or CpuCostModel()
-    real_batch = np.atleast_2d(queries).shape[0]
-    points = []
-    for beam in beam_values:
-        ids, _, counters = search_fn(queries, k, beam)
-        factor = batch_size / real_batch
-        timing = cpu.search_time(
+
+    def price(_beam, counters, factor):
+        return cpu.search_time(
             int(counters.distance_computations * factor),
             int(counters.hops * factor),
             dim,
             batch_size,
             threads=threads,
         )
-        points.append(
-            SweepPoint(
-                param=beam,
-                recall=recall_of(ids, truth),
-                qps=timing.qps(batch_size),
-                seconds=timing.seconds,
-                distance_computations_per_query=counters.distance_computations
-                / real_batch,
-            )
-        )
-    return MethodCurve(method=method, points=points)
+
+    return _run_sweep(method, search_fn, queries, truth, k, beam_values, batch_size, price)

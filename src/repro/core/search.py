@@ -40,7 +40,7 @@ from repro.core.graph import INDEX_MASK, PARENT_FLAG, FixedDegreeGraph
 from repro.core.hashtable import ForgettableHashTable, StandardHashTable
 from repro.core.topm import bitonic_comparator_count, merge_topm, sort_strategy
 
-__all__ = ["CostReport", "SearchResult", "search_batch"]
+__all__ = ["CostReport", "SearchResult", "scale_report", "search_batch"]
 
 
 @dataclass
@@ -111,6 +111,29 @@ _NOT_ADDITIVE = frozenset(
         "extras",
     }
 )
+
+
+def scale_report(report: CostReport, factor: float) -> CostReport:
+    """Scale a batch's counters to a larger simulated batch.
+
+    Counters grow linearly with query count; per-query behaviour (and so
+    recall) is unchanged.  ``cta_count`` and ``batch_size`` scale with the
+    same factor (rounded, at least 1) so wave scheduling sees the full
+    batch; the other non-additive fields describe the call and are copied,
+    and ``extras`` are dropped.  Like :meth:`CostReport.merge_from`, the
+    scaled set is derived from the fields, so a new counter scales too.
+    """
+    scaled = CostReport()
+    for f in fields(CostReport):
+        value = getattr(report, f.name)
+        if f.name in ("batch_size", "cta_count"):
+            value = max(1, int(round(value * factor)))
+        elif f.name == "extras":
+            continue
+        elif f.name not in _NOT_ADDITIVE:
+            value = int(value * factor)
+        setattr(scaled, f.name, value)
+    return scaled
 
 
 @dataclass

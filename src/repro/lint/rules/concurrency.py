@@ -264,6 +264,10 @@ def _thread_entry_names(tree: ast.Module) -> set[str]:
             for kw in node.keywords:
                 if kw.arg == "target" and (name := callee_name(kw.value)):
                     entries.add(name)
+        elif func_dotted.split(".")[-1] == "run_client_threads" and node.args:
+            # repro.serve.loadgen's one-thread-per-client helper.
+            if name := callee_name(node.args[0]):
+                entries.add(name)
         elif isinstance(node.func, ast.Attribute):
             receiver = dotted_name(node.func.value).lower()
             if node.func.attr == "submit" and any(p in receiver for p in _POOLISH):

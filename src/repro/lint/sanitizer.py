@@ -10,9 +10,9 @@ program actually run.  While a :class:`ThreadSanitizer` is enabled it
   never happened in this run — reported as **RL301** with both
   acquisition sites;
 * patches ``__setattr__`` on registered shared classes (by default
-  ``ExecutorStats``, the serve ``StatsCollector`` behind ``ServeStats``
-  snapshots, ``ResultCache`` and ``CircuitBreaker``) and applies an
-  Eraser-style lockset intersection per ``(object, attribute)``: once a
+  ``ExecutorStats``, the ``MetricSet`` behind ``ServeStats`` /
+  ``RouterStats`` snapshots, ``ResultCache`` and ``CircuitBreaker``) and
+  applies an Eraser-style lockset intersection per ``(object, attribute)``: once a
   second thread writes an attribute, the set of locks common to every
   subsequent write must stay non-empty, or the writes are tagged as an
   **unsynchronized concurrent write** — **RL302**.
@@ -57,7 +57,7 @@ RULE_RACE = "RL302"
 #: (module, class) pairs instrumented for write-race tagging by default.
 DEFAULT_SHARED_CLASSES = (
     ("repro.parallel.executor", "ExecutorStats"),
-    ("repro.serve.stats", "StatsCollector"),
+    ("repro.serve.stats", "MetricSet"),
     ("repro.serve.cache", "ResultCache"),
     ("repro.resilience.breaker", "CircuitBreaker"),
     ("repro.stream.memtable", "ExactMemtable"),

@@ -32,7 +32,7 @@ from repro.router.loadgen import (
 from repro.router.quota import QuotaLedger, TenantOverQuota, TokenBucket
 from repro.router.replica import Ewma, Replica
 from repro.router.router import NoReplicaAvailable, RoutedResult, ShardRouter
-from repro.router.stats import FleetHealth, RouterStats, RouterStatsCollector
+from repro.router.stats import FleetHealth, RouterStats
 
 __all__ = [
     "DISPATCH_POLICIES",
@@ -45,7 +45,6 @@ __all__ = [
     "RoutedResult",
     "RouterConfig",
     "RouterStats",
-    "RouterStatsCollector",
     "ShardRouter",
     "TenantOverQuota",
     "TokenBucket",

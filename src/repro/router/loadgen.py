@@ -28,8 +28,9 @@ import numpy as np
 
 from repro.router.quota import TenantOverQuota
 from repro.router.router import NoReplicaAvailable, ShardRouter
-from repro.serve.loadgen import ZipfTenantSchedule
+from repro.serve.loadgen import ZipfTenantSchedule, run_client_threads
 from repro.serve.server import RequestTimeout, ServeError
+from repro.serve.stats import latency_summary
 
 __all__ = ["FleetLoadReport", "expected_quota_outcomes", "run_fleet_closed_loop"]
 
@@ -76,22 +77,18 @@ class FleetLoadReport:
     per_tenant_quota_rejected: dict[str, int] = field(default_factory=dict)
 
     def latency_percentile_ms(self, q: float) -> float:
-        return (
-            float(np.percentile(self.latencies_ms, q))
-            if self.latencies_ms.size
-            else 0.0
-        )
+        return latency_summary(self.latencies_ms, (q,))[f"p{q:g}"]
 
     def summary(self) -> str:
+        latency = latency_summary(self.latencies_ms)
         return (
             f"fleet load: requests={self.num_requests} ok={self.ok} "
             f"quota_rejected={self.quota_rejected} "
             f"timed_out={self.timed_out} failed={self.failed} "
             f"hedged={self.hedged} hedge_wins={self.hedge_wins} "
             f"in {self.duration_seconds:.2f}s; "
-            f"latency p50={self.latency_percentile_ms(50):.2f}ms "
-            f"p95={self.latency_percentile_ms(95):.2f}ms "
-            f"p99={self.latency_percentile_ms(99):.2f}ms"
+            f"latency p50={latency['p50']:.2f}ms "
+            f"p95={latency['p95']:.2f}ms p99={latency['p99']:.2f}ms"
         )
 
 
@@ -146,7 +143,9 @@ def run_fleet_closed_loop(
         schedule: who arrives when asking what (seeded).
         num_clients: client threads; tenants map to clients by
             ``tenant % num_clients`` so per-tenant order is preserved.
-        k / timeout_ms: forwarded to :meth:`ShardRouter.search`.
+        k / timeout_ms: forwarded to :meth:`ShardRouter.search`; with
+            ``k=None`` the report's ``indices`` are as wide as the
+            replicas' ``default_k``.
         pace: sleep each client to its requests' scheduled arrivals
             (False = submit back-to-back, virtual time only).
     """
@@ -155,7 +154,7 @@ def run_fleet_closed_loop(
     queries = np.atleast_2d(queries)
     num_rows = queries.shape[0]
     n = len(schedule)
-    k_out = int(k) if k else 10
+    k_out = int(k) if k else router.replicas[0].server.config.default_k
 
     indices = np.full((n, k_out), -1, dtype=np.int64)
     replica = np.full(n, NO_REPLICA, dtype=np.int64)
@@ -210,16 +209,9 @@ def run_fleet_closed_loop(
                     hedged_mask[pos] = result.hedged
                     hedge_won_mask[pos] = result.hedge_won
 
-    threads = [
-        threading.Thread(target=worker, args=(positions,), name=f"fleet-client-{c}")
-        for c, positions in enumerate(client_positions)
-        if positions
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    duration = time.monotonic() - start
+    duration = run_client_threads(
+        worker, [p for p in client_positions if p], "fleet-client"
+    )
 
     report = FleetLoadReport(
         num_requests=n,

@@ -52,9 +52,10 @@ from repro.resilience import CircuitBreaker, FaultInjector, resolve_fault_plan
 from repro.router.config import RouterConfig
 from repro.router.quota import QuotaLedger
 from repro.router.replica import ACTIVE, DEAD, DRAINING, Replica
-from repro.router.stats import FleetHealth, RouterStats, RouterStatsCollector
+from repro.router.stats import FleetHealth, RouterStats
 from repro.serve.config import ServeConfig
 from repro.serve.server import CagraServer, RequestTimeout, ServeError
+from repro.serve.stats import MetricSet, fold_fleet
 
 __all__ = ["NoReplicaAvailable", "RoutedResult", "ShardRouter"]
 
@@ -135,7 +136,7 @@ class ShardRouter:
         )
         plan = resolve_fault_plan(self.config.fault_plan)
         self._fault = FaultInjector(plan) if plan is not None else None
-        self._stats = RouterStatsCollector()
+        self._stats = MetricSet(RouterStats)
         self._lock = threading.Lock()
         self._seq = 0
         self._swap_lock = threading.Lock()  # serializes rolling swaps
@@ -304,7 +305,7 @@ class ShardRouter:
             query, k, tenant, seq, tried, deadline, hedge=False
         )
         if primary is None:
-            self._stats.record_routed_failure()
+            self._stats.record(routed=1, routed_failed=1)
             raise err if err is not None else NoReplicaAvailable(
                 "no replica available for dispatch"
             )
@@ -336,11 +337,11 @@ class ShardRouter:
                         last_error = err
                     if leg is not None:
                         attempts += 1
-                        self._stats.record_failover()
+                        self._stats.record(failovers=1)
                         legs.append(leg)
                         leg.handle.add_watcher(any_event)
                         continue
-                self._stats.record_routed_failure()
+                self._stats.record(routed=1, routed_failed=1)
                 raise last_error if last_error is not None else ServeError(
                     "all dispatch attempts failed without a recorded error"
                 )
@@ -348,7 +349,7 @@ class ShardRouter:
             now = time.monotonic()
             if deadline is not None and now >= deadline:
                 self._abandon_unresolved(legs)
-                self._stats.record_routed_failure()
+                self._stats.record(routed=1, routed_failed=1)
                 raise RequestTimeout(
                     f"no replica answered within {timeout_ms:.1f}ms"
                 )
@@ -449,9 +450,7 @@ class ShardRouter:
         )
         self._settle_losers(legs)
         elapsed = time.monotonic() - started
-        self._stats.record_routed(elapsed)
-        if winner.hedge:
-            self._stats.record_hedge_won()
+        self._stats.record(routed=1, hedges_won=int(winner.hedge), latency_s=elapsed)
         return RoutedResult(
             indices=result.indices,
             distances=result.distances,
@@ -519,7 +518,7 @@ class ShardRouter:
         )
         if leg is None:
             return False
-        self._stats.record_hedge_issued()
+        self._stats.record(hedges_issued=1)
         legs.append(leg)
         leg.handle.add_watcher(any_event)
         return True
@@ -560,7 +559,7 @@ class ShardRouter:
                 finally:
                     replica.mark_active()
                 swapped += 1
-            self._stats.record_rolling_swap()
+            self._stats.record(rolling_swaps=1)
         return swapped
 
     # ------------------------------------------------------------------
@@ -595,78 +594,36 @@ class ShardRouter:
             status = "degraded"
         else:
             status = "ok"
-        counters = self._stats.counters()
-        routed = counters.get("routed", 0)
-        hedge_rate = (
-            counters.get("hedges_issued", 0) / routed if routed else 0.0
-        )
         return FleetHealth(
             status=status,
             replicas=snapshots,
             open_breakers=open_breakers,
-            hedge_rate=hedge_rate,
+            hedge_rate=RouterStats(**self._stats.snapshot()).hedge_rate,
             quota_rejections=(
                 self._quotas.total_rejections if self._quotas is not None else 0
             ),
             quotas=self._quotas.snapshot() if self._quotas is not None else None,
         )
 
-    #: Base-stat fields summed across replica servers into the fleet view.
-    _SUMMED_FIELDS = (
-        "submitted", "completed", "cache_hits", "cache_misses", "rejected",
-        "timed_out", "failed", "batches", "coalesced_batches",
-        "single_query_batches", "queue_depth", "index_swaps",
-        "degraded_batches", "shard_failures", "batch_splits",
-        "retried_batches", "breaker_trips", "inserts", "insert_rows",
-        "deletes", "delete_rows", "rebuilds_incremental", "rebuilds_full",
-        "memtable_rows",
-    )
-
     def stats(self) -> RouterStats:
-        """Fleet dashboard (see :class:`RouterStats`): replica server
-        stats summed, router-tier counters, per-replica snapshots."""
-        server_stats = [r.server.stats() for r in self._replicas]
-        summed = {
-            name: sum(getattr(s, name) for s in server_stats)
-            for name in self._SUMMED_FIELDS
-        }
-        histogram: dict[int, int] = {}
-        for s in server_stats:
-            for size, count in s.batch_size_histogram.items():
-                histogram[size] = histogram.get(size, 0) + count
-        counters = self._stats.counters()
+        """Fleet dashboard (see :class:`RouterStats`): the router tier's
+        own counters and router-observed latency, every replica-folded
+        :class:`~repro.serve.ServeStats` field (overriding the router
+        set's empty base entries), and the replica / quota census."""
+        values = self._stats.snapshot()
+        values.update(fold_fleet([r.server.stats() for r in self._replicas]))
         states = [r.state for r in self._replicas]
-        quota_by_tenant: dict[str, int] = {}
-        if self._quotas is not None:
-            quota_by_tenant = dict(self._quotas.snapshot()["rejected"])
+        quotas = self._quotas
         return RouterStats(
-            **summed,
-            batch_size_histogram=histogram,
-            max_queue_depth=max(s.max_queue_depth for s in server_stats),
-            recent_failure_rate=max(
-                s.recent_failure_rate for s in server_stats
-            ),
-            last_promotion_ms=max(s.last_promotion_ms for s in server_stats),
-            tombstone_ratio=max(s.tombstone_ratio for s in server_stats),
-            latency_mean_ms=counters["latency_mean_ms"],
-            latency_p50_ms=counters["latency_p50_ms"],
-            latency_p95_ms=counters["latency_p95_ms"],
-            latency_p99_ms=counters["latency_p99_ms"],
-            latency_max_ms=counters["latency_max_ms"],
+            **values,
             replicas=len(self._replicas),
             replicas_active=states.count(ACTIVE),
             replicas_draining=states.count(DRAINING),
             replicas_dead=states.count(DEAD),
-            routed=counters.get("routed", 0),
-            routed_failed=counters.get("routed_failed", 0),
-            hedges_issued=counters.get("hedges_issued", 0),
-            hedges_won=counters.get("hedges_won", 0),
-            failovers=counters.get("failovers", 0),
-            quota_rejections=(
-                self._quotas.total_rejections if self._quotas is not None else 0
+            quota_rejections=quotas.total_rejections if quotas is not None else 0,
+            quota_rejections_by_tenant=(
+                dict(quotas.snapshot()["rejected"]) if quotas is not None else {}
             ),
-            quota_rejections_by_tenant=quota_by_tenant,
-            rolling_swaps=counters.get("rolling_swaps", 0),
             per_replica={r.replica_id: r.snapshot() for r in self._replicas},
         )
 

@@ -1,14 +1,14 @@
 """Fleet metrics: :class:`RouterStats` (a :class:`~repro.serve.ServeStats`
 superset) and the :class:`FleetHealth` snapshot.
 
-The router-level counters live in a lock-protected
-:class:`RouterStatsCollector`, mirroring the serve layer's collector.
+The router records its own counters into the same lock-protected
+:class:`~repro.serve.stats.MetricSet` the serve layer uses.
 :meth:`ShardRouter.stats` merges three sources into one immutable
 :class:`RouterStats`:
 
-* the base :class:`~repro.serve.ServeStats` fields, summed across every
-  replica's own server stats (batches, cache hits, degraded batches,
-  breaker trips, ... — the whole per-server surface, fleet-wide);
+* the base :class:`~repro.serve.ServeStats` fields, folded across every
+  replica's own server stats by each field's declared rule — the whole
+  per-server surface, fleet-wide (:func:`~repro.serve.stats.fold_fleet`);
 * the router's own counters (routed requests, hedges issued/won,
   failovers, quota rejections, rolling swaps);
 * per-replica snapshots (state, EWMA, dispatch/win/failure counts).
@@ -21,15 +21,11 @@ fleet dashboard must report the client's experience, not the replicas'.
 
 from __future__ import annotations
 
-import threading
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
+from repro.serve.stats import ServeStats, fields_as_json, metric
 
-from repro.serve.stats import LATENCY_WINDOW, ServeStats
-
-__all__ = ["FleetHealth", "RouterStats", "RouterStatsCollector"]
+__all__ = ["FleetHealth", "RouterStats"]
 
 
 @dataclass(frozen=True)
@@ -52,19 +48,21 @@ class RouterStats(ServeStats):
         per_replica: replica id → :meth:`Replica.snapshot` dict.
     """
 
-    replicas: int = 0
-    replicas_active: int = 0
-    replicas_draining: int = 0
-    replicas_dead: int = 0
-    routed: int = 0
-    routed_failed: int = 0
-    hedges_issued: int = 0
-    hedges_won: int = 0
-    failovers: int = 0
-    quota_rejections: int = 0
-    quota_rejections_by_tenant: dict[str, int] = field(default_factory=dict)
-    rolling_swaps: int = 0
-    per_replica: dict[int, dict] = field(default_factory=dict)
+    replicas: int = metric("fleet")
+    replicas_active: int = metric("fleet")
+    replicas_draining: int = metric("fleet")
+    replicas_dead: int = metric("fleet")
+    routed: int = metric("fleet", "counter")
+    routed_failed: int = metric("fleet", "counter")
+    hedges_issued: int = metric("fleet", "counter")
+    hedges_won: int = metric("fleet", "counter")
+    failovers: int = metric("fleet", "counter")
+    quota_rejections: int = metric("fleet")
+    quota_rejections_by_tenant: dict[str, int] = metric("fleet", default=dict)
+    rolling_swaps: int = metric("fleet", "counter")
+    per_replica: dict[int, dict] = metric("fleet", default=dict)
+
+    _DERIVED = ServeStats._DERIVED + ("hedge_rate", "hedge_win_rate")
 
     @property
     def hedge_rate(self) -> float:
@@ -75,27 +73,6 @@ class RouterStats(ServeStats):
     def hedge_win_rate(self) -> float:
         """Fraction of issued hedges that beat their primary."""
         return self.hedges_won / self.hedges_issued if self.hedges_issued else 0.0
-
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        out.update(
-            replicas=self.replicas,
-            replicas_active=self.replicas_active,
-            replicas_draining=self.replicas_draining,
-            replicas_dead=self.replicas_dead,
-            routed=self.routed,
-            routed_failed=self.routed_failed,
-            hedges_issued=self.hedges_issued,
-            hedges_won=self.hedges_won,
-            hedge_rate=self.hedge_rate,
-            hedge_win_rate=self.hedge_win_rate,
-            failovers=self.failovers,
-            quota_rejections=self.quota_rejections,
-            quota_rejections_by_tenant=dict(self.quota_rejections_by_tenant),
-            rolling_swaps=self.rolling_swaps,
-            per_replica={str(rid): snap for rid, snap in self.per_replica.items()},
-        )
-        return out
 
     def summary(self) -> str:
         lines = [
@@ -145,63 +122,4 @@ class FleetHealth:
     quotas: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "replicas": {str(rid): snap for rid, snap in self.replicas.items()},
-            "open_breakers": list(self.open_breakers),
-            "hedge_rate": self.hedge_rate,
-            "quota_rejections": self.quota_rejections,
-            "quotas": self.quotas,
-        }
-
-
-class RouterStatsCollector:
-    """Mutable, lock-protected counters behind :class:`RouterStats`."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts = Counter()
-        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-
-    def record_routed(self, latency_seconds: float) -> None:
-        with self._lock:
-            self._counts["routed"] += 1
-            self._latencies.append(latency_seconds * 1e3)
-
-    def record_routed_failure(self) -> None:
-        with self._lock:
-            self._counts["routed"] += 1
-            self._counts["routed_failed"] += 1
-
-    def record_hedge_issued(self) -> None:
-        with self._lock:
-            self._counts["hedges_issued"] += 1
-
-    def record_hedge_won(self) -> None:
-        with self._lock:
-            self._counts["hedges_won"] += 1
-
-    def record_failover(self) -> None:
-        with self._lock:
-            self._counts["failovers"] += 1
-
-    def record_rolling_swap(self) -> None:
-        with self._lock:
-            self._counts["rolling_swaps"] += 1
-
-    def counters(self) -> dict:
-        with self._lock:
-            counts = dict(self._counts)
-            latencies = np.asarray(self._latencies, dtype=np.float64)
-        if latencies.size:
-            p50, p95, p99 = np.percentile(latencies, [50.0, 95.0, 99.0])
-            counts["latency_mean_ms"] = float(latencies.mean())
-            counts["latency_max_ms"] = float(latencies.max())
-        else:
-            p50 = p95 = p99 = 0.0
-            counts["latency_mean_ms"] = 0.0
-            counts["latency_max_ms"] = 0.0
-        counts["latency_p50_ms"] = float(p50)
-        counts["latency_p95_ms"] = float(p95)
-        counts["latency_p99_ms"] = float(p99)
-        return counts
+        return fields_as_json(self)

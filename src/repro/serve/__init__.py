@@ -29,11 +29,12 @@ from repro.serve.server import (
     ServerClosed,
     ServerOverloaded,
 )
-from repro.serve.stats import ServeStats, StatsCollector
+from repro.serve.stats import MetricSet, ServeStats
 
 __all__ = [
     "CagraServer",
     "LoadReport",
+    "MetricSet",
     "PendingResult",
     "RequestTimeout",
     "ResultCache",
@@ -43,7 +44,6 @@ __all__ = [
     "ServeStats",
     "ServerClosed",
     "ServerOverloaded",
-    "StatsCollector",
     "ZipfTenantSchedule",
     "make_zipf_schedule",
     "run_closed_loop",

@@ -40,11 +40,13 @@ from repro.serve.server import (
     ServeError,
     ServerOverloaded,
 )
+from repro.serve.stats import latency_summary
 
 __all__ = [
     "LoadReport",
     "ZipfTenantSchedule",
     "make_zipf_schedule",
+    "run_client_threads",
     "run_closed_loop",
     "run_open_loop",
 ]
@@ -159,18 +161,34 @@ class LoadReport:
         return self.completed / self.duration_seconds if self.duration_seconds else 0.0
 
     def latency_percentile_ms(self, q: float) -> float:
-        return float(np.percentile(self.latencies_ms, q)) if self.latencies_ms.size else 0.0
+        return latency_summary(self.latencies_ms, (q,))[f"p{q:g}"]
 
     def summary(self) -> str:
+        latency = latency_summary(self.latencies_ms)
         return (
             f"{self.mode}-loop load: submitted={self.submitted} "
             f"completed={self.completed} rejected={self.rejected} "
             f"timed_out={self.timed_out} failed={self.failed} "
             f"in {self.duration_seconds:.2f}s ({self.achieved_qps:,.0f} qps); "
-            f"latency p50={self.latency_percentile_ms(50):.2f}ms "
-            f"p95={self.latency_percentile_ms(95):.2f}ms "
-            f"p99={self.latency_percentile_ms(99):.2f}ms"
+            f"latency p50={latency['p50']:.2f}ms "
+            f"p95={latency['p95']:.2f}ms p99={latency['p99']:.2f}ms"
         )
+
+
+def run_client_threads(worker, client_args, name: str) -> float:
+    """Run ``worker(arg)`` on one thread per entry of ``client_args``;
+    returns the seconds from first start to last join (the closed-loop
+    skeleton every load generator shares)."""
+    threads = [
+        threading.Thread(target=worker, args=(arg,), name=f"{name}-{c}")
+        for c, arg in enumerate(client_args)
+    ]
+    start = time.monotonic()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return time.monotonic() - start
 
 
 def _collect(report: LoadReport, pending: list) -> None:
@@ -277,15 +295,6 @@ def run_closed_loop(
                 else:
                     setattr(report, outcome, getattr(report, outcome) + 1)
 
-    threads = [
-        threading.Thread(target=worker, args=(c,), name=f"loadgen-{c}")
-        for c in range(num_clients)
-    ]
-    start = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    report.duration_seconds = time.monotonic() - start
+    report.duration_seconds = run_client_threads(worker, range(num_clients), "loadgen")
     report.latencies_ms = np.asarray(latencies, dtype=np.float64)
     return report

@@ -74,7 +74,7 @@ from repro.core.sharding import ShardQuorumError
 from repro.resilience import CircuitBreaker, FaultInjector, resolve_fault_plan
 from repro.serve.cache import ResultCache
 from repro.serve.config import ServeConfig
-from repro.serve.stats import ServeStats, StatsCollector
+from repro.serve.stats import MetricSet, ServeStats
 
 __all__ = [
     "CagraServer",
@@ -192,7 +192,7 @@ class _Request:
 class PendingResult:
     """Handle for a submitted request; ``result()`` blocks until resolved."""
 
-    def __init__(self, request: _Request, stats: StatsCollector, from_cache: bool = False):
+    def __init__(self, request: _Request, stats: MetricSet, from_cache: bool = False):
         self._request = request
         self._stats = stats
         self._from_cache = from_cache
@@ -238,7 +238,7 @@ class PendingResult:
         resolved = request.event.wait(budget)
         if not resolved:
             if request.deadline is not None and request.resolve_timeout():
-                self._stats.record_timeout()
+                self._stats.record(timed_out=1)
             elif request.state == _Request.PENDING:
                 # Caller-imposed wait bound only: leave the request live.
                 raise RequestTimeout(
@@ -318,7 +318,7 @@ class CagraServer:
             if self.config.cache_capacity
             else None
         )
-        self._stats = StatsCollector()
+        self._stats = MetricSet(ServeStats)
         plan = resolve_fault_plan(self.config.fault_plan)
         # One injector for the server's lifetime: ``serve.execute`` is a
         # stateful site, so after/times hit counting is meaningful here.
@@ -396,8 +396,10 @@ class CagraServer:
             on_stage=self._on_stage,
         )
         rebuilder.add_listener(
-            lambda decision, report, latency: self._stats.record_rebuild(
-                report.action, latency
+            # One completed maintenance run: action is incremental | full.
+            lambda decision, report, latency: self._stats.record(
+                last_promotion_ms=latency * 1e3,
+                **{f"rebuilds_{report.action}": 1},
             )
         )
         return rebuilder
@@ -463,12 +465,12 @@ class CagraServer:
             key = (query.tobytes(), k, generation)
             hit = self._cache.get(key)
             if hit is not None:
-                self._stats.record_cache_hit()
+                self._stats.record(cache_hits=1)
                 request = _Request(query, k, deadline=None)
                 request.resolve_done(*hit)
                 request.latency_seconds = 0.0
                 return PendingResult(request, self._stats, from_cache=True)
-            self._stats.record_cache_miss()
+            self._stats.record(cache_misses=1)
 
         if timeout_ms is None:
             timeout_ms = self.config.default_timeout_ms
@@ -477,11 +479,11 @@ class CagraServer:
         try:
             self._queue.put_nowait(request)
         except queue.Full:
-            self._stats.record_rejected()
+            self._stats.record(rejected=1)
             raise ServerOverloaded(
                 f"request queue full ({self.config.queue_capacity} pending)"
             ) from None
-        self._stats.record_submitted(self._queue.qsize())
+        self._stats.record(submitted=1, max_queue_depth=self._queue.qsize())
         return PendingResult(request, self._stats)
 
     def search(
@@ -515,7 +517,9 @@ class CagraServer:
         if not self._accepting:
             raise ServerClosed("server is not accepting requests")
         assigned = self._mutable().insert(vectors, ids)
-        self._stats.record_insert(int(np.atleast_1d(assigned).shape[0]))
+        self._stats.record(
+            inserts=1, insert_rows=int(np.atleast_1d(assigned).shape[0])
+        )
         return assigned
 
     def delete(self, ids, strict: bool = True) -> int:
@@ -527,7 +531,7 @@ class CagraServer:
         if not self._accepting:
             raise ServerClosed("server is not accepting requests")
         removed = self._mutable().delete(ids, strict=strict)
-        self._stats.record_delete(int(removed))
+        self._stats.record(deletes=1, delete_rows=int(removed))
         return removed
 
     def _invalidate_cache(self) -> None:
@@ -584,7 +588,7 @@ class CagraServer:
             self._cache.clear()
         if hasattr(ann, "set_mutation_listener"):
             ann.set_mutation_listener(self._invalidate_cache)
-        self._stats.record_swap()
+        self._stats.record(index_swaps=1)
 
     # ------------------------------------------------------------------
     # metrics
@@ -596,10 +600,14 @@ class CagraServer:
     def stats(self) -> ServeStats:
         """Snapshot of the metrics surface (see :class:`ServeStats`)."""
         ann = self.ann_index
-        freshness = ann.freshness() if hasattr(ann, "freshness") else None
-        return self._stats.snapshot(
-            queue_depth=self._queue.qsize(), freshness=freshness
-        )
+        gauges = {"queue_depth": self._queue.qsize()}
+        if hasattr(ann, "freshness"):
+            freshness = ann.freshness()
+            gauges.update(
+                memtable_rows=int(freshness.memtable_rows),
+                tombstone_ratio=float(freshness.tombstone_ratio),
+            )
+        return ServeStats(**self._stats.snapshot(**gauges))
 
     #: ``health()`` reports ``"degraded"`` above this rolling failure rate.
     _UNHEALTHY_FAILURE_RATE = 0.5
@@ -682,7 +690,7 @@ class CagraServer:
         for request in batch:
             if request.expired(now):
                 if request.resolve_timeout():
-                    self._stats.record_timeout()
+                    self._stats.record(timed_out=1)
             elif not request.event.is_set():
                 live.append(request)
         if live:
@@ -691,7 +699,7 @@ class CagraServer:
     def _fail_batch(self, live: list[_Request], exc: BaseException) -> None:
         for request in live:
             if request.resolve_failure(exc):
-                self._stats.record_failure()
+                self._stats.record(failed=1, ok=False)
 
     def _run_batch(self, live: list[_Request]) -> None:
         """Execute one micro-batch, isolating failures by bisection.
@@ -741,7 +749,7 @@ class CagraServer:
             if len(live) == 1:
                 self._fail_batch(live, exc)
                 return
-            self._stats.record_batch_split()
+            self._stats.record(batch_splits=1, retried_batches=2)
             mid = len(live) // 2
             self._run_batch(live[:mid])
             self._run_batch(live[mid:])
@@ -752,14 +760,21 @@ class CagraServer:
         if sharded and breakers:
             for s in failed_shards:
                 if breakers[s].record_failure():
-                    self._stats.record_breaker_trip()
+                    self._stats.record(breaker_trips=1)
             for s in range(ann.num_shards):
                 if s not in failed_shards and s not in skip:
                     breakers[s].record_success()
         if degraded:
-            self._stats.record_degraded(len(failed_shards))
+            self._stats.record(
+                degraded_batches=1, shard_failures=len(failed_shards)
+            )
 
-        self._stats.record_batch(len(live), path)
+        self._stats.record(
+            batches=1,
+            batch_size_histogram=len(live),
+            single_query_batches=int(path == "multi_cta"),
+            coalesced_batches=int(path != "multi_cta"),
+        )
         if self._on_stage is not None:
             self._on_stage(
                 "serve.batch",
@@ -781,7 +796,9 @@ class CagraServer:
                     (request.query.tobytes(), request.k, generation), ids, dists
                 )
             if request.resolve_done(ids, dists):
-                self._stats.record_completed(request.latency_seconds)
+                self._stats.record(
+                    completed=1, latency_s=request.latency_seconds, ok=True
+                )
 
     def _fail_queued(self) -> None:
         while True:
@@ -792,4 +809,4 @@ class CagraServer:
             if item is _SENTINEL:
                 continue
             if item.resolve_failure(ServerClosed("server stopped before execution")):
-                self._stats.record_failure()
+                self._stats.record(failed=1, ok=False)

@@ -1,22 +1,38 @@
-"""Serving metrics: counters, batch-size histogram, latency percentiles.
+"""Serving metrics: the one place a serving metric is declared.
 
-The server threads record into a lock-protected :class:`StatsCollector`;
-:meth:`StatsCollector.snapshot` freezes everything into an immutable
-:class:`ServeStats` dataclass whose :meth:`ServeStats.summary` renders the
-operator-facing text block.  Latencies are kept in a bounded reservoir
-(the most recent ``LATENCY_WINDOW`` completions) so a long-running server
-reports *current* tail latency with bounded memory.
+Each :class:`ServeStats` / :class:`~repro.router.RouterStats` field is
+declared once, with :func:`metric`: how a :class:`MetricSet` accumulates
+it (``kind``) and how a fleet view folds it across replicas (``fold``).
+``to_dict()``, :meth:`MetricSet.snapshot` and :func:`fold_fleet` are all
+derived from ``dataclasses.fields()`` — there is no second list of names.
+
+Both serving tiers record into one lock-protected :class:`MetricSet`
+(the server's scheduler and client threads; the router's routing
+callers) and freeze it into their immutable view, whose ``summary()``
+renders the operator-facing text block.  Latencies are kept in a bounded
+reservoir (the most recent ``LATENCY_WINDOW`` completions) so a
+long-running server reports *current* tail latency with bounded memory.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-__all__ = ["LATENCY_WINDOW", "OUTCOME_WINDOW", "ServeStats", "StatsCollector"]
+__all__ = [
+    "FOLD_RULES",
+    "LATENCY_WINDOW",
+    "OUTCOME_WINDOW",
+    "MetricSet",
+    "ServeStats",
+    "fields_as_json",
+    "fold_fleet",
+    "latency_summary",
+    "metric",
+]
 
 #: Completions kept for percentile estimation (a sliding window).
 LATENCY_WINDOW = 65536
@@ -24,6 +40,82 @@ LATENCY_WINDOW = 65536
 #: Recent request outcomes (success/failure) kept for the rolling
 #: failure rate reported by :meth:`CagraServer.health`.
 OUTCOME_WINDOW = 256
+
+#: The fleet fold rules a metric can declare (see :func:`metric`).
+FOLD_RULES = ("sum", "max", "merge", "fleet")
+
+
+def metric(fold: str, kind: str = "gauge", default=0):
+    """Declare one metric field.
+
+    ``fold`` is how :func:`fold_fleet` combines the field across replica
+    snapshots: add it, take the worst, merge the histograms — or leave it
+    to the ``"fleet"`` tier, which measures it itself (router-observed
+    latency, its own counters, the replica census).
+    ``kind`` is how :meth:`MetricSet.record` accumulates a named update:
+    ``"counter"`` adds it, ``"peak"`` keeps the high-water mark,
+    ``"last"`` keeps the latest value, ``"histogram"`` counts occurrences
+    of it.  ``"failure_rate"`` and ``"latency"`` fields are computed from
+    the rolling outcome / sliding latency windows; a ``"gauge"`` is
+    sampled by the caller at snapshot time.  ``default=dict`` declares a
+    mapping-valued field.
+    """
+    if fold not in FOLD_RULES:
+        raise ValueError(f"unknown fold rule {fold!r}")
+    meta = {"fold": fold, "kind": kind}
+    if default is dict:
+        return field(default_factory=dict, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def latency_summary(samples, percentiles=(50, 95, 99)) -> dict[str, float]:
+    """``{mean, p50, p95, p99, max}`` of a latency sample (all 0.0 when
+    empty) — the one percentile implementation of the serving tiers."""
+    samples = np.asarray(samples, dtype=np.float64)
+    keys = [f"p{q:g}" for q in percentiles]
+    if not samples.size:
+        return dict.fromkeys(["mean", *keys, "max"], 0.0)
+    values = np.percentile(samples, list(percentiles))
+    return {
+        "mean": float(samples.mean()),
+        **{key: float(value) for key, value in zip(keys, values)},
+        "max": float(samples.max()),
+    }
+
+
+def fields_as_json(view) -> dict:
+    """Every dataclass field of ``view``, JSON-friendly: mapping keys
+    become strings, in sorted order."""
+    out = {}
+    for f in fields(view):
+        value = getattr(view, f.name)
+        if isinstance(value, dict):
+            value = {str(key): item for key, item in sorted(value.items())}
+        out[f.name] = value
+    return out
+
+
+def fold_fleet(snapshots) -> dict:
+    """Fold replica snapshots into fleet-wide values, field by field.
+
+    Every field of the snapshots' class whose rule is not ``"fleet"``
+    appears in the result, so a newly declared metric reaches the fleet
+    dashboard without anyone editing the router.
+    """
+    folded = {}
+    for f in fields(snapshots[0]):
+        rule = f.metadata["fold"]
+        values = [getattr(snap, f.name) for snap in snapshots]
+        if rule == "sum":
+            folded[f.name] = sum(values)
+        elif rule == "max":
+            folded[f.name] = max(values)
+        elif rule == "merge":
+            merged = Counter()
+            for histogram in values:
+                merged.update(histogram)
+            folded[f.name] = dict(merged)
+    return folded
 
 
 @dataclass(frozen=True)
@@ -74,40 +166,43 @@ class ServeStats:
             the mutable index at snapshot time (0 for static indexes).
     """
 
-    submitted: int = 0
-    completed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    rejected: int = 0
-    timed_out: int = 0
-    failed: int = 0
-    batches: int = 0
-    coalesced_batches: int = 0
-    single_query_batches: int = 0
-    batch_size_histogram: dict[int, int] = field(default_factory=dict)
-    queue_depth: int = 0
-    max_queue_depth: int = 0
-    index_swaps: int = 0
-    degraded_batches: int = 0
-    shard_failures: int = 0
-    batch_splits: int = 0
-    retried_batches: int = 0
-    breaker_trips: int = 0
-    recent_failure_rate: float = 0.0
-    inserts: int = 0
-    insert_rows: int = 0
-    deletes: int = 0
-    delete_rows: int = 0
-    rebuilds_incremental: int = 0
-    rebuilds_full: int = 0
-    last_promotion_ms: float = 0.0
-    memtable_rows: int = 0
-    tombstone_ratio: float = 0.0
-    latency_mean_ms: float = 0.0
-    latency_p50_ms: float = 0.0
-    latency_p95_ms: float = 0.0
-    latency_p99_ms: float = 0.0
-    latency_max_ms: float = 0.0
+    submitted: int = metric("sum", "counter")
+    completed: int = metric("sum", "counter")
+    cache_hits: int = metric("sum", "counter")
+    cache_misses: int = metric("sum", "counter")
+    rejected: int = metric("sum", "counter")
+    timed_out: int = metric("sum", "counter")
+    failed: int = metric("sum", "counter")
+    batches: int = metric("sum", "counter")
+    coalesced_batches: int = metric("sum", "counter")
+    single_query_batches: int = metric("sum", "counter")
+    batch_size_histogram: dict[int, int] = metric("merge", "histogram", dict)
+    queue_depth: int = metric("sum")
+    max_queue_depth: int = metric("max", "peak")
+    index_swaps: int = metric("sum", "counter")
+    degraded_batches: int = metric("sum", "counter")
+    shard_failures: int = metric("sum", "counter")
+    batch_splits: int = metric("sum", "counter")
+    retried_batches: int = metric("sum", "counter")
+    breaker_trips: int = metric("sum", "counter")
+    recent_failure_rate: float = metric("max", "failure_rate", 0.0)
+    inserts: int = metric("sum", "counter")
+    insert_rows: int = metric("sum", "counter")
+    deletes: int = metric("sum", "counter")
+    delete_rows: int = metric("sum", "counter")
+    rebuilds_incremental: int = metric("sum", "counter")
+    rebuilds_full: int = metric("sum", "counter")
+    last_promotion_ms: float = metric("max", "last", 0.0)
+    memtable_rows: int = metric("sum")
+    tombstone_ratio: float = metric("max", default=0.0)
+    latency_mean_ms: float = metric("fleet", "latency", 0.0)
+    latency_p50_ms: float = metric("fleet", "latency", 0.0)
+    latency_p95_ms: float = metric("fleet", "latency", 0.0)
+    latency_p99_ms: float = metric("fleet", "latency", 0.0)
+    latency_max_ms: float = metric("fleet", "latency", 0.0)
+
+    #: Derived rates ``to_dict()`` reports next to the declared fields.
+    _DERIVED = ("mean_batch_size", "cache_hit_rate")
 
     @property
     def mean_batch_size(self) -> float:
@@ -120,28 +215,9 @@ class ServeStats:
         return self.cache_hits / looked_up if looked_up else 0.0
 
     def to_dict(self) -> dict:
-        """JSON-friendly representation (histogram keys become strings)."""
-        out = {
-            name: getattr(self, name)
-            for name in (
-                "submitted", "completed", "cache_hits", "cache_misses",
-                "rejected", "timed_out", "failed", "batches",
-                "coalesced_batches", "single_query_batches", "queue_depth",
-                "max_queue_depth", "index_swaps", "degraded_batches",
-                "shard_failures", "batch_splits", "retried_batches",
-                "breaker_trips", "recent_failure_rate", "inserts",
-                "insert_rows", "deletes", "delete_rows",
-                "rebuilds_incremental", "rebuilds_full", "last_promotion_ms",
-                "memtable_rows", "tombstone_ratio", "latency_mean_ms",
-                "latency_p50_ms", "latency_p95_ms", "latency_p99_ms",
-                "latency_max_ms",
-            )
-        }
-        out["batch_size_histogram"] = {
-            str(size): count for size, count in sorted(self.batch_size_histogram.items())
-        }
-        out["mean_batch_size"] = self.mean_batch_size
-        out["cache_hit_rate"] = self.cache_hit_rate
+        """JSON form: every declared field plus the derived rates."""
+        out = fields_as_json(self)
+        out.update((name, getattr(self, name)) for name in self._DERIVED)
         return out
 
     def summary(self) -> str:
@@ -203,149 +279,59 @@ class ServeStats:
         return "\n".join(lines)
 
 
-class StatsCollector:
-    """Mutable, lock-protected counters behind :class:`ServeStats`."""
+class MetricSet:
+    """The mutable, lock-protected state behind one stats view.
 
-    def __init__(self) -> None:
+    ``view`` is the dataclass whose :func:`metric` declarations say how
+    each named update accumulates.  One :meth:`record` call is one event
+    and one lock acquisition, however many metrics the event touches.
+    """
+
+    def __init__(self, view: type[ServeStats]) -> None:
         self._lock = threading.Lock()
-        self._counts = Counter()
-        self._batch_sizes = Counter()
+        self._kinds = {f.name: f.metadata["kind"] for f in fields(view)}
+        self._values = Counter()  # counters, high-water marks, last values
+        self._histogram = Counter()
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._outcomes: deque[int] = deque(maxlen=OUTCOME_WINDOW)  # 1 = failed
-        self._max_queue_depth = 0
-        self._last_promotion_ms = 0.0
 
-    # ------------------------------------------------------------------
-    # recording (one method per event so call sites read like a log line)
-    # ------------------------------------------------------------------
-    def record_submitted(self, queue_depth: int) -> None:
+    def record(
+        self, latency_s: float | None = None, ok: bool | None = None, **updates
+    ) -> None:
+        """Apply one event: named metric updates by their declared kind,
+        an optional latency sample, an optional request outcome."""
         with self._lock:
-            self._counts["submitted"] += 1
-            self._max_queue_depth = max(self._max_queue_depth, queue_depth)
+            for name, value in updates.items():
+                kind = self._kinds[name]
+                if kind == "counter":
+                    self._values[name] += value
+                elif kind == "peak":
+                    self._values[name] = max(self._values[name], value)
+                elif kind == "last":
+                    self._values[name] = value
+                elif kind == "histogram":
+                    self._histogram[value] += 1
+                else:
+                    raise KeyError(f"{name} is a {kind}, not recordable")
+            if latency_s is not None:
+                self._latencies.append(latency_s * 1e3)
+            if ok is not None:
+                self._outcomes.append(0 if ok else 1)
 
-    def record_rejected(self) -> None:
+    def snapshot(self, **gauges) -> dict:
+        """Field name → value for every metric this set accumulates,
+        plus the caller-sampled ``gauges``; feed it to the view class."""
         with self._lock:
-            self._counts["rejected"] += 1
-
-    def record_cache_hit(self) -> None:
-        with self._lock:
-            self._counts["cache_hits"] += 1
-
-    def record_cache_miss(self) -> None:
-        with self._lock:
-            self._counts["cache_misses"] += 1
-
-    def record_completed(self, latency_seconds: float) -> None:
-        with self._lock:
-            self._counts["completed"] += 1
-            self._latencies.append(latency_seconds * 1e3)
-            self._outcomes.append(0)
-
-    def record_timeout(self) -> None:
-        with self._lock:
-            self._counts["timed_out"] += 1
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._counts["failed"] += 1
-            self._outcomes.append(1)
-
-    def record_degraded(self, shard_failures: int) -> None:
-        with self._lock:
-            self._counts["degraded_batches"] += 1
-            self._counts["shard_failures"] += shard_failures
-
-    def record_batch_split(self) -> None:
-        with self._lock:
-            self._counts["batch_splits"] += 1
-            self._counts["retried_batches"] += 2
-
-    def record_breaker_trip(self) -> None:
-        with self._lock:
-            self._counts["breaker_trips"] += 1
-
-    def record_batch(self, size: int, path: str) -> None:
-        with self._lock:
-            self._counts["batches"] += 1
-            self._batch_sizes[size] += 1
-            if path == "multi_cta":
-                self._counts["single_query_batches"] += 1
-            else:
-                self._counts["coalesced_batches"] += 1
-
-    def record_swap(self) -> None:
-        with self._lock:
-            self._counts["index_swaps"] += 1
-
-    def record_insert(self, rows: int) -> None:
-        with self._lock:
-            self._counts["inserts"] += 1
-            self._counts["insert_rows"] += rows
-
-    def record_delete(self, rows: int) -> None:
-        with self._lock:
-            self._counts["deletes"] += 1
-            self._counts["delete_rows"] += rows
-
-    def record_rebuild(self, action: str, promote_latency_s: float) -> None:
-        """One completed maintenance run promoted through the server."""
-        with self._lock:
-            if action == "incremental":
-                self._counts["rebuilds_incremental"] += 1
-            else:
-                self._counts["rebuilds_full"] += 1
-            self._last_promotion_ms = promote_latency_s * 1e3
-
-    # ------------------------------------------------------------------
-    def snapshot(self, queue_depth: int = 0, freshness=None) -> ServeStats:
-        with self._lock:
+            values = {**self._values, **gauges}
+            histogram = dict(self._histogram)
             latencies = np.asarray(self._latencies, dtype=np.float64)
-            if latencies.size:
-                p50, p95, p99 = np.percentile(latencies, [50.0, 95.0, 99.0])
-                mean, peak = float(latencies.mean()), float(latencies.max())
-            else:
-                p50 = p95 = p99 = mean = peak = 0.0
-            return ServeStats(
-                submitted=self._counts["submitted"],
-                completed=self._counts["completed"],
-                cache_hits=self._counts["cache_hits"],
-                cache_misses=self._counts["cache_misses"],
-                rejected=self._counts["rejected"],
-                timed_out=self._counts["timed_out"],
-                failed=self._counts["failed"],
-                batches=self._counts["batches"],
-                coalesced_batches=self._counts["coalesced_batches"],
-                single_query_batches=self._counts["single_query_batches"],
-                batch_size_histogram=dict(self._batch_sizes),
-                queue_depth=queue_depth,
-                max_queue_depth=self._max_queue_depth,
-                index_swaps=self._counts["index_swaps"],
-                degraded_batches=self._counts["degraded_batches"],
-                shard_failures=self._counts["shard_failures"],
-                batch_splits=self._counts["batch_splits"],
-                retried_batches=self._counts["retried_batches"],
-                breaker_trips=self._counts["breaker_trips"],
-                recent_failure_rate=(
-                    sum(self._outcomes) / len(self._outcomes)
-                    if self._outcomes
-                    else 0.0
-                ),
-                inserts=self._counts["inserts"],
-                insert_rows=self._counts["insert_rows"],
-                deletes=self._counts["deletes"],
-                delete_rows=self._counts["delete_rows"],
-                rebuilds_incremental=self._counts["rebuilds_incremental"],
-                rebuilds_full=self._counts["rebuilds_full"],
-                last_promotion_ms=self._last_promotion_ms,
-                memtable_rows=(
-                    int(freshness.memtable_rows) if freshness is not None else 0
-                ),
-                tombstone_ratio=(
-                    float(freshness.tombstone_ratio) if freshness is not None else 0.0
-                ),
-                latency_mean_ms=mean,
-                latency_p50_ms=float(p50),
-                latency_p95_ms=float(p95),
-                latency_p99_ms=float(p99),
-                latency_max_ms=peak,
-            )
+            failed, outcomes = sum(self._outcomes), len(self._outcomes)
+        latency = latency_summary(latencies)
+        for name, kind in self._kinds.items():
+            if kind == "histogram":
+                values[name] = histogram
+            elif kind == "failure_rate":
+                values[name] = failed / outcomes if outcomes else 0.0
+            elif kind == "latency":  # latency_<stat>_ms
+                values[name] = latency[name.split("_")[1]]
+        return values

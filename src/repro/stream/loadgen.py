@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.serve.loadgen import run_client_threads
 from repro.serve.server import CagraServer, ServeError
+from repro.serve.stats import latency_summary
 
 __all__ = ["MixedLoadReport", "run_mixed_closed_loop"]
 
@@ -48,24 +50,18 @@ class MixedLoadReport:
         return self.searches + self.inserts + self.deletes
 
     def latency_percentile_ms(self, q: float) -> float:
-        if not self.search_latencies_ms.size:
-            return 0.0
-        return float(np.percentile(self.search_latencies_ms, q))
+        return latency_summary(self.search_latencies_ms, (q,))[f"p{q:g}"]
 
     def summary(self) -> str:
-        write_p95 = (
-            float(np.percentile(self.write_latencies_ms, 95))
-            if self.write_latencies_ms.size
-            else 0.0
-        )
+        search = latency_summary(self.search_latencies_ms)
+        write = latency_summary(self.write_latencies_ms)
         return (
             f"mixed closed-loop: {self.ops} ops over {self.num_clients} clients "
             f"(searches={self.searches} inserts={self.inserts} "
             f"deletes={self.deletes} failures={self.failures}) "
             f"in {self.duration_seconds:.2f}s; "
-            f"search p50={self.latency_percentile_ms(50):.2f}ms "
-            f"p95={self.latency_percentile_ms(95):.2f}ms "
-            f"write p95={write_p95:.2f}ms"
+            f"search p50={search['p50']:.2f}ms p95={search['p95']:.2f}ms "
+            f"write p95={write['p95']:.2f}ms"
         )
 
 
@@ -151,16 +147,9 @@ def run_mixed_closed_loop(
                 with lock:
                     report.failures += 1
 
-    threads = [
-        threading.Thread(target=worker, args=(c,), name=f"mixed-loadgen-{c}")
-        for c in range(num_clients)
-    ]
-    start = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    report.duration_seconds = time.monotonic() - start
+    report.duration_seconds = run_client_threads(
+        worker, range(num_clients), "mixed-loadgen"
+    )
     report.search_latencies_ms = np.asarray(search_latencies, dtype=np.float64)
     report.write_latencies_ms = np.asarray(write_latencies, dtype=np.float64)
     return report

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.bruteforce import exact_search
-from repro.bench.harness import scale_report
 from repro.core.config import SearchConfig, choose_algo
 from repro.core.index import CagraIndex
 from repro.core.metrics import recall as recall_of
+from repro.core.search import scale_report
 from repro.gpusim import GpuCostModel
 from repro.tune.profile import TunedPoint, TunedProfile, dataset_fingerprint
 

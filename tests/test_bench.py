@@ -1,5 +1,9 @@
 """Unit tests for repro.bench — harness and reporting."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,7 @@ from repro.bench import (
     scale_report,
     speedup_at_recall,
 )
-from repro.core.search import CostReport
+from repro.core.search import _NOT_ADDITIVE, CostReport
 
 
 def _curve(name, pairs):
@@ -62,6 +66,72 @@ class TestScaleReport:
         scaled = scale_report(report, 0.01)
         assert scaled.batch_size == 1
         assert scaled.distance_computations == 50
+
+
+def _scale_report_before_derivation(report: CostReport, factor: float) -> CostReport:
+    """The hand-listed body ``scale_report`` had before it was derived
+    from ``fields(CostReport)`` — kept verbatim as the oracle."""
+    return CostReport(
+        algo=report.algo,
+        batch_size=max(1, int(round(report.batch_size * factor))),
+        cta_count=max(1, int(round(report.cta_count * factor))),
+        iterations=int(report.iterations * factor),
+        serial_queue_ops=int(report.serial_queue_ops * factor),
+        distance_computations=int(report.distance_computations * factor),
+        skipped_distance_computations=int(report.skipped_distance_computations * factor),
+        recomputed_distances=int(report.recomputed_distances * factor),
+        candidate_gathers=int(report.candidate_gathers * factor),
+        sort_comparator_ops=int(report.sort_comparator_ops * factor),
+        radix_sorted_elements=int(report.radix_sorted_elements * factor),
+        hash_lookups=int(report.hash_lookups * factor),
+        hash_probes=int(report.hash_probes * factor),
+        hash_insertions=int(report.hash_insertions * factor),
+        hash_resets=int(report.hash_resets * factor),
+        hash_in_shared=report.hash_in_shared,
+        hash_log2_size=report.hash_log2_size,
+        random_inits=int(report.random_inits * factor),
+        kernel_launches=report.kernel_launches,
+    )
+
+
+def _random_report(rng) -> CostReport:
+    report = CostReport(
+        algo=str(rng.choice(["single_cta", "multi_cta"])),
+        batch_size=int(rng.integers(0, 5000)),
+        hash_in_shared=bool(rng.integers(0, 2)),
+        hash_log2_size=int(rng.integers(0, 20)),
+        kernel_launches=int(rng.integers(1, 4)),
+        extras={"dropped": 1},
+    )
+    for f in dataclasses.fields(CostReport):
+        if f.name not in _NOT_ADDITIVE:
+            setattr(report, f.name, int(rng.integers(0, 10**9)))
+    return report
+
+
+class TestScaleReportDerived:
+    def test_matches_the_hand_listed_body(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            report = _random_report(rng)
+            factor = float(rng.choice([0.0, 0.01, 0.5, 1.0, 3.7, 400.0, rng.random() * 50]))
+            assert scale_report(report, factor) == _scale_report_before_derivation(
+                report, factor
+            )
+
+    def test_linear_on_every_additive_field(self):
+        report = _random_report(np.random.default_rng(23))
+        for factor in (2, 10, 1000):
+            scaled = scale_report(report, factor)
+            for f in dataclasses.fields(CostReport):
+                if f.name not in _NOT_ADDITIVE:
+                    assert getattr(scaled, f.name) == factor * getattr(report, f.name)
+        assert scale_report(report, 2.0).extras == {}
+
+    def test_is_the_core_function(self):
+        from repro.core.search import scale_report as core_scale_report
+
+        assert scale_report is core_scale_report
 
 
 class TestBeamToReport:
@@ -143,6 +213,43 @@ class TestSweepRunners:
         cagra_time_per_dist = c.seconds / max(1, c.distance_computations_per_query)
         base_time_per_dist = b.seconds / max(1, b.distance_computations_per_query)
         assert base_time_per_dist > cagra_time_per_dist
+
+
+def four_curves(index, data, queries, truth) -> dict:
+    """One curve per public sweep runner, on the small session fixtures."""
+    from repro.baselines import nssg_search
+
+    def beam(queries, k, width):
+        return nssg_search(index.dataset, index.graph, queries, k, beam_width=width)
+
+    hnsw = HnswIndex(data, m=8, ef_construction=40).build()
+    curves = [
+        run_cagra_sweep(index, queries, truth, 10, [16, 64], 10_000,
+                        SearchConfig(algo="single_cta")),
+        run_hnsw_sweep(hnsw, queries, truth, 10, [16, 64], 10_000, threads=8),
+        run_beam_sweep_gpu("beam-gpu", beam, queries, truth, 10, [32, 64], 10_000,
+                           dim=32, degree=16),
+        run_beam_sweep_cpu("beam-cpu", beam, queries, truth, 10, [32, 64], 10_000,
+                           dim=32, threads=4),
+    ]
+    return {curve.method: dataclasses.asdict(curve) for curve in curves}
+
+
+class TestSweepParity:
+    def test_all_four_runners_reproduce_the_pre_refactor_curves(
+        self, small_index, small_data, small_queries, small_truth
+    ):
+        """``fixtures/sweep_curves.json`` was recorded with the four
+        hand-copied loops, before they were routed through one."""
+        pinned = json.loads(
+            (Path(__file__).parent / "fixtures" / "sweep_curves.json").read_text()
+        )
+        live = four_curves(small_index, small_data, small_queries, small_truth)
+        assert live.keys() == pinned.keys()
+        for method, curve in pinned.items():
+            assert len(live[method]["points"]) == len(curve["points"])
+            for got, want in zip(live[method]["points"], curve["points"]):
+                assert got == pytest.approx(want, rel=1e-9), method
 
 
 class TestReporting:

@@ -59,3 +59,26 @@ def test_linter_package_is_self_clean():
     assert not result.violations, "\n" + format_text(
         result.violations, result.files_checked
     )
+
+
+def test_serving_tiers_share_one_percentile_implementation():
+    """``latency_summary`` in ``serve/stats.py`` is the only place the
+    serving tiers turn a latency sample into percentiles; no per-tier
+    collector class or second field list has crept back either."""
+    root = default_root() / "repro"
+    sources = {
+        path: path.read_text()
+        for tier in ("serve", "router", "stream")
+        for path in sorted((root / tier).glob("*.py"))
+    }
+    hits = [
+        f"{path.relative_to(root)}:{lineno}"
+        for path, text in sources.items()
+        for lineno, line in enumerate(text.splitlines(), 1)
+        if "np.percentile" in line
+    ]
+    assert len(hits) == 1 and hits[0].startswith("serve/stats.py"), hits
+    for path, text in sources.items():
+        assert "_SUMMED_FIELDS" not in text and "StatsCollector" not in text, path
+        if path.name == "stats.py":
+            assert "def record_" not in text, path

@@ -490,6 +490,25 @@ class TestRouterStats:
         json.dumps(health.to_dict())  # must not raise
 
 
+class TestFleetLoadgenAnswerWidth:
+    @pytest.mark.parametrize("default_k", [5, 20])
+    def test_k_none_sizes_indices_from_the_fleets_default_k(
+        self, small_index, router_queries, default_k
+    ):
+        """``k=None`` used to hard-code 10 columns: ``default_k=20`` lost
+        half of every answer, ``default_k=5`` padded five ``-1`` misses."""
+        schedule = make_zipf_schedule(12, 2, len(router_queries), seed=5)
+        router = make_fleet(
+            small_index, num_replicas=2, hedge=False,
+            serve_overrides={"default_k": default_k},
+        )
+        with router:
+            report = run_fleet_closed_loop(router, router_queries, schedule)
+        assert report.ok == 12
+        assert report.indices.shape == (12, default_k)
+        assert (report.indices >= 0).all()
+
+
 # ----------------------------------------------------------------------
 # Determinism: same seed + fault plan ⇒ identical results and counters
 # ----------------------------------------------------------------------
