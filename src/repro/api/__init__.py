@@ -17,6 +17,9 @@ and the bench harness drive any of them interchangeably:
   detection);
 * :func:`as_ann_index` + the adapter classes — wrap native indexes
   without disturbing their paper-figure signatures;
+* :func:`validate_request` — the one copy of the request checks (k,
+  dim, finite rows, ``filter_mask``), called at every public search
+  entry from the engine up to the router;
 * :class:`StageRecorder` / :class:`StageEvent` — the
   ``on_stage(name, seconds, counters)`` instrumentation hook threaded
   through core, sharded, and serving search paths.
@@ -49,6 +52,7 @@ from repro.api.persistence import (
 )
 from repro.api.protocol import AnnIndex
 from repro.api.results import SearchRequest, SearchResult, normalize_results
+from repro.core.validation import validate_request
 
 __all__ = [
     "AnnIndex",
@@ -79,4 +83,5 @@ __all__ = [
     "save_index",
     "sniff_format",
     "stage_timer",
+    "validate_request",
 ]

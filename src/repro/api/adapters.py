@@ -9,11 +9,16 @@ each native index behind the one unified surface:
 
 * ``search(queries, k, *, filter_mask=None, config=None, mode="auto",
   on_stage=None, ...)`` returning :class:`repro.api.SearchResult` with
-  int32 ids / float32 distances and trailing ``INDEX_MASK`` padding;
+  int32 ids / float32 distances and trailing ``INDEX_MASK`` padding
+  (``k`` beyond what the index can fill pads; it is not an error);
 * a shared ``dim`` / ``metric`` / ``size`` / ``dataset`` /
   ``num_shards`` introspection surface;
 * a per-stage ``on_stage(name, seconds, counters)`` hook threaded down
   to the wrapped implementation.
+
+Every ``search`` rejects a malformed request with the typed errors of
+:func:`repro.core.validation.validate_request` before any work (the
+CAGRA adapters through the native index they forward to).
 
 ``config`` is a :class:`repro.core.config.SearchConfig` for every kind:
 CAGRA consumes it natively, the beam baselines map ``itopk`` onto their
@@ -22,8 +27,10 @@ backends.  ``mode`` selects the CAGRA execution path — ``"reference"``
 (:meth:`CagraIndex.search`), ``"fast"`` (:meth:`CagraIndex.search_fast`),
 or ``"auto"`` (Table II dispatch: batch 1 → multi-CTA reference path,
 coalesced batches → the vectorized fast path, exactly what
-:class:`repro.serve.CagraServer` does) — and is ignored by backends with
-a single execution path.
+:class:`repro.serve.CagraServer` does; a lone query asking for more than
+``itopk`` results also takes the fast path, which pads where the
+reference kernel must refuse) — and is ignored by backends with a single
+execution path.
 
 Determinism note: :class:`GannsAnnIndex` and :class:`NssgAnnIndex` run
 their native searches one query at a time because those implementations
@@ -40,7 +47,7 @@ from repro.api.instrumentation import stage_timer
 from repro.api.results import SearchRequest, SearchResult, normalize_results
 from repro.baselines.bruteforce import exact_search
 from repro.core.config import SearchConfig
-from repro.core.graph import INDEX_MASK
+from repro.core.validation import validate_request
 
 __all__ = [
     "AnnIndexAdapter",
@@ -62,17 +69,13 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-def _checked_queries(queries, k: int, dim: int) -> np.ndarray:
-    """``queries`` as 2-D, after the request checks the traversal engine
-    makes for CAGRA — same typed errors, raised before any work."""
-    queries = np.atleast_2d(np.asarray(queries))
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if queries.ndim != 2 or queries.shape[1] != dim:
-        raise ValueError(
-            f"query dim {queries.shape[-1]} does not match index dim {dim}"
-        )
-    return queries
+def _use_fast(mode: str, queries: np.ndarray, k: int, config: SearchConfig) -> bool:
+    """``mode="auto"`` is the Table II batch-1 rule — a lone query goes to
+    the multi-CTA reference path — unless ``k`` exceeds what that kernel's
+    itopk list can return, which only the fast path answers (padded)."""
+    return mode == "fast" or (
+        mode == "auto" and (queries.shape[0] > 1 or k > config.itopk)
+    )
 
 
 class AnnIndexAdapter:
@@ -164,8 +167,7 @@ class CagraAnnIndex(AnnIndexAdapter):
         _check_mode(mode)
         queries = np.atleast_2d(np.asarray(queries))
         config = config or SearchConfig()
-        use_fast = mode == "fast" or (mode == "auto" and queries.shape[0] > 1)
-        if use_fast:
+        if _use_fast(mode, queries, k, config):
             raw = self._inner.search_fast(
                 queries, k, config=config, filter_mask=filter_mask, on_stage=on_stage
             )
@@ -233,8 +235,7 @@ class ShardedCagraAnnIndex(AnnIndexAdapter):
             skip_shards=skip_shards,
             on_stage=on_stage,
         )
-        use_fast = mode == "fast" or (mode == "auto" and queries.shape[0] > 1)
-        if use_fast:
+        if _use_fast(mode, queries, k, config):
             raw = self._inner.search_fast(
                 queries, k, config=config, filter_mask=filter_mask, **policy
             )
@@ -297,15 +298,11 @@ class _BeamAnnIndex(AnnIndexAdapter):
         on_stage=None,
     ) -> SearchResult:
         _check_mode(mode)  # beam baselines have one execution path
-        queries = _checked_queries(queries, k, self.dim)
+        queries, mask = validate_request(
+            queries, k, self.dim, size=self.size, filter_mask=filter_mask
+        )
         k_search = min(int(k), self.size)
-        mask = None
-        if filter_mask is not None:
-            mask = np.asarray(filter_mask, dtype=bool)
-            if mask.shape != (self.size,):
-                raise ValueError("filter_mask must have one entry per dataset row")
-            if not mask.any():
-                raise ValueError("filter_mask excludes every node")
+        if mask is not None:
             k_search = min(self.size, max(4 * int(k), k_search))
         beam = max(config.itopk if config is not None else 64, k_search)
         with stage_timer(on_stage, f"baseline.{self.kind}.search") as stage:
@@ -317,11 +314,9 @@ class _BeamAnnIndex(AnnIndexAdapter):
         if mask is not None:
             clipped = np.clip(ids.astype(np.int64), 0, self.size - 1)
             dists = np.where(mask[clipped], dists, np.inf)
-        out_ids, out_dists = normalize_results(ids, dists)
+        out_ids, out_dists = normalize_results(ids, dists, k)
         return SearchResult(
-            indices=out_ids[:, :k],
-            distances=out_dists[:, :k],
-            counters=self._counters(counters),
+            indices=out_ids, distances=out_dists, counters=self._counters(counters)
         )
 
     def _per_query_search(self, queries, k, beam):
@@ -426,39 +421,25 @@ class BruteForceIndex(AnnIndexAdapter):
         on_stage=None,
     ) -> SearchResult:
         _check_mode(mode)
-        queries = _checked_queries(queries, k, self.dim)
+        queries, mask = validate_request(
+            queries, k, self.dim, size=self.size, filter_mask=filter_mask
+        )
         with stage_timer(on_stage, "bruteforce.search") as stage:
-            if filter_mask is not None:
-                mask = np.asarray(filter_mask, dtype=bool)
-                if mask.shape != (self.size,):
-                    raise ValueError("filter_mask must have one entry per dataset row")
-                if not mask.any():
-                    raise ValueError("filter_mask excludes every node")
-                allowed = np.nonzero(mask)[0]
-                k_eff = min(int(k), allowed.size)
-                local_ids, dists = exact_search(
-                    self._dataset[allowed], queries, k_eff, metric=self._metric
-                )
-                ids = allowed[local_ids.astype(np.int64)]
-                scanned = allowed.size
-            else:
-                k_eff = min(int(k), self.size)
-                ids, dists = exact_search(
-                    self._dataset, queries, k_eff, metric=self._metric
-                )
-                scanned = self.size
+            rows = self._dataset
+            if mask is not None:
+                allowed = np.flatnonzero(mask)
+                rows = rows[allowed]
+            ids, dists = exact_search(
+                rows, queries, min(int(k), rows.shape[0]), metric=self._metric
+            )
+            if mask is not None:
+                ids = allowed[ids.astype(np.int64)]
             counters = {
                 "algo": "bruteforce",
-                "distance_computations": int(queries.shape[0] * scanned),
+                "distance_computations": int(queries.shape[0] * rows.shape[0]),
             }
             stage.counters = counters
-        if k_eff < k:  # fewer candidates than requested: trailing padding
-            pad = ((0, 0), (0, int(k) - k_eff))
-            ids = np.pad(
-                ids.astype(np.int64), pad, constant_values=int(INDEX_MASK)
-            )
-            dists = np.pad(dists, pad, constant_values=np.inf)
-        out_ids, out_dists = normalize_results(ids, dists)
+        out_ids, out_dists = normalize_results(ids, dists, k)
         return SearchResult(indices=out_ids, distances=out_dists, counters=counters)
 
     def __repr__(self) -> str:

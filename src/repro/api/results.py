@@ -111,7 +111,7 @@ class SearchResult:
 
 
 def normalize_results(
-    indices: np.ndarray, distances: np.ndarray
+    indices: np.ndarray, distances: np.ndarray, k: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalize raw backend output to the unified result contract.
 
@@ -121,7 +121,11 @@ def normalize_results(
     the padding is strictly trailing.  The relative order of filled
     entries is preserved (stable), so already-sorted backends stay
     sorted and filled CAGRA/sharded outputs pass through bit-identical
-    in value.
+    in value.  With ``k`` the output is exactly ``k`` columns wide: the
+    compacted rows are cut to ``k`` or, when the backend had fewer
+    candidates than that (``k`` above the index size), padded with
+    trailing sentinels — asking for more than an index holds is answered,
+    not refused.
     """
     ids = np.atleast_2d(np.asarray(indices)).astype(np.int64)
     dists = np.atleast_2d(np.asarray(distances)).astype(np.float64)
@@ -136,4 +140,8 @@ def normalize_results(
     unfilled = np.take_along_axis(unfilled, order, axis=1)
     out_ids = np.where(unfilled, np.int64(int(INDEX_MASK)), ids).astype(np.int32)
     out_dists = np.where(unfilled, np.inf, dists).astype(np.float32)
+    if k is not None and out_ids.shape[1] != k:
+        pad = ((0, 0), (0, max(0, int(k) - out_ids.shape[1])))
+        out_ids = np.pad(out_ids[:, :k], pad, constant_values=int(INDEX_MASK))
+        out_dists = np.pad(out_dists[:, :k], pad, constant_values=np.inf)
     return out_ids, out_dists

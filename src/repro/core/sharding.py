@@ -45,6 +45,7 @@ from repro.core.config import GraphBuildConfig, SearchConfig
 from repro.core.graph import INDEX_MASK
 from repro.core.index import CagraIndex
 from repro.core.search import CostReport, SearchResult
+from repro.core.validation import validate_request
 from repro.parallel.config import ParallelConfig
 
 __all__ = ["ShardQuorumError", "ShardedCagraIndex"]
@@ -181,14 +182,10 @@ class ShardedCagraIndex:
     def _shard_filter_masks(
         self, filter_mask: np.ndarray | None
     ) -> tuple[list[np.ndarray | None], list[bool]]:
-        """Slice a global filter mask per shard; flag fully-excluded shards."""
+        """Slice a (validated) global filter mask per shard; flag
+        fully-excluded shards."""
         if filter_mask is None:
             return [None] * self.num_shards, [False] * self.num_shards
-        filter_mask = np.asarray(filter_mask, dtype=bool)
-        if filter_mask.shape != (self.size,):
-            raise ValueError("filter_mask must have one entry per dataset row")
-        if not filter_mask.any():
-            raise ValueError("filter_mask excludes every node")
         masks: list[np.ndarray | None] = []
         empty: list[bool] = []
         for ids in self.assignments:
@@ -237,6 +234,9 @@ class ShardedCagraIndex:
         from repro.parallel.shards import search_shards
         from repro.resilience import resolve_fault_plan
 
+        queries, filter_mask = validate_request(
+            queries, k, self.dim, size=self.size, filter_mask=filter_mask
+        )
         if on_shard_failure not in _FAILURE_MODES:
             raise ValueError(
                 f"on_shard_failure must be one of {_FAILURE_MODES}, "
@@ -415,7 +415,6 @@ class ShardedCagraIndex:
         ``shard.<s>.search`` event per answering shard plus a final
         ``shard.merge`` event (see :mod:`repro.api`).
         """
-        queries = np.atleast_2d(queries)
         per_shard, failed, skipped = self._run_shard_searches(
             queries, k, config, num_sms, False, filter_mask, parallel,
             on_shard_failure, min_shard_quorum, skip_shards,
@@ -442,7 +441,6 @@ class ShardedCagraIndex:
         ``min_shard_quorum`` / ``skip_shards``), as does the ``on_stage``
         instrumentation hook.
         """
-        queries = np.atleast_2d(queries)
         per_shard, failed, skipped = self._run_shard_searches(
             queries, k, config, 108, True, filter_mask, parallel,
             on_shard_failure, min_shard_quorum, skip_shards,

@@ -65,6 +65,7 @@ from repro.core.topm import (
     merge_topm,
     sort_strategy,
 )
+from repro.core.validation import validate_request
 
 __all__ = [
     "TraversalEngine",
@@ -576,12 +577,11 @@ class TraversalEngine:
             raise ValueError(f"mode must be 'reference' or 'fast', got {mode!r}")
         dense = mode == "fast"
         config = config or SearchConfig()
-        queries = self._checked_queries(queries)
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        queries, filter_mask = validate_request(
+            queries, k, self.data.shape[1], size=self.graph.num_nodes, filter_mask=filter_mask
+        )
         if not dense and k > config.itopk:
             raise ValueError(f"k={k} exceeds itopk={config.itopk}")
-        filter_mask = self._checked_filter(filter_mask)
         batch = queries.shape[0]
         algo = "single_cta" if dense else choose_algo(config, batch, num_sms=num_sms)
         plan = self._resolve_plan(config, algo, k, dense=dense)
@@ -628,10 +628,11 @@ class TraversalEngine:
         so interleaved calls that share one generator keep their
         trajectories.
         """
-        plan = self._resolve_plan(config, algo, k)
-        return self._scalar_arm(algo)(
-            np.asarray(query), k, plan, rng, self._checked_filter(filter_mask)
+        queries, filter_mask = validate_request(
+            query, k, self.data.shape[1], size=self.graph.num_nodes, filter_mask=filter_mask
         )
+        plan = self._resolve_plan(config, algo, k)
+        return self._scalar_arm(algo)(queries[0], k, plan, rng, filter_mask)
 
     # ------------------------------------------------------------------
     # plan resolution
@@ -967,31 +968,8 @@ class TraversalEngine:
         return np.where(lane_usable, ids, INDEX_MASK), dists
 
     # ------------------------------------------------------------------
-    # sizing, validation, accounting
+    # sizing, accounting
     # ------------------------------------------------------------------
-    def _checked_queries(self, queries) -> np.ndarray:
-        """Typed, early rejection of queries the traversal would mangle."""
-        queries = np.atleast_2d(np.asarray(queries))
-        dim = self.data.shape[1]
-        if queries.ndim != 2 or queries.shape[1] != dim:
-            raise ValueError(
-                f"query dim {queries.shape[-1]} does not match index dim {dim}"
-            )
-        if not np.isfinite(queries).all():
-            bad = int(np.flatnonzero(~np.isfinite(queries).all(axis=1))[0])
-            raise ValueError(f"query row {bad} contains NaN or inf")
-        return queries
-
-    def _checked_filter(self, filter_mask):
-        if filter_mask is None:
-            return None
-        filter_mask = np.asarray(filter_mask, dtype=bool)
-        if filter_mask.shape != (self.graph.num_nodes,):
-            raise ValueError("filter_mask must have one entry per dataset row")
-        if not filter_mask.any():
-            raise ValueError("filter_mask excludes every node")
-        return filter_mask
-
     @staticmethod
     def _slab_bytes_per_row(width: int, itopk: int) -> int:
         """Bytes one live slab row keeps resident at a step's peak, its

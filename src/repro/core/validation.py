@@ -1,4 +1,9 @@
-"""Index integrity validation.
+"""Request and index validation.
+
+``validate_request`` is the one copy of the request checks: the engine,
+the adapters, the sharded and mutable indexes, ``CagraServer.submit`` and
+``ShardRouter.search`` all call it before doing any work, so the same bad
+input draws the same ``ValueError`` wherever it enters.
 
 ``validate_index`` audits a :class:`~repro.core.index.CagraIndex` the way
 an operator would before shipping it to serving: structural invariants
@@ -18,7 +23,47 @@ from repro.core.graph import INDEX_MASK, PARENT_FLAG
 from repro.core.index import CagraIndex
 from repro.core.metrics import average_two_hop_count, strong_connected_components
 
-__all__ = ["ValidationReport", "validate_index"]
+__all__ = ["ValidationReport", "validate_index", "validate_request"]
+
+
+def validate_request(
+    queries,
+    k: int,
+    dim: int,
+    *,
+    size: int | None = None,
+    filter_mask=None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Reject a malformed search request; return it in canonical form.
+
+    Returns ``(queries, filter_mask)`` — the queries as a ``(batch, dim)``
+    array, the mask as a bool array (``None`` when none was given).  Raises
+    ``ValueError`` when ``k < 1``; when ``queries`` has more than two axes
+    or rows that are not ``dim`` wide; when a row holds NaN or inf (the
+    first such row is named); when the mask's length is not ``size`` (the
+    index's row count — only read when a mask is given); or when the mask
+    admits no row.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    queries = np.atleast_2d(np.asarray(queries))
+    if queries.ndim != 2:
+        raise ValueError(f"queries must be 1-D or 2-D, got shape {queries.shape}")
+    if queries.shape[1] != dim:
+        raise ValueError(
+            f"query dim {queries.shape[1]} does not match index dim {dim}"
+        )
+    if not np.isfinite(queries).all():
+        bad = int(np.flatnonzero(~np.isfinite(queries).all(axis=1))[0])
+        raise ValueError(f"query row {bad} contains NaN or inf")
+    if filter_mask is None:
+        return queries, None
+    filter_mask = np.asarray(filter_mask, dtype=bool)
+    if filter_mask.shape != (size,):
+        raise ValueError("filter_mask must have one entry per dataset row")
+    if not filter_mask.any():
+        raise ValueError("filter_mask excludes every node")
+    return queries, filter_mask
 
 
 @dataclass

@@ -6,6 +6,11 @@ replicas (each a full server over the same logical index) and gives the
 caller one synchronous ``search()`` that survives slow, flaky, and dead
 replicas.  The request path, in order:
 
+0. **Validation** — a malformed request (wrong dim, NaN / inf, ``k < 1``,
+   more than one query) raises the ``ValueError`` of
+   :func:`~repro.core.validation.validate_request` before anything below
+   happens: no token is charged, no replica sees it, and no breaker or
+   failure counter can be moved by what a client chose to send.
 1. **Admission** — the tenant's token bucket is charged
    (:class:`~repro.router.quota.QuotaLedger`); an empty bucket raises
    :class:`~repro.router.quota.TenantOverQuota` before the request
@@ -280,11 +285,16 @@ class ShardRouter:
                 decisions replay exactly; None = wall clock).
 
         Raises:
+            ValueError: malformed request (see
+                :meth:`CagraServer.check_request`); costs nobody anything.
             TenantOverQuota: admission refused.
             NoReplicaAvailable: nothing to dispatch to.
             RequestTimeout: deadline passed with no winning leg.
             ServeError: every attempt failed (last leg's error).
         """
+        # Replicas serve one logical index, so any of them can vouch for
+        # the request's shape; a dead one still knows its dim.
+        query, _ = self._replicas[0].server.check_request(query, k)
         if self._quotas is not None:
             self._quotas.admit(tenant, now=arrival_s)
         seq = self._next_seq()

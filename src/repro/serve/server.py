@@ -29,9 +29,11 @@ publishes a new snapshot; in-flight batches finish on the old one), a
 graceful drain on shutdown, and a metrics surface
 (:meth:`CagraServer.stats`).
 
-Failure handling (``docs/resilience.md``): one bad request no longer
-sinks its whole micro-batch — an execution error bisects the batch and
-retries the halves until the failure is isolated to a single request.
+Failure handling (``docs/resilience.md``): a malformed request (wrong
+dim, NaN / inf, ``k < 1``) is refused at :meth:`CagraServer.submit` and
+never joins a batch; a fault the engine raises does not sink the whole
+micro-batch either — an execution error bisects the batch and retries
+the halves until the failure is isolated to a single request.
 When serving a sharded index, ``ServeConfig.on_shard_failure="partial"``
 serves degraded results from the surviving shards, an optional per-shard
 :class:`~repro.resilience.CircuitBreaker` (closed → open → half-open)
@@ -71,6 +73,7 @@ from repro.api import AnnIndex, as_ann_index
 from repro.core.config import SearchConfig
 from repro.core.graph import INDEX_MASK
 from repro.core.sharding import ShardQuorumError
+from repro.core.validation import validate_request
 from repro.resilience import CircuitBreaker, FaultInjector, resolve_fault_plan
 from repro.serve.cache import ResultCache
 from repro.serve.config import ServeConfig
@@ -438,6 +441,27 @@ class CagraServer:
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
+    def check_request(
+        self, query: np.ndarray, k: int | None = None
+    ) -> tuple[np.ndarray, int]:
+        """One request as :meth:`submit` queues it: the float32 ``(dim,)``
+        query and the resolved ``k``, after
+        :func:`~repro.core.validation.validate_request`.
+
+        Touches no queue, cache or counter, so a tier in front of the
+        server (the router) can refuse a malformed request before it
+        charges anyone for it.
+        """
+        k = self.config.default_k if k is None else int(k)
+        queries, _ = validate_request(
+            np.asarray(query, dtype=np.float32), k, self.ann_index.dim
+        )
+        if queries.shape[0] != 1:
+            raise ValueError(
+                f"a request carries one query, got a batch of {queries.shape[0]}"
+            )
+        return queries[0], k
+
     def submit(
         self,
         query: np.ndarray,
@@ -446,18 +470,13 @@ class CagraServer:
     ) -> PendingResult:
         """Enqueue one query; returns a :class:`PendingResult` handle.
 
-        Raises :class:`ServerOverloaded` when the queue is full and
-        :class:`ServerClosed` after :meth:`stop`.
+        Raises :class:`ServerOverloaded` when the queue is full,
+        :class:`ServerClosed` after :meth:`stop`, and ``ValueError`` (see
+        :meth:`check_request`) for a request no batch should carry.
         """
         if not self._accepting:
             raise ServerClosed("server is not accepting requests")
-        query = np.asarray(query, dtype=np.float32).reshape(-1)
-        dim = self.ann_index.dim
-        if query.shape[0] != dim:
-            raise ValueError(f"query has dim {query.shape[0]}, index has {dim}")
-        k = int(k) if k else self.config.default_k
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        query, k = self.check_request(query, k)
 
         if self._cache is not None:
             with self._swap_lock:

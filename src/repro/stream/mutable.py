@@ -45,6 +45,7 @@ from repro.api.results import SearchResult, normalize_results
 from repro.core.config import GraphBuildConfig
 from repro.core.graph import INDEX_MASK, FixedDegreeGraph
 from repro.core.index import CagraIndex
+from repro.core.validation import validate_request
 from repro.stream.memtable import ExactMemtable
 from repro.stream.wal import WriteAheadLog
 
@@ -383,9 +384,10 @@ class MutableIndex:
 
         ``filter_mask`` is over the external id space (length ``size``);
         tombstones are AND-ed in on the base leg so deleted rows never
-        surface, and the caller's mask applies to memtable rows too.
+        surface, and the caller's mask applies to memtable rows too.  When
+        fewer than ``k`` live rows pass the mask (down to none: every
+        admitted id deleted) the tail is ``INDEX_MASK`` padding.
         """
-        queries = np.atleast_2d(np.asarray(queries))
         started = time.perf_counter()
         with self._lock:
             base = self._base
@@ -393,28 +395,20 @@ class MutableIndex:
             tombstones = self._tombstones.copy()
             snapshot = self._memtable.snapshot()
             id_capacity = self._next_id
-        mask = None
-        if filter_mask is not None:
-            mask = np.asarray(filter_mask, dtype=bool)
-            if mask.shape != (id_capacity,):
-                raise ValueError("filter_mask must have one entry per dataset row")
+        queries, mask = validate_request(
+            queries, k, self._dim, size=id_capacity, filter_mask=filter_mask
+        )
         with stage_timer(on_stage, "stream.search") as stage:
             base_ids, base_dists, base_counters = self._search_base(
                 base, row_ids, tombstones, queries, k, mask, config, mode, on_stage
             )
             mem_ids, mem_dists = snapshot.search(queries, k, allowed_ids=mask)
-            if base_ids.shape[1] == 0 and mem_ids.shape[1] == 0:
-                raise ValueError("filter_mask excludes every node")
             merged_ids = np.hstack([base_ids, mem_ids])
             merged_dists = np.hstack([base_dists, mem_dists])
             order = np.argsort(merged_dists, axis=1, kind="stable")
             top_ids = np.take_along_axis(merged_ids, order, axis=1)[:, :k]
             top_dists = np.take_along_axis(merged_dists, order, axis=1)[:, :k]
-            if top_ids.shape[1] < k:
-                pad = ((0, 0), (0, k - top_ids.shape[1]))
-                top_ids = np.pad(top_ids, pad, constant_values=int(INDEX_MASK))
-                top_dists = np.pad(top_dists, pad, constant_values=np.inf)
-            indices, distances = normalize_results(top_ids, top_dists)
+            indices, distances = normalize_results(top_ids, top_dists, k)
             counters = {
                 "algo": "stream",
                 "memtable_rows": len(snapshot),

@@ -70,6 +70,50 @@ def adapters(api_data) -> dict:
 
 ALL_SURFACES = ALL_KINDS + ("sharded-cagra",)
 
+#: Every public entry a search request can come in through.
+REQUEST_SURFACES = ALL_SURFACES + ("mutable", "server", "router")
+
+
+@pytest.fixture(scope="module")
+def request_surfaces(adapters):
+    """``name -> (search(query, k, **kw), takes_mask, work_done())``.
+
+    ``work_done()`` is true once the surface has computed a distance or
+    queued a request: the ``on_stage`` recorder saw an event, or a
+    server's ``submitted`` counter moved.
+    """
+    from repro.router import ShardRouter
+    from repro.serve import CagraServer
+    from repro.stream import MutableIndex
+
+    recorder = StageRecorder()
+
+    def staged(search):
+        return lambda query, k, **kw: search(
+            query, k, on_stage=recorder.on_stage, **kw
+        )
+
+    surfaces = {
+        kind: (staged(adapters[kind].search), True, lambda: recorder.events)
+        for kind in ALL_SURFACES
+    }
+    mutable = MutableIndex(adapters["cagra"])
+    surfaces["mutable"] = (staged(mutable.search), True, lambda: recorder.events)
+    core = adapters["cagra"].inner
+    server = CagraServer(core, on_stage=recorder.on_stage)  # never started
+    surfaces["server"] = (
+        lambda query, k: server.submit(query, k=k), False,
+        lambda: recorder.events or server.stats().submitted,
+    )
+    router = ShardRouter.build(core, 2, on_stage=recorder.on_stage).start()
+    surfaces["router"] = (
+        lambda query, k: router.search(query, k=k), False,
+        lambda: recorder.events or router.stats().submitted,
+    )
+    yield surfaces
+    router.stop()
+    server.stop()
+
 
 class TestConformance:
     """The shared contract every adapter must satisfy."""
@@ -102,15 +146,22 @@ class TestConformance:
 
     @pytest.mark.parametrize("kind", ALL_SURFACES)
     def test_index_mask_trailing_invariant(self, adapters, api_queries, kind):
-        """Unfilled slots are (INDEX_MASK, +inf) and only ever trailing."""
-        result = adapters[kind].search(api_queries, 5)
-        unfilled = result.indices == int(INDEX_MASK)
-        assert np.array_equal(unfilled, ~np.isfinite(result.distances))
-        # Trailing only: once a row goes unfilled it stays unfilled.
-        assert np.array_equal(unfilled, np.logical_or.accumulate(unfilled, axis=1))
-        filled = result.indices[~unfilled]
-        assert filled.size > 0
-        assert (filled >= 0).all() and (filled < adapters[kind].size).all()
+        """Unfilled slots are (INDEX_MASK, +inf) and only ever trailing —
+        also when ``k`` exceeds the index size (and CAGRA's itopk): the
+        answer is ``(batch, k)`` with distinct real ids first, padded, at
+        batch 1 exactly as at batch 2."""
+        for batch, k in ((6, 5), (1, 305), (2, 305)):
+            result = adapters[kind].search(api_queries[:batch], k)
+            assert result.indices.shape == result.distances.shape == (batch, k)
+            unfilled = result.indices == int(INDEX_MASK)
+            assert np.array_equal(unfilled, ~np.isfinite(result.distances))
+            # Trailing only: once a row goes unfilled it stays unfilled.
+            assert np.array_equal(unfilled, np.logical_or.accumulate(unfilled, axis=1))
+            filled = result.indices[~unfilled]
+            assert filled.size > 0
+            assert (filled >= 0).all() and (filled < adapters[kind].size).all()
+            for row, gone in zip(result.indices, unfilled):
+                assert np.unique(row[~gone]).size == (~gone).sum()
 
     @pytest.mark.parametrize("kind", ALL_SURFACES)
     def test_deterministic(self, adapters, api_queries, kind):
@@ -134,15 +185,59 @@ class TestConformance:
         result = adapters[kind].search(api_queries[0], 3)
         assert result.indices.shape == (1, 3)
 
-    @pytest.mark.parametrize("kind", ALL_SURFACES)
-    def test_bad_requests_fail_typed_before_any_work(self, adapters, api_queries, kind):
-        """k < 1 and a wrong-dim query raise the traversal engine's typed
-        errors on every backend, not a (batch, 0) result or a numpy
-        broadcasting failure."""
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            adapters[kind].search(api_queries, 0)
-        with pytest.raises(ValueError, match="query dim 8 does not match index dim 16"):
-            adapters[kind].search(api_queries[:, :8], 3)
+    @pytest.mark.parametrize("surface", REQUEST_SURFACES)
+    def test_bad_requests_fail_typed_before_any_work(
+        self, request_surfaces, api_data, api_queries, surface
+    ):
+        """One table: every public search entry refuses the same malformed
+        request with the same ``validate_request`` message, before any
+        distance is computed — not a (batch, 0) result, a numpy broadcast
+        failure, an all-sentinel answer or a failed replica leg."""
+        search, takes_mask, work_done = request_surfaces[surface]
+        good, size = api_queries[0], api_data.shape[0]
+
+        def poisoned(value):
+            bad = good.copy()
+            bad[3] = value
+            return bad
+
+        cases = [
+            (good, 0, {}, "k must be >= 1"),
+            (good[:8], 3, {}, "query dim 8 does not match index dim 16"),
+            (good[None, None, :], 3, {},
+             "queries must be 1-D or 2-D, got shape (1, 1, 16)"),
+            (poisoned(np.nan), 3, {}, "query row 0 contains NaN or inf"),
+            (poisoned(np.inf), 3, {}, "query row 0 contains NaN or inf"),
+            (poisoned(-np.inf), 3, {}, "query row 0 contains NaN or inf"),
+        ]
+        if takes_mask:
+            cases += [
+                (good, 3, {"filter_mask": np.ones(size - 1, dtype=bool)},
+                 "filter_mask must have one entry per dataset row"),
+                (good, 3, {"filter_mask": np.zeros(size, dtype=bool)},
+                 "filter_mask excludes every node"),
+            ]
+        for query, k, kwargs, message in cases:
+            with pytest.raises(ValueError) as raised:
+                search(query, k, **kwargs)
+            assert str(raised.value) == message
+            assert not work_done()
+
+    @pytest.mark.parametrize("surface", ["cagra", "sharded-cagra", "mutable"])
+    def test_one_answer_per_query_and_position(self, adapters, api_queries, surface):
+        """On the fast engine row 0 draws the same stream whether it
+        arrives alone or at the head of a batch.  (``mode="auto"`` cannot
+        promise this: a lone query is a multi-CTA answer.)"""
+        if surface == "mutable":
+            from repro.stream import MutableIndex
+
+            ann = MutableIndex(adapters["cagra"])
+        else:
+            ann = adapters[surface]
+        alone = ann.search(api_queries[:1], 5, mode="fast")
+        headed = ann.search(api_queries[:4], 5, mode="fast")
+        assert np.array_equal(alone.indices[0], headed.indices[0])
+        assert np.array_equal(alone.distances[0], headed.distances[0])
 
     @pytest.mark.parametrize("kind", ALL_SURFACES)
     def test_search_request_object(self, adapters, api_queries, kind):

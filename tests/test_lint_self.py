@@ -82,3 +82,25 @@ def test_serving_tiers_share_one_percentile_implementation():
         assert "_SUMMED_FIELDS" not in text and "StatsCollector" not in text, path
         if path.name == "stats.py":
             assert "def record_" not in text, path
+
+
+def test_request_checks_live_in_one_place():
+    """``validate_request`` owns the request checks: each of its messages
+    is spelled once under ``src/repro`` (callers call it, nobody copies
+    it)."""
+    root = default_root() / "repro"
+    sources = {path: path.read_text() for path in sorted(root.rglob("*.py"))}
+    for literal in (
+        "filter_mask must have one entry per dataset row",
+        "filter_mask excludes every node",
+        "does not match index dim",
+        "contains NaN or inf",
+    ):
+        hits = [
+            f"{path.relative_to(root)}:{lineno}"
+            for path, text in sources.items()
+            for lineno, line in enumerate(text.splitlines(), 1)
+            # The build-time check on *indexed* rows is a different contract.
+            if literal in line and "dataset row {" not in line
+        ]
+        assert len(hits) == 1 and hits[0].startswith("core/validation.py"), (literal, hits)

@@ -362,6 +362,38 @@ class TestFailover:
             router.search(router_queries[0], k=5)
         assert router.stats().routed_failed == 1
 
+    def test_malformed_requests_cost_nobody_but_their_sender(
+        self, small_index, router_queries
+    ):
+        """Wrong-dim and NaN requests are a client's mistake, not a
+        replica's: they raise ``ValueError`` before admission and before
+        any replica is touched, so breakers stay closed, no token is
+        spent and the next healthy request is served at once."""
+        router = make_fleet(
+            small_index, num_replicas=2, hedge=False,
+            quota_rate_qps=1.0, quota_burst=3.0,
+        )
+        good = router_queries[0]
+        poisoned = good.copy()
+        poisoned[0] = np.nan
+        with router:
+            router.search(good, k=5, arrival_s=0.0)
+            for bad in [good[:-1]] * 5 + [poisoned] * 5:
+                with pytest.raises(ValueError):
+                    router.search(bad, k=5, arrival_s=0.0)
+            for replica in router.replicas:
+                breaker = replica.snapshot()["breaker"]
+                assert breaker["state"] == "closed"
+                assert breaker["consecutive_failures"] == 0
+            stats = router.stats()
+            assert (stats.routed, stats.routed_failed, stats.submitted) == (1, 0, 1)
+            assert router.health().quotas["admitted"] == {"default": 1}
+            # The bucket still holds two of its three tokens — no more, no less.
+            router.search(good, k=5, arrival_s=0.0)
+            router.search(good, k=5, arrival_s=0.0)
+            with pytest.raises(TenantOverQuota):
+                router.search(good, k=5, arrival_s=0.0)
+
 
 # ----------------------------------------------------------------------
 # Rolling upgrades and chaos

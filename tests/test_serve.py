@@ -118,6 +118,23 @@ class TestDispatch:
             assert np.array_equal(answer.indices, direct.indices[row])
             assert np.allclose(answer.distances, direct.distances[row])
 
+    def test_poisoned_request_never_joins_a_batch(self, small_index, serve_queries):
+        """A NaN query is refused at ``submit``; the 15 healthy requests
+        queued around it run as one batch, with nothing to bisect."""
+        server = make_server(small_index, max_batch=16)
+        poisoned = serve_queries[15].copy()
+        poisoned[2] = np.nan
+        handles = [server.submit(serve_queries[i], k=10) for i in range(8)]
+        with pytest.raises(ValueError, match="query row 0 contains NaN or inf"):
+            server.submit(poisoned, k=10)
+        handles += [server.submit(serve_queries[i], k=10) for i in range(8, 15)]
+        with server:
+            answers = [handle.result() for handle in handles]
+        assert len(answers) == 15
+        stats = server.stats()
+        assert stats.batch_size_histogram == {15: 1}
+        assert (stats.batch_splits, stats.retried_batches, stats.failed) == (0, 0, 0)
+
     def test_mixed_k_in_one_batch(self, small_index, serve_queries):
         server = make_server(small_index, max_batch=4)
         handles = [

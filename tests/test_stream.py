@@ -362,6 +362,19 @@ class TestMutableIndex:
         found = {int(i) for i in result.indices.ravel() if int(i) != MASK}
         assert found <= {3, 4, int(ids[1])}
 
+    def test_mask_admitting_only_deleted_ids_pads(self, stream_base, stream_pool):
+        """A non-empty mask whose every id is deleted is ``k`` above the
+        live match count, not a malformed request: all-sentinel rows."""
+        index = MutableIndex(stream_base)
+        ids = index.insert(stream_pool[:2])
+        gone = [3, 4, int(ids[1])]
+        index.delete(gone)
+        mask = np.zeros(index.size, dtype=bool)
+        mask[gone] = True
+        result = index.search(stream_pool[:2], k=5, filter_mask=mask)
+        assert result.indices.shape == (2, 5)
+        assert (result.indices == MASK).all() and np.isinf(result.distances).all()
+
     def test_recall_vs_live_oracle(self, stream_base, stream_pool, stream_queries):
         index = MutableIndex(stream_base)
         index.insert(stream_pool[:30])
