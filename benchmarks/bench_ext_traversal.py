@@ -3,8 +3,8 @@
 The engine (:mod:`repro.core.traversal`) steps every live query of a
 batch through one masked numpy program; the legacy shape — the
 per-query sequential loop that ``search_batch`` ran before the engine
-existed — survives as the executable specification
-(:meth:`TraversalEngine.search_single`).  This bench measures *actual*
+existed — survives as the executable specification (reference mode's
+scalar arm, which a batch of one runs).  This bench measures *actual*
 Python wall time for both at the same search configuration, plus the
 fp16-storage variant, and asserts the engine's batched QPS is at least
 the legacy loop's at matched recall.
@@ -116,9 +116,7 @@ def _legacy_loop(index, queries, config):
     engine = index.engine()
     out = np.empty((queries.shape[0], K), dtype=np.int64)
     for i, query in enumerate(queries):
-        rng = np.random.default_rng([config.seed, i])
-        ids, _, _ = engine.search_single(query, K, config, "single_cta", rng)
-        out[i] = ids
+        out[i] = engine.search(query[None], K, config, mode="reference").indices[0]
     return out
 
 

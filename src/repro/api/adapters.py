@@ -31,12 +31,6 @@ coalesced batches → the vectorized fast path, exactly what
 ``itopk`` results also takes the fast path, which pads where the
 reference kernel must refuse) — and is ignored by backends with a single
 execution path.
-
-Determinism note: :class:`GannsAnnIndex` and :class:`NssgAnnIndex` run
-their native searches one query at a time because those implementations
-draw random seeds *sequentially across the batch* — a per-query loop
-makes results independent of batch composition, so a server micro-batch
-answers bitwise identically to a direct single-query call.
 """
 
 from __future__ import annotations
@@ -273,10 +267,6 @@ class _BeamAnnIndex(AnnIndexAdapter):
     CAGRA's native pre-filtered search.
     """
 
-    #: True when the native batched search is batch-composition
-    #: independent; False forces the per-query loop (see module docs).
-    _batch_safe = True
-
     def __init__(self, inner, *, seed: int = 0):
         super().__init__(inner)
         self._seed = seed
@@ -284,7 +274,7 @@ class _BeamAnnIndex(AnnIndexAdapter):
     def _raw_search(
         self, queries: np.ndarray, k: int, beam: int
     ) -> tuple[np.ndarray, np.ndarray, object]:
-        """Subclass hook: run the native search on one coherent batch."""
+        """Subclass hook: run the native batched search."""
         raise NotImplementedError
 
     def search(
@@ -306,10 +296,7 @@ class _BeamAnnIndex(AnnIndexAdapter):
             k_search = min(self.size, max(4 * int(k), k_search))
         beam = max(config.itopk if config is not None else 64, k_search)
         with stage_timer(on_stage, f"baseline.{self.kind}.search") as stage:
-            if self._batch_safe:
-                ids, dists, counters = self._raw_search(queries, k_search, beam)
-            else:
-                ids, dists, counters = self._per_query_search(queries, k_search, beam)
+            ids, dists, counters = self._raw_search(queries, k_search, beam)
             stage.counters = self._counters(counters)
         if mask is not None:
             clipped = np.clip(ids.astype(np.int64), 0, self.size - 1)
@@ -318,21 +305,6 @@ class _BeamAnnIndex(AnnIndexAdapter):
         return SearchResult(
             indices=out_ids, distances=out_dists, counters=self._counters(counters)
         )
-
-    def _per_query_search(self, queries, k, beam):
-        from repro.baselines.beam import BeamCounters
-
-        ids = np.empty((queries.shape[0], k), dtype=np.int64)
-        dists = np.empty((queries.shape[0], k), dtype=np.float64)
-        counters = BeamCounters()
-        for i in range(queries.shape[0]):
-            row_ids, row_dists, row_counters = self._raw_search(
-                queries[i : i + 1], k, beam
-            )
-            ids[i] = row_ids[0].astype(np.int64)
-            dists[i] = row_dists[0]
-            counters.merge_from(row_counters)
-        return ids, dists, counters
 
     def _counters(self, counters) -> dict:
         return {
@@ -362,20 +334,18 @@ class GgnnAnnIndex(_BeamAnnIndex):
 
 
 class GannsAnnIndex(_BeamAnnIndex):
-    """:class:`repro.baselines.GannsIndex` (per-query loop for determinism)."""
+    """:class:`repro.baselines.GannsIndex`."""
 
     kind = "ganns"
-    _batch_safe = False
 
     def _raw_search(self, queries, k, beam):
         return self._inner.search(queries, k, beam_width=beam, seed=self._seed)
 
 
 class NssgAnnIndex(_BeamAnnIndex):
-    """:class:`repro.baselines.NssgIndex` (per-query loop for determinism)."""
+    """:class:`repro.baselines.NssgIndex`."""
 
     kind = "nssg"
-    _batch_safe = False
 
     def _raw_search(self, queries, k, beam):
         return self._inner.search(queries, k, beam_width=beam, seed=self._seed)

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.baselines.beam import BeamCounters, beam_search
 from repro.core.distances import pairwise_distances
+from repro.core.rng_init import counter_draws, query_keys
 
 __all__ = ["GannsBuildStats", "GannsIndex"]
 
@@ -159,19 +160,23 @@ class GannsIndex:
         num_seeds: int = 4,
         seed: int = 0,
     ) -> tuple[np.ndarray, np.ndarray, BeamCounters]:
-        """Beam search from the entry point plus random seeds."""
+        """Beam search from the entry point plus random seeds.
+
+        Query ``q``'s seeds are :func:`repro.core.rng_init.counter_draws`
+        keyed on ``(seed, q's bytes)``, so its answer does not depend on
+        the rest of the batch.
+        """
         if not self._built:
             raise RuntimeError("call build() before search()")
         queries = np.atleast_2d(queries)
-        rng = np.random.default_rng(seed)
         counters = BeamCounters()
-        n = len(self.adjacency)
+        draws = counter_draws(
+            seed, query_keys(queries), 0, 0, num_seeds, len(self.adjacency)
+        )
         ids = np.empty((queries.shape[0], k), dtype=np.uint32)
         dists = np.empty((queries.shape[0], k), dtype=np.float64)
         for i in range(queries.shape[0]):
-            seeds = np.concatenate(
-                [[self.entry_point], rng.integers(0, n, size=num_seeds)]
-            )
+            seeds = np.concatenate([[self.entry_point], draws[i]])
             ids[i], dists[i] = beam_search(
                 self.data,
                 self.adjacency,

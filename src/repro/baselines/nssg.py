@@ -26,6 +26,7 @@ from repro.baselines.beam import BeamCounters, beam_search
 from repro.core.distances import distances_to_query
 from repro.core.graph import FixedDegreeGraph
 from repro.core.nn_descent import KnnGraphResult
+from repro.core.rng_init import counter_draws, query_keys
 
 __all__ = ["NssgBuildStats", "NssgIndex", "nssg_search"]
 
@@ -202,19 +203,19 @@ def nssg_search(
     This is the "NSSG search implementation" of Fig. 12: random seed
     sampling followed by best-first beam search.  ``adjacency`` may be an
     ``(N, d)`` array (e.g. a CAGRA graph) or a list of id arrays (a native
-    NSSG graph).
+    NSSG graph).  Query ``q``'s seeds are
+    :func:`repro.core.rng_init.counter_draws` keyed on ``(seed, q's
+    bytes)``, so its answer does not depend on the rest of the batch.
     """
     queries = np.atleast_2d(queries)
     if isinstance(adjacency, FixedDegreeGraph):
         adjacency = adjacency.neighbors
-    n = len(adjacency)
-    rng = np.random.default_rng(seed)
+    draws = counter_draws(seed, query_keys(queries), 0, 0, num_seeds, len(adjacency))
     counters = BeamCounters()
     ids = np.empty((queries.shape[0], k), dtype=np.uint32)
     dists = np.empty((queries.shape[0], k), dtype=np.float64)
     for i in range(queries.shape[0]):
-        seeds = rng.integers(0, n, size=num_seeds)
         ids[i], dists[i] = beam_search(
-            data, adjacency, queries[i], k, beam_width, seeds, metric, counters
+            data, adjacency, queries[i], k, beam_width, draws[i], metric, counters
         )
     return ids, dists, counters

@@ -13,8 +13,8 @@ submodules here implement its pieces:
 * :mod:`repro.core.traversal` — the array-parallel traversal engine
   behind every search entry point (one masked stepping loop over two
   visited backends, fp16 storage, team_size-aware accounting).
-* :mod:`repro.core.rng_init` — vectorized per-query random streams,
-  bit-identical to ``default_rng([seed, query])``.
+* :mod:`repro.core.rng_init` — stateless counter draws keyed on the
+  query's bytes, so an answer never depends on its batch position.
 * :mod:`repro.core.hashtable` — open-addressing visited-node hash tables.
 * :mod:`repro.core.topm` — top-M buffer merge primitives.
 * :mod:`repro.core.metrics` — recall, strong connected components,

@@ -168,6 +168,7 @@ class SearchConfig:
         _require(self.max_iterations >= 0, "max_iterations must be >= 0")
         _require(self.min_iterations >= 0, "min_iterations must be >= 0")
         _require(self.cta_per_query >= 0, "cta_per_query must be >= 0")
+        _require(self.seed >= 0, "seed must be >= 0")
 
     def resolved_max_iterations(self) -> int:
         """``I_max``: explicit value, or a heuristic bound like cuVS uses."""

@@ -38,6 +38,7 @@ from repro.core.config import SearchConfig
 from repro.core.distances import distances_to_query
 from repro.core.graph import INDEX_MASK, PARENT_FLAG, FixedDegreeGraph
 from repro.core.hashtable import ForgettableHashTable, StandardHashTable
+from repro.core.rng_init import counter_draws
 from repro.core.topm import bitonic_comparator_count, merge_topm, sort_strategy
 
 __all__ = ["CostReport", "SearchResult", "scale_report", "search_batch"]
@@ -174,7 +175,9 @@ def _greedy_core(
     max_iterations: int,
     min_iterations: int,
     table: StandardHashTable,
-    rng: np.random.Generator,
+    seed: int,
+    key: int,
+    worker: int,
     metric: str,
     report: CostReport,
     seed_ids: np.ndarray | None = None,
@@ -187,8 +190,12 @@ def _greedy_core(
     :class:`repro.core.traversal.TraversalEngine` instead, which is pinned
     bitwise against this loop (internals tests cross-validate the two).
 
-    ``seed_ids`` overrides the random initialization (used by tests and by
-    multi-CTA workers that partition the random seeds).
+    Random draws come from :func:`repro.core.rng_init.counter_draws` on
+    ``(seed, key, worker, step)``: ``key`` is the query's
+    :func:`~repro.core.rng_init.query_keys` value, ``worker`` the multi-CTA
+    worker index, step 0 seeds the candidate list and step ``i`` is the
+    ``min_iterations`` re-seed at iteration ``i``.  ``seed_ids`` overrides
+    the step-0 draw (used by tests).
 
     ``filter_mask`` implements filtered search the way the production
     kernels do: a node whose mask entry is False gets its distance forced
@@ -206,7 +213,7 @@ def _greedy_core(
 
     # ⓪ random initialization.
     if seed_ids is None:
-        seed_ids = rng.integers(0, n, size=width, dtype=np.uint32)
+        seed_ids = counter_draws(seed, [key], worker, 0, width, n)[0]
     else:
         seed_ids = np.asarray(seed_ids, dtype=np.uint32)
     report.random_inits += len(seed_ids)
@@ -244,7 +251,7 @@ def _greedy_core(
                 break
             # Converged early but min_iterations demands more work: re-seed
             # with fresh random nodes, as the kernel's slack iterations do.
-            extra = rng.integers(0, n, size=width, dtype=np.uint32)
+            extra = counter_draws(seed, [key], worker, iteration, width, n)[0]
             fresh = table.insert_unique(extra)
             cand_ids = extra
             cand_dists = np.full(width, np.inf)

@@ -19,7 +19,7 @@ behind it:
   specification (:func:`repro.core.search._greedy_core`): per-slot probe
   counts, full-table saturation, forgettable resets with top-M
   re-registration, ``min_iterations`` re-seeding, and multi-CTA worker
-  passes sharing one table and one RNG stream per query.
+  passes sharing one table per query.
 * ``mode="fast"`` — :class:`_DenseVisited`, an exact dense boolean table with
   flat hash accounting (standard-table behaviour, ``min_iterations``
   ignored) and a sort-only top-M merge.
@@ -29,6 +29,11 @@ vectors half-precision; distances still accumulate in fp32, matching the
 CUDA kernels' ``half2`` loads) and threads ``team_size``/``dtype_bytes``
 into ``CostReport.extras`` so :meth:`repro.gpusim.GpuCostModel.search_time`
 prices distance work per point.
+
+Every random draw — step ⓪'s seeds and the ``min_iterations`` re-seeds —
+is :func:`repro.core.rng_init.counter_draws` keyed on ``(seed, query
+bytes, worker, step)``, in both backends and in the sequential spec, so an
+answer never depends on the query's batch position, chunk or batch mates.
 
 Functions marked :func:`hot_path` form the hot loop; lint rule RL007
 forbids per-query Python ``for`` loops inside them (loops over lanes,
@@ -50,7 +55,7 @@ from repro.core.hashtable import (
     StandardHashTable,
     standard_table_log2_size,
 )
-from repro.core.rng_init import make_streams
+from repro.core.rng_init import counter_draws, query_keys
 from repro.core.search import (
     CostReport,
     SearchResult,
@@ -476,9 +481,10 @@ class _SearchPlan:
 
     ``passes`` worker passes of the same loop run back to back, each with
     an ``itopk``-entry list expanding ``search_width`` parents per step,
-    all sharing one visited table and one RNG stream per query; their
-    buffers merge into a ``merged_itopk`` list.  Single-CTA is the
-    one-pass case, multi-CTA the narrow many-pass one (Sec. IV-C2).
+    all sharing one visited table per query (worker ``w`` draws its seeds
+    on counter ``w``); their buffers merge into a ``merged_itopk`` list.
+    Single-CTA is the one-pass case, multi-CTA the narrow many-pass one
+    (Sec. IV-C2).
     """
 
     algo: str
@@ -590,49 +596,27 @@ class TraversalEngine:
         self._stamp_extras(total, config)
         indices = np.empty((batch, k), dtype=np.uint32)
         distances = np.empty((batch, k), dtype=np.float64)
+        keys = query_keys(queries)
         if not dense and batch < _SCALAR_REFERENCE_ROWS:
             # Latency dispatch: tiny batches can't amortize the slab's
             # whole-batch numpy calls, so run the sequential spec instead
             # (bitwise-identical outputs and counters).
             scalar = self._scalar_arm(algo)
             for i in range(batch):
-                rng = np.random.default_rng([config.seed, i])
                 indices[i], distances[i], report = scalar(
-                    queries[i], k, plan, rng, filter_mask
+                    queries[i], k, plan, config.seed, keys[i], filter_mask
                 )
                 total.merge_from(report)
             return SearchResult(indices=indices, distances=distances, report=total)
         chunk = self._chunk_rows(plan)
         for start in range(0, batch, chunk):  # memory-bounded chunks
-            sub = queries[start : start + chunk]
+            rows = slice(start, start + chunk)
             ids, dists = self._run_chunk(
-                sub, k, plan, config.seed, start, filter_mask, total
+                queries[rows], keys[rows], k, plan, config.seed, filter_mask, total
             )
-            indices[start : start + sub.shape[0]] = ids
-            distances[start : start + sub.shape[0]] = dists
+            indices[rows] = ids
+            distances[rows] = dists
         return SearchResult(indices=indices, distances=distances, report=total)
-
-    def search_single(
-        self,
-        query: np.ndarray,
-        k: int,
-        config: SearchConfig,
-        algo: str,
-        rng: np.random.Generator,
-        filter_mask: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, CostReport]:
-        """One query with an explicit algo and a caller-owned RNG stream.
-
-        Runs the sequential specification, consuming the caller's generator
-        exactly as a per-query ``default_rng([seed, i])`` stream would be —
-        so interleaved calls that share one generator keep their
-        trajectories.
-        """
-        queries, filter_mask = validate_request(
-            query, k, self.data.shape[1], size=self.graph.num_nodes, filter_mask=filter_mask
-        )
-        plan = self._resolve_plan(config, algo, k)
-        return self._scalar_arm(algo)(queries[0], k, plan, rng, filter_mask)
 
     # ------------------------------------------------------------------
     # plan resolution
@@ -709,13 +693,14 @@ class TraversalEngine:
         query: np.ndarray,
         k: int,
         plan: _SearchPlan,
-        rng: np.random.Generator,
+        seed: int,
+        key: np.uint64,
         filter_mask: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray, CostReport]:
         table = plan.scalar_table()
         report = plan.report(cta_count=1)
         topm_ids, topm_dists = self._scalar_pass(
-            query, plan, table, rng, filter_mask, report
+            query, plan, table, seed, key, 0, filter_mask, report
         )
         _collect_hash_counters(report, table)
         ids = (topm_ids[:k] & INDEX_MASK).astype(np.uint32)
@@ -726,14 +711,15 @@ class TraversalEngine:
         query: np.ndarray,
         k: int,
         plan: _SearchPlan,
-        rng: np.random.Generator,
+        seed: int,
+        key: np.uint64,
         filter_mask: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray, CostReport]:
         table = plan.scalar_table()
         report = plan.report(cta_count=plan.passes)
         workers = [
-            self._scalar_pass(query, plan, table, rng, filter_mask, report)
-            for _ in range(plan.passes)  # sequential worker CTAs
+            self._scalar_pass(query, plan, table, seed, key, w, filter_mask, report)
+            for w in range(plan.passes)  # sequential worker CTAs
         ]
         _collect_hash_counters(report, table)
         merged_ids, merged_dists = merge_topm(
@@ -746,7 +732,7 @@ class TraversalEngine:
         ids = (merged_ids[:k] & INDEX_MASK).astype(np.uint32)
         return ids, merged_dists[:k].copy(), report
 
-    def _scalar_pass(self, query, plan, table, rng, filter_mask, report):
+    def _scalar_pass(self, query, plan, table, seed, key, worker, filter_mask, report):
         return _greedy_core(
             self.data,
             self.graph,
@@ -756,7 +742,9 @@ class TraversalEngine:
             plan.max_iterations,
             plan.min_iterations,
             table,
-            rng,
+            seed,
+            key,
+            worker,
             self.metric,
             report,
             filter_mask=filter_mask,
@@ -768,27 +756,24 @@ class TraversalEngine:
     def _run_chunk(
         self,
         queries: np.ndarray,
+        keys: np.ndarray,
         k: int,
         plan: _SearchPlan,
         seed: int,
-        seed_offset: int,
         filter_mask: np.ndarray | None,
         report: CostReport,
     ) -> tuple[np.ndarray, np.ndarray]:
         """All of ``plan``'s worker passes for one memory-bounded chunk.
 
-        The visited table and the per-query RNG streams persist across the
-        passes, so a later worker sees everything earlier workers visited
-        and continues their streams — the paper's shared device-memory
-        table.
+        The visited table persists across the passes, so a later worker
+        sees everything earlier workers visited — the paper's shared
+        device-memory table.
         """
         rows = queries.shape[0]
-        n = self.graph.num_nodes
-        visited = plan.visited(rows, n)
-        streams = make_streams(seed, seed_offset, rows, n)
+        visited = plan.visited(rows, self.graph.num_nodes)
         workers = [
-            self._traverse(queries, plan, visited, streams, filter_mask, report)
-            for _ in range(plan.passes)  # sequential worker CTAs, not per-query
+            self._traverse(queries, keys, plan, visited, seed, w, filter_mask, report)
+            for w in range(plan.passes)  # sequential worker CTAs, not per-query
         ]
         report.cta_count += rows * plan.passes
         visited.collect(report)
@@ -807,22 +792,25 @@ class TraversalEngine:
     def _traverse(
         self,
         queries: np.ndarray,
+        keys: np.ndarray,
         plan: _SearchPlan,
         visited,
-        streams,
+        seed: int,
+        worker: int,
         filter_mask: np.ndarray | None,
         report: CostReport,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One greedy pass for all rows; returns the final top-M buffers.
+        """Worker ``worker``'s greedy pass for all rows; returns the final
+        top-M buffers.
 
         *The* stepping loop: everything that distinguishes the two modes
         is behind ``visited`` (see the module docstring).  ``row_ids[i]`` is
-        the query / visited-table / RNG-stream row that live-slab row ``i``
+        the query / key / visited-table row that live-slab row ``i``
         serves; dead rows retire into the output buffers and are compacted
-        out of the slab (never out of ``visited`` or ``streams``, which may
-        be shared with other worker passes), so late steps only pay for
-        live queries.  Dead rows contribute nothing to any counter, so
-        compaction never shows in the report.
+        out of the slab (never out of ``visited``, which may be shared with
+        other worker passes), so late steps only pay for live queries.
+        Dead rows contribute nothing to any counter, so compaction never
+        shows in the report.
         """
         n = self.graph.num_nodes
         degree = self.graph.degree
@@ -834,13 +822,12 @@ class TraversalEngine:
         out_dists = np.empty((total_rows, itopk), dtype=np.float64)
         row_ids = np.arange(total_rows, dtype=np.int64)
 
-        # ⓪ random initialization (per-query default_rng([seed, i]) streams,
-        # drawn for the whole block at once).
+        # ⓪ random initialization: step 0 of each query's counter draws.
         cand_ids, cand_dists = self._first_visits(
             visited,
             row_ids,
             queries,
-            streams.draw(n, width),
+            counter_draws(seed, keys, worker, 0, width, n),
             np.ones((total_rows, width), dtype=bool),
             filter_mask,
             report,
@@ -908,11 +895,10 @@ class TraversalEngine:
             cand_width = picked.sum(axis=1) * degree
             if reseed.any():
                 # NB: the reference meters random_inits at ⓪ only — reseed
-                # draws ride the same stream but aren't counted.
-                stream_mask = np.zeros(total_rows, dtype=bool)
-                stream_mask[row_ids] = reseed
-                draws = streams.draw(n, width, mask=stream_mask)[row_ids]
-                cand_ids = np.where(reseed[:, None], draws, cand_ids)
+                # draws (step ``iteration``) aren't counted.
+                cand_ids[reseed] = counter_draws(
+                    seed, keys[row_ids[reseed]], worker, iteration, width, n
+                )
                 lane_usable |= reseed[:, None]
                 cand_width = np.where(reseed, width, cand_width)
 

@@ -16,9 +16,9 @@ shard operations into pool-friendly pure functions:
 
 Results are bitwise identical to running the same loop serially: every
 task derives its randomness from explicit seeds in its payload
-(``GraphBuildConfig.seed + shard`` for builds, the per-query
-``[seed, query]`` Philox streams for searches), never from worker
-identity, scheduling order, or time.
+(``GraphBuildConfig.seed + shard`` for builds, counter draws keyed on
+``(seed, query bytes)`` for searches — :mod:`repro.core.rng_init`),
+never from worker identity, scheduling order, or time.
 
 Both task bodies are instrumented with :mod:`repro.resilience.faults`
 injection points (``shard.build`` / ``shard.search``), carried in the

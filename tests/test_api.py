@@ -223,21 +223,83 @@ class TestConformance:
             assert str(raised.value) == message
             assert not work_done()
 
-    @pytest.mark.parametrize("surface", ["cagra", "sharded-cagra", "mutable"])
-    def test_one_answer_per_query_and_position(self, adapters, api_queries, surface):
-        """On the fast engine row 0 draws the same stream whether it
-        arrives alone or at the head of a batch.  (``mode="auto"`` cannot
-        promise this: a lone query is a multi-CTA answer.)"""
+    @pytest.mark.parametrize(
+        "surface, batch, mode",
+        [
+            pytest.param("cagra", 20, "fast", id="cagra"),
+            pytest.param("cagra", 20, "reference", id="cagra-reference-slab"),
+            pytest.param("cagra", 3, "reference", id="cagra-reference-scalar"),
+            pytest.param("chunked", 20, "fast", id="chunked"),
+            pytest.param("sharded-cagra", 20, "fast", id="sharded-cagra"),
+            pytest.param("mutable", 20, "fast", id="mutable"),
+            pytest.param("ganns", 20, "auto", id="ganns"),
+            pytest.param("nssg", 20, "auto", id="nssg"),
+        ],
+    )
+    def test_one_answer_per_query_and_position(
+        self, adapters, api_data, monkeypatch, surface, batch, mode
+    ):
+        """An answer depends on the index, the query's bytes and the config
+        only: ``search(Q)[i] == search(Q[perm])[perm⁻¹(i)] ==
+        search(Q[i:i+1])[0]``, bitwise, whatever the batch, its order or its
+        chunking.  A lone reference query runs the sequential spec, so the
+        batch-20 reference case also holds the two arms to each other.
+        (``mode="auto"`` cannot promise this for CAGRA: a lone query is a
+        multi-CTA answer.)"""
         if surface == "mutable":
             from repro.stream import MutableIndex
 
             ann = MutableIndex(adapters["cagra"])
+        elif surface == "chunked":
+            from repro.core.traversal import TraversalEngine
+
+            monkeypatch.setattr(TraversalEngine, "_chunk_rows", lambda self, plan: 3)
+            ann = adapters["cagra"]
         else:
             ann = adapters[surface]
-        alone = ann.search(api_queries[:1], 5, mode="fast")
-        headed = ann.search(api_queries[:4], 5, mode="fast")
-        assert np.array_equal(alone.indices[0], headed.indices[0])
-        assert np.array_equal(alone.distances[0], headed.distances[0])
+        rng = np.random.default_rng(batch)
+        rows = rng.choice(len(api_data), batch, replace=False)
+        queries = (api_data[rows] + 0.05 * rng.standard_normal((batch, 16))).astype(
+            np.float32
+        )
+        perm = rng.permutation(batch)
+        # A short, narrow walk: the answer leans on the random seeds.
+        config = SearchConfig(itopk=8, max_iterations=3)
+        whole = ann.search(queries, 5, config=config, mode=mode)
+        shuffled = ann.search(queries[perm], 5, config=config, mode=mode)
+        inverse = np.argsort(perm)
+        assert np.array_equal(shuffled.indices[inverse], whole.indices)
+        assert np.array_equal(shuffled.distances[inverse], whole.distances)
+        for i in range(batch):
+            alone = ann.search(queries[i : i + 1], 5, config=config, mode=mode)
+            assert np.array_equal(alone.indices[0], whole.indices[i]), i
+            assert np.array_equal(alone.distances[0], whole.distances[i]), i
+
+    def test_served_answer_equals_offline(self, adapters, api_data):
+        """A started server answers 64 requests in mixed micro-batches
+        (ten of 6, one of 4 — all coalesced, so all on the fast engine),
+        and every answer is bitwise ``index.search_fast(Q)``'s row."""
+        from repro.serve import CagraServer, ServeConfig
+
+        index = adapters["cagra"].inner
+        rng = np.random.default_rng(64)
+        queries = (
+            api_data[rng.choice(len(api_data), 64, replace=False)]
+            + 0.05 * rng.standard_normal((64, 16))
+        ).astype(np.float32)
+        offline = index.search_fast(queries, 10)
+        offline_ids, offline_dists = normalize_results(offline.indices, offline.distances)
+        server = CagraServer(index, ServeConfig(max_batch=6, max_wait_ms=50.0))
+        # Queued before the scheduler starts, so the batch geometry is fixed.
+        pending = [server.submit(query, k=10) for query in queries]
+        with server:
+            answers = [handle.result() for handle in pending]
+            stats = server.stats()
+        assert stats.batch_size_histogram == {6: 10, 4: 1}
+        assert stats.single_query_batches == 0
+        for i, answer in enumerate(answers):
+            assert np.array_equal(answer.indices, offline_ids[i]), i
+            assert np.array_equal(answer.distances, offline_dists[i]), i
 
     @pytest.mark.parametrize("kind", ALL_SURFACES)
     def test_search_request_object(self, adapters, api_queries, kind):

@@ -1,11 +1,14 @@
 """Tests for the vectorized lockstep batch search (fast path)."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro import SearchConfig
 from repro.core.graph import INDEX_MASK, PARENT_FLAG
 from repro.core.metrics import recall
+from repro.core.rng_init import counter_draws, query_keys
 from repro.core.traversal import _merge_rows, _merge_rows_reference
 
 
@@ -154,7 +157,7 @@ class TestSearchBatchFast:
 class TestChunking:
     def test_chunked_equals_unchunked(self, small_index, small_queries, monkeypatch):
         """Forcing a tiny visited-table budget must not change results:
-        per-query RNG streams are offset by chunk position."""
+        a query's random draws are keyed on its bytes, not its chunk."""
         from repro.core import traversal
 
         config = SearchConfig(itopk=32, seed=3)
@@ -305,21 +308,52 @@ def _duplicate_vector_case():
     return index, queries, mask
 
 
+DUPLICATE_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "duplicate_vectors_fast.npz"
+)
+
+
+def _duplicate_vector_run(index, queries, mask, search_width, filtered):
+    return index.search_fast(
+        queries,
+        10,
+        SearchConfig(itopk=32, seed=5, search_width=search_width),
+        filter_mask=mask if filtered else None,
+    )
+
+
+def _duplicate_vector_outputs() -> dict[str, np.ndarray]:
+    """Ids, distances and the 14 parity counters of ``search_fast`` on
+    :func:`_duplicate_vector_case`, per search width and filter.
+
+    Re-record (only ever from a commit whose search is trusted) with
+    ``np.savez_compressed(DUPLICATE_FIXTURE, **_duplicate_vector_outputs())``.
+    """
+    index, queries, mask = _duplicate_vector_case()
+    out = {}
+    for search_width in (1, 2):
+        for filtered in (False, True):
+            result = _duplicate_vector_run(index, queries, mask, search_width, filtered)
+            prefix = f"w{search_width}_{'filtered' if filtered else 'plain'}"
+            counters = result.report.as_dict()
+            out[f"{prefix}_indices"] = result.indices
+            out[f"{prefix}_distances"] = result.distances
+            out[f"{prefix}_counters"] = np.array(
+                [counters[name] for name in PARITY_COUNTERS], dtype=np.int64
+            )
+    return out
+
+
 class TestDuplicateVectorRegression:
-    """``search_fast`` on a tie-heavy dataset stays bitwise what it was
-    before the sort-only merge: ``fixtures/duplicate_vectors_fast.npz``
-    holds ids, distances and the 14 parity counters recorded from the
-    lexsort-dedup merge (commit 91b03fc) on :func:`_duplicate_vector_case`.
+    """``search_fast`` on a tie-heavy dataset stays bitwise what
+    :func:`_duplicate_vector_outputs` recorded in
+    ``fixtures/duplicate_vectors_fast.npz``: the case where the top-M
+    merge's tie-break decides the result order.
     """
 
     @pytest.fixture(scope="class")
     def case(self):
-        import os
-
-        path = os.path.join(
-            os.path.dirname(__file__), "fixtures", "duplicate_vectors_fast.npz"
-        )
-        with np.load(path) as archive:
+        with np.load(DUPLICATE_FIXTURE) as archive:
             expected = {key: archive[key] for key in archive.files}
         return _duplicate_vector_case() + (expected,)
 
@@ -327,12 +361,7 @@ class TestDuplicateVectorRegression:
     @pytest.mark.parametrize("filtered", [False, True])
     def test_bitwise_against_recorded_run(self, case, search_width, filtered):
         index, queries, mask, expected = case
-        result = index.search_fast(
-            queries,
-            10,
-            SearchConfig(itopk=32, seed=5, search_width=search_width),
-            filter_mask=mask if filtered else None,
-        )
+        result = _duplicate_vector_run(index, queries, mask, search_width, filtered)
         prefix = f"w{search_width}_{'filtered' if filtered else 'plain'}"
         # The case is only a regression if ties actually reach the output.
         assert (np.diff(expected[f"{prefix}_distances"], axis=1) == 0).any()
@@ -375,59 +404,51 @@ class TestChunkReportIntegrity:
         assert total.as_dict() == whole.as_dict()
 
 
-class TestRandomInitBlock:
-    """The vectorized RNG streams' ⓪-seed draw must be bit-identical to
-    per-query ``default_rng([seed, q])`` draws (the regression fixture
-    pins them)."""
-
-    CASES = (
-        (0, 0, 7, 1000, 32),
-        (7, 3, 11, 300, 64),       # nonzero seed offset (chunked batches)
-        (123456789, 0, 5, 2**31 - 1, 48),
-        (2**40 + 5, 10, 6, 999983, 96),  # multi-word entropy pool seed
-        (42, 0, 4, 2, 33),         # tiny range, odd width
-        (42, 0, 4, 2**32 - 1, 16),  # near-full 32-bit range
-    )
+class TestCounterDraws:
+    """``counter_draws``: the one stateless random-draw function."""
 
     @staticmethod
-    def _per_query(seed, offset, batch, n, width):
-        expected = np.empty((batch, width), dtype=np.uint32)
-        for i in range(batch):
-            rng = np.random.default_rng([seed, offset + i])
-            expected[i] = rng.integers(0, n, size=width, dtype=np.uint32)
-        return expected
+    def _keys(rows=6, dim=12):
+        return query_keys(np.random.default_rng(3).standard_normal((rows, dim)))
 
-    def test_matches_per_query_generator(self):
-        from repro.core.rng_init import VectorRngStreams, make_streams
+    def test_values_lie_in_range(self):
+        for n in (2, 7, 1000, 2**31 - 1, 2**32):
+            draws = counter_draws(5, self._keys(), 0, 0, 64, n)
+            assert draws.shape == (6, 64) and draws.dtype == np.uint32
+            assert int(draws.max()) < n
 
-        for seed, offset, batch, n, width in self.CASES:
-            streams = make_streams(seed, offset, batch, n)
-            assert isinstance(streams, VectorRngStreams)
-            np.testing.assert_array_equal(
-                streams.draw(n, width),
-                self._per_query(seed, offset, batch, n, width),
-                err_msg=str((seed, offset, batch, n, width)),
-            )
-
-    def test_single_node_short_circuit(self):
-        from repro.core.rng_init import make_streams
-
+    def test_single_node_draws_zeros(self):
         np.testing.assert_array_equal(
-            make_streams(5, 0, 3, 1).draw(1, 8), np.zeros((3, 8), dtype=np.uint32)
+            counter_draws(5, self._keys(3), 2, 4, 8, 1),
+            np.zeros((3, 8), dtype=np.uint32),
         )
 
-    def test_out_of_envelope_falls_back(self):
-        from repro.core.rng_init import GeneratorRngStreams, make_streams
+    def test_same_inputs_same_draws(self):
+        keys = self._keys()
+        whole = counter_draws(9, keys, 1, 3, 32, 5000)
+        np.testing.assert_array_equal(whole, counter_draws(9, keys, 1, 3, 32, 5000))
+        # Rows draw alone exactly as they do in a batch, in any order.
+        np.testing.assert_array_equal(whole[4:5], counter_draws(9, keys[4:5], 1, 3, 32, 5000))
+        np.testing.assert_array_equal(whole[::-1], counter_draws(9, keys[::-1], 1, 3, 32, 5000))
 
-        # n = 2**32 exceeds the 32-bit Lemire envelope but is a valid
-        # numpy bound; real per-row Generators must take over transparently.
-        streams = make_streams(0, 0, 3, 2**32)
-        assert isinstance(streams, GeneratorRngStreams)
-        np.testing.assert_array_equal(
-            streams.draw(2**32, 8), self._per_query(0, 0, 3, 2**32, 8)
-        )
+    def test_distinct_worker_and_step_differ(self):
+        keys = self._keys()
+        seen = {
+            counter_draws(0, keys, w, s, 16, 2**31).tobytes()
+            for w in range(4)
+            for s in range(4)
+        }
+        assert len(seen) == 16
+        seeds = {counter_draws(seed, keys, 0, 0, 16, 2**31).tobytes() for seed in range(8)}
+        assert len(seeds) == 8
 
-    def test_empty_shapes(self):
-        from repro.core.rng_init import make_streams
-
-        assert make_streams(0, 0, 0, 10).draw(10, 4).shape == (0, 4)
+    def test_coarse_uniformity(self):
+        """131k draws into 3000 bins: the chi-square statistic sits within
+        five standard deviations of its 2999 degrees of freedom."""
+        bins = 3000
+        keys = query_keys(np.arange(1024 * 4, dtype=np.float32).reshape(1024, 4))
+        draws = counter_draws(0, keys, 0, 0, 128, bins)
+        counts = np.bincount(draws.ravel(), minlength=bins)
+        expected = draws.size / bins
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert abs(chi2 - (bins - 1)) < 5 * np.sqrt(2 * (bins - 1))

@@ -216,7 +216,14 @@ class TestSweepRunners:
 
 
 def four_curves(index, data, queries, truth) -> dict:
-    """One curve per public sweep runner, on the small session fixtures."""
+    """One curve per public sweep runner, on the small session fixtures.
+
+    The recorder of ``fixtures/sweep_curves.json``: re-record (only ever
+    from a commit whose search is trusted) by writing
+    ``json.dumps(four_curves(...), indent=1, sort_keys=True) + "\\n"`` on
+    the ``small_index`` / ``small_data`` / ``small_queries`` /
+    ``small_truth`` fixtures.
+    """
     from repro.baselines import nssg_search
 
     def beam(queries, k, width):

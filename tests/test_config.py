@@ -97,6 +97,12 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="team_size"):
             SearchConfig(team_size=team)
 
+    def test_negative_seed_rejected(self):
+        """At construction, typed — not deep inside the first search."""
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SearchConfig(seed=-1)
+        assert SearchConfig(seed=0).seed == 0
+
     def test_resolved_max_iterations_explicit(self):
         assert SearchConfig(max_iterations=7).resolved_max_iterations() == 7
 

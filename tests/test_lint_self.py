@@ -104,3 +104,38 @@ def test_request_checks_live_in_one_place():
             if literal in line and "dataset row {" not in line
         ]
         assert len(hits) == 1 and hits[0].startswith("core/validation.py"), (literal, hits)
+
+
+def test_search_draws_come_from_one_counter_function():
+    """Every search-path random draw is ``rng_init.counter_draws``: no
+    ``default_rng`` / ``np.random`` call in the traversal engine, the
+    sequential spec or the GANNS / NSSG search functions, and no stream
+    emulation regrowing in ``rng_init.py``."""
+    import ast
+
+    root = default_root() / "repro"
+
+    def random_calls(node) -> list[int]:
+        return [
+            sub.lineno
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+            and ("default_rng" in ast.unparse(sub.func) or "np.random" in ast.unparse(sub.func))
+        ]
+
+    for name in ("core/traversal.py", "core/search.py"):
+        assert not random_calls(ast.parse((root / name).read_text())), name
+    for name, functions in (
+        ("baselines/ganns.py", {"search"}),
+        ("baselines/nssg.py", {"search", "nssg_search"}),
+    ):
+        found = [
+            node
+            for node in ast.walk(ast.parse((root / name).read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name in functions
+        ]
+        assert {node.name for node in found} == functions, name
+        for node in found:
+            assert not random_calls(node), (name, node.name)
+    rng_init = root / "core" / "rng_init.py"
+    assert not rng_init.exists() or len(rng_init.read_text().splitlines()) <= 60

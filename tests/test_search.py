@@ -244,25 +244,23 @@ class TestSearchKnobs:
 
 class TestSearchSingleQuery:
     def test_explicit_algo_dispatch(self, small_index, small_queries):
-        rng = np.random.default_rng(0)
         for algo in ("single_cta", "multi_cta"):
-            ids, dists, report = small_index.engine().search_single(
-                small_queries[0], 5, SearchConfig(itopk=32), algo, rng
+            result = small_index.engine().search(
+                small_queries[0][None], 5, SearchConfig(itopk=32, algo=algo),
+                mode="reference",
             )
-            assert ids.shape == (5,)
-            assert report.algo == algo
+            assert result.indices.shape == (1, 5)
+            assert result.report.algo == algo
 
     def test_multi_cta_explores_more_per_iteration(self, small_index, small_queries):
         """Paper Sec. IV-C2: multi-CTA searches num_cta * d nodes per
         round vs p * d for single-CTA — higher recall at equal rounds."""
-        rng = np.random.default_rng(0)
         engine = small_index.engine()
-        _, _, single = engine.search_single(
-            small_queries[0], 5, SearchConfig(itopk=64), "single_cta",
-            np.random.default_rng(0),
-        )
-        _, _, multi = engine.search_single(
-            small_queries[0], 5, SearchConfig(itopk=64), "multi_cta",
-            np.random.default_rng(0),
+        single, multi = (
+            engine.search(
+                small_queries[0][None], 5, SearchConfig(itopk=64, algo=algo),
+                mode="reference",
+            ).report
+            for algo in ("single_cta", "multi_cta")
         )
         assert multi.cta_count > single.cta_count

@@ -4,8 +4,8 @@ Acceptance suite for the hot-loop unification:
 
 * all five production paths (reference-auto, fast, forced single-CTA,
   forced multi-CTA, sharded-fast) stay bitwise identical to the
-  pre-engine regression fixture — ids, distances, and **every**
-  ``CostReport`` counter the fixture pins;
+  regression fixture :func:`_cagra_regression_outputs` recorded — ids,
+  distances, and **every** ``CostReport`` counter the fixture pins;
 * both reference dispatch arms (the scalar executable specification for
   small batches, the array-parallel slab for large ones) produce the
   same pinned results when forced onto the other arm's batch shape;
@@ -39,18 +39,83 @@ FIXTURE = os.path.join(
 )
 
 
-@pytest.fixture(scope="module")
-def regression():
+CONFIG = SearchConfig(itopk=64, seed=0)
+
+#: The ``CostReport`` counters the regression fixture pins.
+COUNTER_NAMES = (
+    "batch_size",
+    "cta_count",
+    "iterations",
+    "distance_computations",
+    "skipped_distance_computations",
+    "recomputed_distances",
+    "candidate_gathers",
+    "sort_comparator_ops",
+    "radix_sorted_elements",
+    "serial_queue_ops",
+    "hash_lookups",
+    "hash_probes",
+    "hash_insertions",
+    "hash_resets",
+    "random_inits",
+)
+
+
+def _regression_case():
+    """600 x 24 Gaussian rows, 32 queries, a degree-16 graph."""
     rng = np.random.default_rng(7)
     data = rng.standard_normal((600, 24)).astype(np.float32)
     queries = rng.standard_normal((32, 24)).astype(np.float32)
     index = CagraIndex.build(data, GraphBuildConfig(graph_degree=16, seed=0))
+    return data, queries, index
+
+
+def _counters(result, names) -> np.ndarray:
+    report = getattr(result, "report", None)
+    source = result.counters if report is None else report.as_dict()
+    return np.array([source[name] for name in names], dtype=np.int64)
+
+
+def _cagra_regression_outputs() -> dict[str, np.ndarray]:
+    """Ids, distances and :data:`COUNTER_NAMES` of the five production
+    paths on :func:`_regression_case`.
+
+    Re-record (only ever from a commit whose search is trusted) with
+    ``np.savez_compressed(FIXTURE, **_cagra_regression_outputs())``.
+    """
+    from repro.core.sharding import ShardedCagraIndex
+
+    data, queries, index = _regression_case()
+    sharded = ShardedCagraIndex.build(
+        data, 3, GraphBuildConfig(graph_degree=16, seed=0)
+    )
+    try:
+        results = {
+            "ref": index.search(queries, 10, config=CONFIG),
+            "fast": index.search_fast(queries, 10, config=CONFIG),
+            "single": index.search(
+                queries, 10, config=CONFIG.with_overrides(algo="single_cta")
+            ),
+            "multi": index.search(
+                queries[:1], 10, config=CONFIG.with_overrides(algo="multi_cta")
+            ),
+            "sharded": sharded.search_fast(queries, 10, config=CONFIG),
+        }
+    finally:
+        sharded.close()
+    out = {"counter_names": np.array(COUNTER_NAMES)}
+    for prefix, result in results.items():
+        out[f"{prefix}_indices"] = result.indices
+        out[f"{prefix}_distances"] = result.distances
+        out[f"{prefix}_counters"] = _counters(result, COUNTER_NAMES)
+    return out
+
+
+@pytest.fixture(scope="module")
+def regression():
     with np.load(FIXTURE) as archive:
         expected = {key: archive[key] for key in archive.files}
-    return data, queries, index, expected
-
-
-CONFIG = SearchConfig(itopk=64, seed=0)
+    return _regression_case() + (expected,)
 
 
 def assert_pinned(result, expected, prefix):
@@ -60,9 +125,7 @@ def assert_pinned(result, expected, prefix):
         result.distances, expected[f"{prefix}_distances"]
     )
     names = [str(name) for name in expected["counter_names"]]
-    report = getattr(result, "report", None)
-    source = result.counters if report is None else report.as_dict()
-    got = np.array([source[name] for name in names], dtype=np.int64)
+    got = _counters(result, names)
     want = expected[f"{prefix}_counters"]
     mismatch = {
         name: (int(g), int(w))
@@ -73,7 +136,7 @@ def assert_pinned(result, expected, prefix):
 
 
 class TestFivePathFixtureParity:
-    """Every production path, pinned bitwise against the pre-engine runs."""
+    """Every production path, pinned bitwise against the recorded runs."""
 
     def test_reference_auto(self, regression):
         _, queries, index, expected = regression
