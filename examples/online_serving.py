@@ -18,8 +18,6 @@ This example walks the full serving surface:
 4. the metrics surface (`server.stats().summary()`).
 """
 
-import numpy as np
-
 from repro import CagraIndex, GraphBuildConfig, SearchConfig
 from repro.baselines import exact_search
 from repro.core.metrics import recall
@@ -47,8 +45,7 @@ def main(scale: int = 2000, num_queries: int = 30) -> None:
         )
         print(f"\n{report.summary()}")
         truth, _ = exact_search(data, queries, 10, metric=metric)
-        rows = np.array([row for row, _ in report.results], dtype=np.int64)
-        found = np.stack([ids for _, ids in report.results])
+        rows, found = report.answers()
         print(f"served recall@10: {recall(found, truth[rows]):.4f}")
 
         # 2. the result cache: identical query, no second search

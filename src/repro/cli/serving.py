@@ -8,8 +8,6 @@ import json
 import sys
 import threading
 
-import numpy as np
-
 from repro.cli.common import (
     index_from_args,
     latency_ms,
@@ -67,18 +65,20 @@ def cmd_serve(args) -> int:
             )
         health = server.health()  # before stop: reflects the run, not shutdown
     stats = server.stats()
-    recall = served_recall(
-        np.array([found for _, found in report.results]),
-        np.array([row for row, _ in report.results], dtype=np.int64),
-        server.ann_index, queries, args.k,
-    )
+    rows, found = report.answers()
+    recall = served_recall(found, rows, server.ann_index, queries, args.k)
+    failed = report.count("failed")
     if args.format == "json":
         payload = {
-            "mode": report.mode,
+            "mode": args.mode,
             "offered_rate_qps": args.rate if args.mode == "open" else None,
             "requests": num_requests,
-            **pick(report, "submitted", "completed", "rejected", "timed_out",
-                   "failed", "duration_seconds", "achieved_qps"),
+            "submitted": len(report),
+            "completed": report.count("ok"),
+            "rejected": report.count("rejected"),
+            "timed_out": report.count("timed_out"),
+            "failed": failed,
+            **pick(report, "duration_seconds", "achieved_qps"),
             "latency_ms": latency_ms(report, 50, 95, 99),
             "recall": recall,
             "stats": stats.to_dict(),
@@ -97,7 +97,7 @@ def cmd_serve(args) -> int:
             print(f"health: {health['status']}  "
                   f"open_shards={health['open_shards']}  "
                   f"failure_rate={health['recent_failure_rate']:.3f}")
-    return 1 if report.failed > 0 else 0
+    return 1 if failed > 0 else 0
 
 
 def cmd_route(args) -> int:
@@ -143,23 +143,21 @@ def cmd_route(args) -> int:
         health = router.health()
     stats = router.stats()
 
-    ok_mask = report.outcome == "ok"
-    recall = served_recall(
-        report.indices[ok_mask],
-        schedule.query_rows[ok_mask] % queries.shape[0],
-        ann, queries, args.k,
-    )
+    rows, found = report.answers()
+    recall = served_recall(found, rows, ann, queries, args.k)
+    # Every replica refusing under backpressure leaves the request unserved:
+    # the fleet counts it failed, as the router does.
+    failed = report.count("failed") + report.count("rejected")
     quota_check = None
     if router_config.quota_rate_qps > 0.0:
         expected = expected_quota_outcomes(
             schedule, router_config.quota_rate_qps, router_config.quota_burst
         )
+        observed = report.per_tenant("quota")
         quota_check = {
             "expected": expected,
-            "observed": dict(report.per_tenant_quota_rejected),
-            "exact_match": expected == {
-                t: report.per_tenant_quota_rejected.get(t, 0) for t in expected
-            },
+            "observed": observed,
+            "exact_match": expected == {t: observed.get(t, 0) for t in expected},
         }
 
     if args.format == "json":
@@ -169,8 +167,13 @@ def cmd_route(args) -> int:
             "hedge": router_config.hedge,
             "requests": num_requests,
             "tenants": schedule.num_tenants,
-            **pick(report, "ok", "quota_rejected", "timed_out", "failed", "hedged",
-                   "hedge_wins", "duration_seconds"),
+            "ok": report.count("ok"),
+            "quota_rejected": report.count("quota"),
+            "timed_out": report.count("timed_out"),
+            "failed": failed,
+            "hedged": int(report.hedged.sum()),
+            "hedge_wins": int(report.hedge_won.sum()),
+            "duration_seconds": report.duration_seconds,
             "latency_ms": latency_ms(report, 50, 95, 99),
             "recall": recall,
             "quota_check": quota_check,
@@ -189,12 +192,12 @@ def cmd_route(args) -> int:
         if quota_check is not None:
             verdict = "exact" if quota_check["exact_match"] else "MISMATCH"
             print(f"quota rejections vs token-bucket model: {verdict} "
-                  f"({report.quota_rejected} rejected)")
+                  f"({report.count('quota')} rejected)")
         print(stats.summary())
         if health.status != "ok":
             print(f"fleet health: {health.status}  "
                   f"open_breakers={health.open_breakers}")
-    return 1 if report.failed > 0 else 0
+    return 1 if failed > 0 else 0
 
 
 def cmd_stream(args) -> int:
@@ -248,10 +251,15 @@ def cmd_stream(args) -> int:
         }
         for decision, report_, latency in decisions
     ]
+    failures = len(report) - report.count("ok")
     if args.format == "json":
         payload = {
-            **pick(report, "ops", "searches", "inserts", "deletes", "failures",
-                   "duration_seconds"),
+            "ops": len(report),
+            "searches": report.count("ok", "search"),
+            "inserts": report.count("ok", "insert"),
+            "deletes": report.count("ok", "delete"),
+            "failures": failures,
+            "duration_seconds": report.duration_seconds,
             "search_latency_ms": latency_ms(report, 50, 95),
             "final_recall_vs_live_oracle": final_recall,
             "deleted_ids_served_after_run": dead_served,
@@ -285,4 +293,4 @@ def cmd_stream(args) -> int:
         print(f"ERROR: deleted ids served after the run: {dead_served}",
               file=sys.stderr)
         return 1
-    return 1 if report.failures > 0 else 0
+    return 1 if failures > 0 else 0

@@ -264,8 +264,8 @@ def _thread_entry_names(tree: ast.Module) -> set[str]:
             for kw in node.keywords:
                 if kw.arg == "target" and (name := callee_name(kw.value)):
                     entries.add(name)
-        elif func_dotted.split(".")[-1] == "run_client_threads" and node.args:
-            # repro.serve.loadgen's one-thread-per-client helper.
+        elif func_dotted.split(".")[-1] == "drive_schedule" and node.args:
+            # repro.serve.loadgen's load driver runs ``send`` on client threads.
             if name := callee_name(node.args[0]):
                 entries.add(name)
         elif isinstance(node.func, ast.Attribute):

@@ -24,12 +24,13 @@ quota semantics, and the failure-semantics table.
 """
 
 from repro.router.config import DISPATCH_POLICIES, RouterConfig
-from repro.router.loadgen import (
-    FleetLoadReport,
+from repro.router.loadgen import run_fleet_closed_loop
+from repro.router.quota import (
+    QuotaLedger,
+    TenantOverQuota,
+    TokenBucket,
     expected_quota_outcomes,
-    run_fleet_closed_loop,
 )
-from repro.router.quota import QuotaLedger, TenantOverQuota, TokenBucket
 from repro.router.replica import Ewma, Replica
 from repro.router.router import NoReplicaAvailable, RoutedResult, ShardRouter
 from repro.router.stats import FleetHealth, RouterStats
@@ -38,7 +39,6 @@ __all__ = [
     "DISPATCH_POLICIES",
     "Ewma",
     "FleetHealth",
-    "FleetLoadReport",
     "NoReplicaAvailable",
     "QuotaLedger",
     "Replica",

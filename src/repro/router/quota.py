@@ -25,7 +25,7 @@ import time
 
 from repro.serve.server import ServeError
 
-__all__ = ["QuotaLedger", "TenantOverQuota", "TokenBucket"]
+__all__ = ["QuotaLedger", "TenantOverQuota", "TokenBucket", "expected_quota_outcomes"]
 
 
 class TenantOverQuota(ServeError):
@@ -37,6 +37,8 @@ class TenantOverQuota(ServeError):
             again (at the configured refill rate) — the backoff hint a
             well-behaved client should honour.
     """
+
+    outcome = "quota"  # what a load report counts it as
 
     def __init__(self, tenant: str, retry_after_s: float):
         super().__init__(
@@ -154,3 +156,21 @@ class QuotaLedger:
                 "admitted": {t: self._admitted.get(t, 0) for t in tenants},
                 "rejected": {t: self._rejected.get(t, 0) for t in tenants},
             }
+
+
+def expected_quota_outcomes(schedule, rate_qps: float, burst: float) -> dict[str, int]:
+    """Reference replay: tenant name → rejected count for a
+    :class:`~repro.serve.loadgen.ZipfTenantSchedule`.
+
+    Feeds each tenant's arrivals, in schedule order and on the virtual
+    clock, through a fresh :class:`TokenBucket` — exactly what
+    :func:`~repro.router.run_fleet_closed_loop`'s tenant-partitioned
+    dispatch guarantees the router's ledger sees — so the prediction is
+    exact, not statistical.
+    """
+    rejected = {}
+    for tenant, positions in schedule.per_tenant_positions().items():
+        bucket = TokenBucket(rate_qps, burst)
+        admitted = [bucket.try_acquire(now=schedule.arrival_s[pos]) for pos in positions]
+        rejected[schedule.tenant_name(tenant)] = admitted.count(False)
+    return rejected

@@ -4,7 +4,8 @@ Turns the offline index into a traffic-serving frontend: a dynamic
 micro-batching scheduler (coalesce to the single-CTA fast path, route
 batch-of-1 flushes to multi-CTA, per Table II), bounded-queue
 backpressure with per-request deadlines, an LRU result cache, hot index
-swap, a metrics surface, and seeded open/closed-loop load generators.
+swap, a metrics surface, and seeded open/closed-loop load shapes over
+the one schedule → driver → report load core.
 Failure handling — batch bisection, degraded sharded serving, per-shard
 circuit breakers, and the :meth:`CagraServer.health` snapshot — rides on
 :mod:`repro.resilience`.  See ``docs/serving.md`` for the full contracts
@@ -14,8 +15,10 @@ and ``docs/resilience.md`` for failure semantics.
 from repro.serve.cache import ResultCache
 from repro.serve.config import ServeConfig
 from repro.serve.loadgen import (
-    LoadReport,
+    OUTCOMES,
+    ScheduleReport,
     ZipfTenantSchedule,
+    drive_schedule,
     make_zipf_schedule,
     run_closed_loop,
     run_open_loop,
@@ -33,11 +36,12 @@ from repro.serve.stats import MetricSet, ServeStats
 
 __all__ = [
     "CagraServer",
-    "LoadReport",
     "MetricSet",
+    "OUTCOMES",
     "PendingResult",
     "RequestTimeout",
     "ResultCache",
+    "ScheduleReport",
     "ServeConfig",
     "ServeError",
     "ServeResult",
@@ -45,6 +49,7 @@ __all__ = [
     "ServerClosed",
     "ServerOverloaded",
     "ZipfTenantSchedule",
+    "drive_schedule",
     "make_zipf_schedule",
     "run_closed_loop",
     "run_open_loop",

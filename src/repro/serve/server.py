@@ -102,9 +102,13 @@ class ServeError(RuntimeError):
 class ServerOverloaded(ServeError):
     """The bounded request queue is full (admission control)."""
 
+    outcome = "rejected"  # what a load report counts it as
+
 
 class RequestTimeout(ServeError):
     """The request's deadline passed before a result was produced."""
+
+    outcome = "timed_out"
 
 
 class ServerClosed(ServeError):

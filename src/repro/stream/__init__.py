@@ -20,7 +20,7 @@ See ``docs/streaming.md`` for the lifecycle state machine, the WAL
 format, and the failure-semantics table.
 """
 
-from repro.stream.loadgen import MixedLoadReport, run_mixed_closed_loop
+from repro.stream.loadgen import run_mixed_closed_loop
 from repro.stream.memtable import ExactMemtable, MemtableSnapshot
 from repro.stream.mutable import MaintenanceReport, MutableIndex, StreamFreshness
 from repro.stream.policy import CostModel, RebuildDecision, StalenessPolicy
@@ -32,7 +32,6 @@ __all__ = [
     "ExactMemtable",
     "MaintenanceReport",
     "MemtableSnapshot",
-    "MixedLoadReport",
     "MutableIndex",
     "RebuildDecision",
     "Rebuilder",

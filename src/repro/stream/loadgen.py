@@ -1,68 +1,45 @@
-"""Closed-loop mixed read/write load generator for a mutable server.
-
-Extends the serving layer's closed-loop shape
-(:func:`repro.serve.loadgen.run_closed_loop`) with writes: each of
-``num_clients`` synchronous workers draws its next op from a seeded
-per-client ``Generator`` — search, insert (from the client's slice of a
-vector pool), or delete (of one of the *client's own* acknowledged
-inserts, so delete targets never race between clients and every run with
-the same seed issues the same op sequence per client).
-
-The report keeps enough evidence to score the freshness contract:
-``results`` for recall-vs-oracle, ``inserted_ids`` / ``deleted_ids`` for
-"no deleted id ever served" / "every insert immediately findable"
-assertions.
-"""
+"""Closed-loop mixed read/write load at a server over a mutable index: the
+serving layer's closed-loop shape with writes, on the one load driver."""
 
 from __future__ import annotations
 
-import threading
-import time
-from dataclasses import dataclass, field
+import dataclasses
 
 import numpy as np
 
-from repro.serve.loadgen import run_client_threads
-from repro.serve.server import CagraServer, ServeError
-from repro.serve.stats import latency_summary
+from repro.serve.loadgen import ScheduleReport, ZipfTenantSchedule, drive_schedule
+from repro.serve.server import CagraServer
 
-__all__ = ["MixedLoadReport", "run_mixed_closed_loop"]
+__all__ = ["run_mixed_closed_loop"]
 
 
-@dataclass
-class MixedLoadReport:
-    """Client-side outcome of one mixed read/write run."""
+class _Writer:
+    """One client's writes: its op draws, its insert-pool slice and its own
+    live inserts.  Only the driver thread running that client touches it."""
 
-    num_clients: int = 0
-    searches: int = 0
-    inserts: int = 0
-    deletes: int = 0
-    failures: int = 0
-    duration_seconds: float = 0.0
-    search_latencies_ms: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    write_latencies_ms: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    results: list = field(default_factory=list)  # (query_row, indices)
-    inserted_ids: list = field(default_factory=list)
-    deleted_ids: list = field(default_factory=list)
+    def __init__(self, server, pool, rng, fractions, ops):
+        self.server, self.pool, self.rng, self.fractions = server, pool, rng, fractions
+        self.ops = ops
+        self.live: list[int] = []
 
-    @property
-    def ops(self) -> int:
-        return self.searches + self.inserts + self.deletes
-
-    def latency_percentile_ms(self, q: float) -> float:
-        return latency_summary(self.search_latencies_ms, (q,))[f"p{q:g}"]
-
-    def summary(self) -> str:
-        search = latency_summary(self.search_latencies_ms)
-        write = latency_summary(self.write_latencies_ms)
-        return (
-            f"mixed closed-loop: {self.ops} ops over {self.num_clients} clients "
-            f"(searches={self.searches} inserts={self.inserts} "
-            f"deletes={self.deletes} failures={self.failures}) "
-            f"in {self.duration_seconds:.2f}s; "
-            f"search p50={search['p50']:.2f}ms p95={search['p95']:.2f}ms "
-            f"write p95={write['p95']:.2f}ms"
-        )
+    def write(self, pos: int):
+        """Draw op ``pos`` into the op log; run it if it is a write and
+        return the ids written, else None (a search)."""
+        write_fraction, delete_fraction = self.fractions
+        if float(self.rng.random()) >= write_fraction:
+            return None
+        if self.live and float(self.rng.random()) < delete_fraction:
+            self.ops[pos] = "delete"
+            victim = self.live.pop(int(self.rng.integers(0, len(self.live))))
+            self.server.delete([victim])
+            return [victim]
+        if not len(self.pool):
+            return None
+        self.ops[pos] = "insert"
+        assigned = self.server.insert(self.pool[0])
+        self.pool = self.pool[1:]
+        self.live.append(int(assigned[0]))
+        return assigned
 
 
 def run_mixed_closed_loop(
@@ -77,7 +54,7 @@ def run_mixed_closed_loop(
     k: int | None = None,
     timeout_ms: float | None = None,
     seed: int = 0,
-) -> MixedLoadReport:
+) -> ScheduleReport:
     """Drive mixed traffic at a started server over a mutable index.
 
     Per op: with probability ``write_fraction`` a write, else a search.
@@ -85,7 +62,9 @@ def run_mixed_closed_loop(
     probability ``delete_fraction`` (an insert otherwise, pulling the
     next vector from the client's ``insert_pool`` slice; an exhausted
     pool degrades writes to searches).  Each client's op stream is a
-    deterministic function of ``(seed, client)``.
+    deterministic function of ``(seed, client)``, and delete targets
+    never race between clients.  The report's ``op`` says what each
+    position was; ``answers("insert")`` holds the ids inserted.
     """
     if num_clients < 1 or ops_per_client < 1:
         raise ValueError("num_clients and ops_per_client must be >= 1")
@@ -93,63 +72,21 @@ def run_mixed_closed_loop(
         raise ValueError("write_fraction and delete_fraction must be in [0, 1]")
     queries = np.atleast_2d(queries)
     insert_pool = np.atleast_2d(insert_pool)
-    report = MixedLoadReport(num_clients=num_clients)
-    lock = threading.Lock()
-    search_latencies: list = []
-    write_latencies: list = []
+    n = num_clients * ops_per_client
+    schedule = ZipfTenantSchedule.round_robin(n, queries.shape[0])
+    ops = np.full(n, "search", dtype=object)
+    writers = [
+        _Writer(server, insert_pool[c::num_clients], np.random.default_rng([seed, c]),
+                (write_fraction, delete_fraction), ops)
+        for c in range(num_clients)
+    ]
 
-    def worker(client: int) -> None:
-        rng = np.random.default_rng([seed, client])
-        pool = insert_pool[client::num_clients]
-        next_row = 0
-        own_live: list = []
-        for j in range(ops_per_client):
-            u = float(rng.random())
-            kind = "search"
-            if u < write_fraction:
-                if own_live and float(rng.random()) < delete_fraction:
-                    kind = "delete"
-                elif next_row < pool.shape[0]:
-                    kind = "insert"
-            try:
-                if kind == "insert":
-                    started = time.perf_counter()
-                    # CagraServer.insert is a thread-safe RPC-shaped method,
-                    # not a container mutation.
-                    # repro-lint: disable=RL102 — server locks internally
-                    assigned = server.insert(pool[next_row])
-                    elapsed = time.perf_counter() - started
-                    next_row += 1
-                    own_live.append(int(assigned[0]))
-                    with lock:
-                        report.inserts += 1
-                        report.inserted_ids.append(int(assigned[0]))
-                        write_latencies.append(elapsed * 1e3)
-                elif kind == "delete":
-                    victim = own_live.pop(int(rng.integers(0, len(own_live))))
-                    started = time.perf_counter()
-                    server.delete([victim])
-                    elapsed = time.perf_counter() - started
-                    with lock:
-                        report.deletes += 1
-                        report.deleted_ids.append(victim)
-                        write_latencies.append(elapsed * 1e3)
-                else:
-                    query_row = (client * ops_per_client + j) % queries.shape[0]
-                    result = server.search(
-                        queries[query_row], k=k, timeout_ms=timeout_ms
-                    )
-                    with lock:
-                        report.searches += 1
-                        search_latencies.append(result.latency_ms)
-                        report.results.append((query_row, result.indices))
-            except ServeError:
-                with lock:
-                    report.failures += 1
+    def send(pos: int):
+        written = writers[pos // ops_per_client].write(pos)
+        if written is not None:
+            return written
+        return server.search(queries[schedule.query_rows[pos]], k=k, timeout_ms=timeout_ms)
 
-    report.duration_seconds = run_client_threads(
-        worker, range(num_clients), "mixed-loadgen"
-    )
-    report.search_latencies_ms = np.asarray(search_latencies, dtype=np.float64)
-    report.write_latencies_ms = np.asarray(write_latencies, dtype=np.float64)
-    return report
+    clients = [range(c * ops_per_client, (c + 1) * ops_per_client) for c in range(num_clients)]
+    report = drive_schedule(send, schedule, clients, shape="mixed")
+    return dataclasses.replace(report, op=ops)

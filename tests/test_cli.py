@@ -402,6 +402,35 @@ class TestJsonPayloadKeys:
         }
 
 
+class TestFailedRequestsExitOne:
+    """A run that failed requests exits 1 and says so in its JSON: the
+    failed requests used to kill their client threads unrecorded, so
+    these runs reported ``failed=0`` and exited 0."""
+
+    @staticmethod
+    def _plan(point: str, times: int) -> str:
+        spec = {"point": point, "kind": "raise", "after": 3, "times": times}
+        return json.dumps({"specs": [spec]})
+
+    def test_serve_closed_loop(self, capsys):
+        rc, payload = _json_run(capsys, [
+            "serve", *_SMALL, "--mode", "closed", "--clients", "2",
+            "--requests", "40", "--max-batch", "1", "--itopk", "32",
+            "--fault-plan", self._plan("serve.execute", 2),
+        ])
+        assert rc == 1 and payload["failed"] == 2
+        assert payload["submitted"] == 40 == payload["completed"] + payload["failed"]
+
+    def test_route(self, capsys):
+        rc, payload = _json_run(capsys, [
+            "route", *_SMALL, "--replicas", "2", "--requests", "40",
+            "--clients", "2", "--itopk", "32",
+            "--fault-plan", self._plan("router.dispatch", 10),
+        ])
+        assert rc == 1 and payload["failed"] > 0
+        assert payload["ok"] + payload["failed"] == payload["requests"] == 40
+
+
 class TestServeBaselineBackend:
     def test_serve_over_hnsw(self, capsys):
         rc, payload = _json_run(capsys, [

@@ -227,6 +227,13 @@ class TestRL102:
         )
         assert "RL102" not in rules_of(src)
 
+    def test_load_driver_callback_is_covered(self):
+        # drive_schedule runs ``send`` on one thread per client.
+        fixture = CONCURRENCY_FIXTURES / "rl102_load_driver.py"
+        violations = lint_source(fixture.read_text(), "repro/serve/mod.py")
+        assert [v.rule for v in violations] == ["RL102"]
+        assert "'_send'" in violations[0].message
+
     def test_executor_submit_callback_is_covered(self):
         src = (
             "shared = {}\n"

@@ -84,6 +84,19 @@ def test_serving_tiers_share_one_percentile_implementation():
             assert "def record_" not in text, path
 
 
+def test_load_generation_starts_threads_in_one_place():
+    """``drive_schedule`` is the one load driver: no load shape spins up
+    client threads of its own."""
+    root = default_root() / "repro"
+    hits = [
+        f"{path.relative_to(root)}:{lineno}"
+        for path in (root / tier / "loadgen.py" for tier in ("serve", "router", "stream"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "threading.Thread(" in line
+    ]
+    assert len(hits) == 1 and hits[0].startswith("serve/loadgen.py"), hits
+
+
 def test_request_checks_live_in_one_place():
     """``validate_request`` owns the request checks: each of its messages
     is spelled once under ``src/repro`` (callers call it, nobody copies

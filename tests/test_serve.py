@@ -319,8 +319,9 @@ class TestIntegration:
         stats = server.stats()
         # (c) zero failed/dropped requests around the mid-traffic swap
         assert swap_done.is_set() and stats.index_swaps == 1
-        assert report.submitted == 512 and report.completed == 512
-        assert report.rejected == 0 and report.timed_out == 0 and report.failed == 0
+        assert len(report) == 512 and report.count("ok") == 512
+        assert report.count("rejected") == 0 and report.count("timed_out") == 0
+        assert report.count("failed") == 0
         assert stats.failed == 0 and stats.completed == 512 + 8 + 1
 
         # (a) at least one coalesced batch and one multi-CTA batch-of-1
@@ -332,8 +333,7 @@ class TestIntegration:
 
         # (b) recall within 0.01 of the offline fast path on the same pool
         truth, _ = exact_search(small_data, serve_queries, 10)
-        rows = np.array([row for row, _ in report.results], dtype=np.int64)
-        found = np.stack([ids for _, ids in report.results])
+        rows, found = report.answers()
         served_recall = recall(found, truth[rows])
         offline = small_index.search_fast(serve_queries, 10, config=SEARCH)
         offline_recall = recall(offline.indices, truth)
@@ -361,15 +361,16 @@ class TestIntegration:
                 server, serve_queries, rate_qps=5000.0, num_requests=300, seed=17
             )
         stats = server.stats()
-        assert report.submitted == 300
-        assert report.rejected > 0, "bounded queue never pushed back"
-        assert report.timed_out > 0, "no deadline ever expired"
-        assert report.failed == 0
+        assert len(report) == 300
+        assert report.count("rejected") > 0, "bounded queue never pushed back"
+        assert report.count("timed_out") > 0, "no deadline ever expired"
+        assert report.count("failed") == 0
         assert (
-            report.completed + report.rejected + report.timed_out == 300
+            report.count("ok") + report.count("rejected") + report.count("timed_out")
+            == 300
         ), "requests lost or double-counted"
-        assert stats.rejected == report.rejected
-        assert stats.timed_out == report.timed_out
+        assert stats.rejected == report.count("rejected")
+        assert stats.timed_out == report.count("timed_out")
         # Clean drain: nothing left queued, scheduler exited.
         assert server.stats().queue_depth == 0
 
@@ -379,6 +380,6 @@ class TestIntegration:
             report = run_closed_loop(
                 server, serve_queries, num_clients=6, requests_per_client=10
             )
-        assert report.completed == 60
-        assert report.rejected == 0 and report.failed == 0
+        assert report.count("ok") == 60
+        assert report.count("rejected") == 0 and report.count("failed") == 0
         assert server.stats().max_queue_depth <= 6  # never more than one per client
