@@ -10,11 +10,12 @@ and the bench harness drive any of them interchangeably:
   ``search(queries, k, *, filter_mask=None) -> SearchResult``);
 * :class:`SearchRequest` / :class:`SearchResult` — frozen value objects
   with the int32/float32 + trailing-``INDEX_MASK`` padding contract;
+* :mod:`repro.api.kinds` — one declaration per index kind (native
+  class, adapter, builder, archive codec) that everything below reads;
 * :func:`build_index` / :class:`BuildSpec` — the ``--index-kind``
   factory over :data:`INDEX_KINDS`;
-* :func:`load_index` / :func:`save_index` / :func:`sniff_format` — the
-  ``.npz`` format registry (replaces the CLI's ad-hoc sharded-file
-  detection);
+* :func:`load_index` / :func:`save_index` / :func:`sniff_format` — one
+  ``.npz`` per index at exactly the given path, kind-sniffed on load;
 * :func:`as_ann_index` + the adapter classes — wrap native indexes
   without disturbing their paper-figure signatures;
 * :func:`validate_request` — the one copy of the request checks (k,
@@ -40,13 +41,10 @@ from repro.api.adapters import (
 )
 from repro.api.factory import INDEX_KINDS, BuildSpec, build_from_spec, build_index
 from repro.api.instrumentation import StageEvent, StageRecorder, stage_timer
-from repro.api.persistence import (
-    INDEX_FORMATS,
-    IndexFormat,
+from repro.api.kinds import (
     UnknownIndexFormatError,
     load_ann_index,
     load_index,
-    register_format,
     save_index,
     sniff_format,
 )
@@ -63,9 +61,7 @@ __all__ = [
     "GannsAnnIndex",
     "GgnnAnnIndex",
     "HnswAnnIndex",
-    "INDEX_FORMATS",
     "INDEX_KINDS",
-    "IndexFormat",
     "NssgAnnIndex",
     "SearchRequest",
     "SearchResult",
@@ -79,7 +75,6 @@ __all__ = [
     "load_ann_index",
     "load_index",
     "normalize_results",
-    "register_format",
     "save_index",
     "sniff_format",
     "stage_timer",

@@ -130,8 +130,8 @@ class AnnIndexAdapter:
         )
 
     def save(self, path: str) -> None:
-        """Persist through the format registry (:mod:`repro.api.persistence`)."""
-        from repro.api.persistence import save_index
+        """Persist through the kind registry (:mod:`repro.api.kinds`)."""
+        from repro.api.kinds import save_index
 
         save_index(self, path)
 
@@ -433,9 +433,9 @@ def as_ann_index(
     policies apply; an already-conforming foreign object passes through.
 
     Args:
-        index: a native index (``CagraIndex``, ``ShardedCagraIndex``,
-            ``HnswIndex``, ``GgnnIndex``, ``GannsIndex``, ``NssgIndex``),
-            an existing adapter, or any object satisfying the protocol.
+        index: a native index of any kind in
+            :data:`repro.api.kinds.KINDS`, an existing adapter, or any
+            object satisfying the protocol.
         num_sms: SM count forwarded to CAGRA's multi-CTA reference path.
         on_shard_failure: sharded-index failure policy (``"raise"`` /
             ``"partial"``).
@@ -444,42 +444,26 @@ def as_ann_index(
         seed: RNG seed for the randomized baseline searches (GANNS/NSSG
             seed sampling).
     """
-    # Lazy imports: repro.core.sharding itself imports repro.api, so the
-    # adapter module must not require it (or the baselines) at top level
-    # of the cycle-sensitive path.
-    from repro.baselines.ganns import GannsIndex
-    from repro.baselines.ggnn import GgnnIndex
-    from repro.baselines.hnsw import HnswIndex
-    from repro.baselines.nssg import NssgIndex
-    from repro.core.index import CagraIndex
-    from repro.core.sharding import ShardedCagraIndex
+    from repro.api.kinds import KINDS, kind_of  # kinds imports this module
 
     if isinstance(index, AnnIndexAdapter):
         if index.inner is index:  # self-contained (e.g. BruteForceIndex)
             return index
         index = index.inner
-    if isinstance(index, CagraIndex):
-        return CagraAnnIndex(index, num_sms=num_sms)
-    if isinstance(index, ShardedCagraIndex):
-        return ShardedCagraAnnIndex(
-            index,
+    kind = kind_of(index)
+    if kind is not None:
+        policies = dict(
             num_sms=num_sms,
             on_shard_failure=on_shard_failure,
             min_shard_quorum=min_shard_quorum,
+            seed=seed,
         )
-    if isinstance(index, HnswIndex):
-        return HnswAnnIndex(index, seed=seed)
-    if isinstance(index, GgnnIndex):
-        return GgnnAnnIndex(index, seed=seed)
-    if isinstance(index, GannsIndex):
-        return GannsAnnIndex(index, seed=seed)
-    if isinstance(index, NssgIndex):
-        return NssgAnnIndex(index, seed=seed)
+        return kind.adapter(index, **{name: policies[name] for name in kind.policies})
     from repro.api.protocol import AnnIndex
 
     if isinstance(index, AnnIndex):
         return index
     raise TypeError(
         f"cannot adapt {type(index).__name__} to AnnIndex; supported kinds: "
-        "cagra, sharded cagra, hnsw, ggnn, ganns, nssg, bruteforce"
+        f"{', '.join(KINDS)}"
     )

@@ -9,8 +9,9 @@ the keyword form directly::
     index = build_index("hnsw", data, metric="sqeuclidean", degree=32)
     result = index.search(queries, k=10)
 
-Every builder returns an :class:`~repro.api.adapters.AnnIndexAdapter`
-(already conforming to :class:`repro.api.AnnIndex`); the native index
+The kind's builder (its :data:`repro.api.kinds.KINDS` entry) makes the
+native index and :func:`~repro.api.adapters.as_ann_index` wraps it in an
+:class:`~repro.api.adapters.AnnIndexAdapter`; the native index
 stays reachable as ``.inner`` for paper-figure code.  Kind-specific
 parameters pass through ``params`` (e.g. ``ef_construction`` for HNSW,
 ``shard_size`` for GGNN); ``degree`` maps onto each kind's degree-like
@@ -25,20 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api.adapters import (
-    BruteForceIndex,
-    CagraAnnIndex,
-    GannsAnnIndex,
-    GgnnAnnIndex,
-    HnswAnnIndex,
-    NssgAnnIndex,
-    ShardedCagraAnnIndex,
-)
+from repro.api.adapters import as_ann_index
+from repro.api.kinds import INDEX_KINDS, KINDS
 
 __all__ = ["INDEX_KINDS", "BuildSpec", "build_from_spec", "build_index"]
-
-#: The ``--index-kind`` vocabulary, in paper-figure order.
-INDEX_KINDS = ("cagra", "hnsw", "ggnn", "ganns", "nssg", "bruteforce")
 
 
 @dataclass(frozen=True)
@@ -74,110 +65,6 @@ class BuildSpec:
             raise ValueError("sharding is only supported for kind='cagra'")
 
 
-def _even(degree: int) -> int:
-    """CAGRA/NN-descent graph degrees must be even; round odd ones up."""
-    return degree + (degree % 2)
-
-
-def _build_cagra(spec: BuildSpec, dataset, parallel, policies):
-    from repro.core.config import GraphBuildConfig
-    from repro.core.index import CagraIndex
-
-    config = GraphBuildConfig(
-        graph_degree=_even(spec.degree) or 32,
-        metric=spec.metric,
-        seed=spec.seed,
-        **spec.params,
-    )
-    if spec.shards > 1:
-        from repro.core.sharding import ShardedCagraIndex
-
-        inner = ShardedCagraIndex.build(
-            dataset,
-            spec.shards,
-            config,
-            dataset_dtype=spec.dataset_dtype,
-            parallel=parallel,
-        )
-        return ShardedCagraAnnIndex(inner, **policies)
-    inner = CagraIndex.build(dataset, config, dataset_dtype=spec.dataset_dtype)
-    return CagraAnnIndex(inner, num_sms=policies.get("num_sms", 108))
-
-
-def _build_hnsw(spec: BuildSpec, dataset, parallel, policies):
-    from repro.baselines.hnsw import HnswIndex
-
-    params = dict(spec.params)
-    m = params.pop("m", max(2, spec.degree // 2) if spec.degree else 16)
-    inner = HnswIndex(
-        dataset, m=m, metric=spec.metric, seed=spec.seed, **params
-    ).build()
-    return HnswAnnIndex(inner, seed=spec.seed)
-
-
-def _build_ggnn(spec: BuildSpec, dataset, parallel, policies):
-    from repro.baselines.ggnn import GgnnIndex
-
-    inner = GgnnIndex(
-        dataset,
-        degree=spec.degree or 24,
-        metric=spec.metric,
-        seed=spec.seed,
-        **spec.params,
-    ).build()
-    return GgnnAnnIndex(inner, seed=spec.seed)
-
-
-def _build_ganns(spec: BuildSpec, dataset, parallel, policies):
-    from repro.baselines.ganns import GannsIndex
-
-    inner = GannsIndex(
-        dataset,
-        degree=spec.degree or 24,
-        metric=spec.metric,
-        seed=spec.seed,
-        **spec.params,
-    ).build()
-    return GannsAnnIndex(inner, seed=spec.seed)
-
-
-def _build_nssg(spec: BuildSpec, dataset, parallel, policies):
-    from repro.baselines.nssg import NssgIndex
-    from repro.core.config import GraphBuildConfig
-    from repro.core.nn_descent import build_knn_graph
-
-    degree = spec.degree or 32
-    knn_config = GraphBuildConfig(
-        graph_degree=_even(degree), metric=spec.metric, seed=spec.seed
-    )
-    knn = build_knn_graph(
-        dataset, knn_config.resolved_intermediate_degree, knn_config
-    )
-    inner = NssgIndex(
-        dataset,
-        knn,
-        degree_bound=degree,
-        metric=spec.metric,
-        seed=spec.seed,
-        **spec.params,
-    ).build()
-    return NssgAnnIndex(inner, seed=spec.seed)
-
-
-def _build_bruteforce(spec: BuildSpec, dataset, parallel, policies):
-    return BruteForceIndex(dataset, metric=spec.metric)
-
-
-_BUILDERS = {
-    "cagra": _build_cagra,
-    "hnsw": _build_hnsw,
-    "ggnn": _build_ggnn,
-    "ganns": _build_ganns,
-    "nssg": _build_nssg,
-    "bruteforce": _build_bruteforce,
-}
-
-
 def build_from_spec(
     spec: BuildSpec,
     dataset: np.ndarray,
@@ -195,13 +82,14 @@ def build_from_spec(
     with the wall time and basic size counters.
     """
     dataset = np.asarray(dataset)
-    policies = dict(
+    started = time.perf_counter()
+    adapter = as_ann_index(
+        KINDS[spec.kind].build(spec, dataset, parallel),
         num_sms=num_sms,
         on_shard_failure=on_shard_failure,
         min_shard_quorum=min_shard_quorum,
+        seed=spec.seed,
     )
-    started = time.perf_counter()
-    adapter = _BUILDERS[spec.kind](spec, dataset, parallel, policies)
     if on_stage is not None:
         on_stage(
             f"build.{spec.kind}",

@@ -3,7 +3,7 @@
 Anything that exposes ``dim`` / ``metric`` / ``size`` and a
 ``search(queries, k, *, filter_mask=None) -> SearchResult`` method is an
 ``AnnIndex`` and can be served by :class:`repro.serve.CagraServer`,
-driven from the CLI, persisted through :mod:`repro.api.persistence`, and
+driven from the CLI, persisted through :mod:`repro.api.kinds`, and
 benchmarked side by side.
 
 The protocol is ``runtime_checkable``, so conformance tests (and user

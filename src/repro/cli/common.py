@@ -3,9 +3,11 @@ search configuration and the served-recall score."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from repro.api import BuildSpec, build_from_spec, load_ann_index
+from repro.api import BuildSpec, UnknownIndexFormatError, build_from_spec, load_ann_index
 from repro.baselines import exact_search
 from repro.cli.flags import config_from_args
 from repro.core.config import SearchConfig
@@ -35,14 +37,20 @@ def index_from_args(args, data, metric: str, dataset_degree: int, on_stage=None)
     ``.inner``) carrying the ``--on-shard-failure`` / ``--min-quorum``
     policy.  Format sniffing and the ``index.load`` fault point live in
     :func:`repro.api.load_index`; kind, shards, dtype and seed handling in
-    :func:`repro.api.build_from_spec`.
+    :func:`repro.api.build_from_spec`.  A missing or unreadable
+    ``--index`` prints one line to stderr and exits 2, like any other
+    usage error.
     """
     parallel = config_from_args(ParallelConfig, args)
     policy = {"on_shard_failure": args.on_shard_failure,
               "min_shard_quorum": args.min_quorum}
     if args.index:
-        return load_ann_index(args.index, parallel=parallel,
-                              fault_plan=args.fault_plan, **policy)
+        try:
+            return load_ann_index(args.index, parallel=parallel,
+                                  fault_plan=args.fault_plan, **policy)
+        except (FileNotFoundError, UnknownIndexFormatError) as exc:
+            print(f"cannot load --index {args.index!r}: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     params, degree = {}, args.degree
     if args.index_kind == "cagra":
         degree = degree or dataset_degree

@@ -293,8 +293,8 @@ COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
         *_DATASET, "--index", "--degree", "-k", "--recall-target", "--batch",
         "--itopk-grid", "--width-grid", "--out", "--format")),
     "validate": ("audit a saved index", ("--index", "--sample")),
-    "lint": ("run the repro invariant linter (RL001-RL006, RL101-RL104, "
-             "RL201-RL203; --sanitize for RL301/RL302)",
+    "lint": ("run the repro invariant linter (RL001-RL007, RL101-RL104, "
+             "RL201-RL202; --sanitize for RL301/RL302)",
              ("paths", "--format", "--strict", "--sanitize")),
     "report": ("print all regenerated bench tables", ("--results",)),
 }

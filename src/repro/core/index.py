@@ -382,22 +382,17 @@ class CagraIndex:
     # persistence
     # ------------------------------------------------------------------
     def save(self, path: str) -> None:
-        """Serialize dataset + graph + metric to a ``.npz`` file."""
-        np.savez_compressed(
-            path,
-            dataset=self.dataset,
-            neighbors=self.graph.neighbors,
-            metric=np.array(self.metric),
-        )
+        """Serialize dataset + graph + metric to the ``.npz`` at ``path``."""
+        from repro.api.kinds import KINDS
+
+        KINDS["cagra"].save(self, path)
 
     @classmethod
     def load(cls, path: str) -> "CagraIndex":
         """Load an index written by :meth:`save`."""
-        with np.load(path, allow_pickle=False) as archive:
-            dataset = archive["dataset"]
-            neighbors = archive["neighbors"]
-            metric = str(archive["metric"])
-        return cls(dataset, FixedDegreeGraph(neighbors), metric=metric)
+        from repro.api.kinds import KINDS
+
+        return KINDS["cagra"].load(path)
 
     # ------------------------------------------------------------------
     # introspection

@@ -451,39 +451,19 @@ class ShardedCagraIndex:
     # persistence
     # ------------------------------------------------------------------
     def save(self, path: str) -> None:
-        """Serialize all shards + assignments to one ``.npz`` file."""
-        payload: dict[str, np.ndarray] = {
-            "num_shards": np.array(self.num_shards),
-            "metric": np.array(self.shards[0].metric),
-        }
-        for s, (shard, ids) in enumerate(zip(self.shards, self.assignments)):
-            payload[f"dataset_{s}"] = shard.dataset
-            payload[f"neighbors_{s}"] = shard.graph.neighbors
-            payload[f"assignment_{s}"] = ids
-        np.savez_compressed(path, **payload)
+        """Serialize all shards + assignments to the ``.npz`` at ``path``."""
+        from repro.api.kinds import KINDS
+
+        KINDS["sharded-cagra"].save(self, path)
 
     @classmethod
     def load(
         cls, path: str, parallel: ParallelConfig | None = None
     ) -> "ShardedCagraIndex":
         """Load an index written by :meth:`save`."""
-        from repro.core.graph import FixedDegreeGraph
+        from repro.api.kinds import KINDS
 
-        with np.load(path, allow_pickle=False) as archive:
-            num_shards = int(archive["num_shards"])
-            metric = str(archive["metric"])
-            shards = []
-            assignments = []
-            for s in range(num_shards):
-                shards.append(
-                    CagraIndex(
-                        archive[f"dataset_{s}"],
-                        FixedDegreeGraph(archive[f"neighbors_{s}"]),
-                        metric=metric,
-                    )
-                )
-                assignments.append(archive[f"assignment_{s}"])
-        return cls(shards, assignments, parallel=parallel)
+        return KINDS["sharded-cagra"].load(path, parallel)
 
     # ------------------------------------------------------------------
     @property

@@ -19,10 +19,9 @@ about (see ``docs/static_analysis.md`` for the full catalogue):
 * **RL101–RL104** lock discipline: guarded attributes accessed without
   their lock, unlocked mutation in thread targets, fork-unsafety in
   pool task bodies, blocking calls while holding a lock;
-* **RL201–RL203** AnnIndex contract: ``search`` results flow through
+* **RL201–RL202** AnnIndex contract: ``search`` results flow through
   ``SearchResult`` / ``normalize_results``, int32 ids and no float
-  ``==`` on the result path, and registry sync between ``INDEX_KINDS``,
-  persistence formats, and adapter dispatch (cross-file);
+  ``==`` on the result path;
 * **RL301/RL302** (runtime, opt-in): the thread-sanitizer-lite in
   :mod:`repro.lint.sanitizer` reports lock-order cycles (potential
   deadlocks) and unsynchronized concurrent attribute writes.
@@ -33,12 +32,11 @@ or programmatically through :func:`lint_paths` / :func:`lint_source`.
 
 from repro.lint.engine import LintResult, default_root, lint_paths, lint_source
 from repro.lint.report import Violation, format_json, format_text
-from repro.lint.rules import PROJECT_RULES, RULES
+from repro.lint.rules import RULES
 from repro.lint.sanitizer import ThreadSanitizer, sanitize_enabled
 
 __all__ = [
     "LintResult",
-    "PROJECT_RULES",
     "RULES",
     "ThreadSanitizer",
     "Violation",

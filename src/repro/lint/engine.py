@@ -194,43 +194,21 @@ def _is_waived(
 # ----------------------------------------------------------------------
 # drivers
 # ----------------------------------------------------------------------
-def _run_file_rules(ctx: FileContext) -> list[Violation]:
+def lint_source(source: str, path: str = "<string>") -> list[Violation]:
+    """Lint one in-memory source blob; raises ``SyntaxError`` on bad input.
+
+    Runs every rule over the file and drops the violations its waivers
+    cover.
+    """
     from repro.lint.rules import RULES
 
+    ctx = build_context(source, path)
     violations: list[Violation] = []
     for checker in RULES.values():
         violations.extend(checker.check(ctx))
     return [
         v for v in violations if not _is_waived(v, ctx.line_waivers, ctx.file_waivers)
     ]
-
-
-def _run_project_rules(contexts: list[FileContext]) -> list[Violation]:
-    """Run the cross-file rules (e.g. RL203 registry drift) over a set of
-    parsed files, applying each violation's own file's waivers."""
-    from repro.lint.rules import PROJECT_RULES
-
-    by_path = {ctx.path: ctx for ctx in contexts}
-    violations: list[Violation] = []
-    for checker in PROJECT_RULES.values():
-        for violation in checker.check(contexts):
-            ctx = by_path.get(violation.path)
-            if ctx is not None and _is_waived(
-                violation, ctx.line_waivers, ctx.file_waivers
-            ):
-                continue
-            violations.append(violation)
-    return violations
-
-
-def lint_source(source: str, path: str = "<string>") -> list[Violation]:
-    """Lint one in-memory source blob; raises ``SyntaxError`` on bad input.
-
-    Runs the per-file rules plus the cross-file rules over the single
-    file, so self-contained registry-drift fixtures still report RL203.
-    """
-    ctx = build_context(source, path)
-    return _run_file_rules(ctx) + _run_project_rules([ctx])
 
 
 def lint_file(path: str | Path, result: LintResult) -> None:
@@ -268,28 +246,13 @@ def default_root() -> Path:
 
 
 def lint_paths(paths: Iterable[str | Path] | None = None) -> LintResult:
-    """Lint files/directories (default: the whole ``repro`` source tree).
-
-    Per-file rules run on each file; cross-file rules (``PROJECT_RULES``)
-    run once over every file that parsed, so registry drift between e.g.
-    ``factory.py`` and ``persistence.py`` is visible.
-    """
+    """Lint files/directories (default: the whole ``repro`` source tree)."""
     result = LintResult()
-    contexts: list[FileContext] = []
     roots = list(paths) if paths else [default_root()]
     for root in roots:
         if not Path(root).exists():
             result.parse_errors.append(f"{root}: no such file or directory")
             continue
         for path in iter_python_files(root):
-            try:
-                source = path.read_text(encoding="utf-8")
-                ctx = build_context(source, str(path))
-            except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-                result.parse_errors.append(f"{path}: {exc}")
-                continue
-            contexts.append(ctx)
-            result.files_checked += 1
-            result.violations.extend(_run_file_rules(ctx))
-    result.violations.extend(_run_project_rules(contexts))
+            lint_file(path, result)
     return result

@@ -3,10 +3,7 @@
 A rule module exposes either the single-rule interface (``RULE_ID``,
 ``TITLE``, ``check(ctx: FileContext) -> list[Violation]``) or the
 multi-rule interface (``CHECKERS``, a sequence of ``(rule_id, title,
-check)`` tuples).  Cross-file rules — whose check functions receive the
-full list of parsed :class:`~repro.lint.engine.FileContext` objects —
-are declared via ``PROJECT_CHECKERS`` and collected into
-``PROJECT_RULES``, which the engine runs once per lint invocation.
+check)`` tuples).  Every rule sees one file at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from repro.lint.rules import (
     traversal,
 )
 
-__all__ = ["PROJECT_RULES", "RULES", "RuleChecker"]
+__all__ = ["RULES", "RuleChecker"]
 
 _MODULES = (
     flags, dtypes, determinism, accounting, api, streaming, traversal,
@@ -50,10 +47,6 @@ def _file_checkers(module) -> list[RuleChecker]:
     return [RuleChecker(module.RULE_ID, module.TITLE, module.check)]
 
 
-def _project_checkers(module) -> list[RuleChecker]:
-    return [RuleChecker(*entry) for entry in getattr(module, "PROJECT_CHECKERS", ())]
-
-
 #: Rule id → per-file checker, in rule-id order.
 RULES: dict[str, RuleChecker] = {
     checker.rule_id: checker
@@ -61,11 +54,3 @@ RULES: dict[str, RuleChecker] = {
     for checker in _file_checkers(module)
 }
 RULES = dict(sorted(RULES.items()))
-
-#: Rule id → cross-file checker (check receives ``list[FileContext]``).
-PROJECT_RULES: dict[str, RuleChecker] = {
-    checker.rule_id: checker
-    for module in _MODULES
-    for checker in _project_checkers(module)
-}
-PROJECT_RULES = dict(sorted(PROJECT_RULES.items()))

@@ -1,4 +1,4 @@
-"""RL201–RL203 — AnnIndex contract rules.
+"""RL201–RL202 — AnnIndex contract rules.
 
 PR 5 unified every index family behind the ``AnnIndex`` protocol; these
 rules keep implementations from drifting off that contract:
@@ -17,11 +17,6 @@ rules keep implementations from drifting off that contract:
   through ``normalize_results``, or comparing against float literals
   with ``==`` / ``!=``, silently corrupts ids on 2^31+ datasets or
   breaks sentinel handling.
-* **RL203 — registry drift (cross-file).**  ``INDEX_KINDS`` (factory),
-  ``_BUILDERS`` (factory), ``INDEX_FORMATS`` (persistence), and the
-  adapter ``kind`` attributes (dispatch) must stay in sync: a kind
-  listed in one registry but missing from another ships an index that
-  cannot be built, saved, loaded, or served.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ import ast
 from repro.lint.engine import FileContext, dotted_name
 from repro.lint.report import Violation
 
-__all__ = ["CHECKERS", "PROJECT_CHECKERS"]
+__all__ = ["CHECKERS"]
 
 _NON_INT32_DTYPES = {
     "int64", "uint64", "int16", "uint16", "int8", "uint8", "uint32",
@@ -241,124 +236,7 @@ def _check_rl202(ctx: FileContext) -> list[Violation]:
     return violations
 
 
-# ----------------------------------------------------------------------
-# RL203 — registry drift (cross-file)
-# ----------------------------------------------------------------------
-def _string_elts(node: ast.expr) -> list[str] | None:
-    if isinstance(node, (ast.Tuple, ast.List)):
-        out = []
-        for elt in node.elts:
-            if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
-                return None
-            out.append(elt.value)
-        return out
-    return None
-
-
-def _format_names(node: ast.expr) -> list[str] | None:
-    """Names from an ``INDEX_FORMATS``-style list of IndexFormat(...) calls."""
-    if not isinstance(node, (ast.List, ast.Tuple)):
-        return None
-    names: list[str] = []
-    for elt in node.elts:
-        if not (isinstance(elt, ast.Call) and elt.args):
-            continue
-        first = elt.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            names.append(first.value)
-    return names
-
-
-def _check_rl203(contexts) -> list[Violation]:
-    kinds: list[str] | None = None
-    kinds_site: tuple[FileContext, ast.AST] | None = None
-    builders: list[str] | None = None
-    builders_site: tuple[FileContext, ast.AST] | None = None
-    formats: list[str] | None = None
-    formats_site: tuple[FileContext, ast.AST] | None = None
-    adapter_kinds: set[str] = set()
-
-    for ctx in contexts:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if not isinstance(target, ast.Name):
-                    continue
-                if target.id == "INDEX_KINDS":
-                    elts = _string_elts(node.value)
-                    if elts is not None:
-                        kinds, kinds_site = elts, (ctx, node)
-                elif target.id == "_BUILDERS" and isinstance(node.value, ast.Dict):
-                    keys = [
-                        k.value
-                        for k in node.value.keys
-                        if isinstance(k, ast.Constant) and isinstance(k.value, str)
-                    ]
-                    builders, builders_site = keys, (ctx, node)
-                elif target.id == "INDEX_FORMATS":
-                    names = _format_names(node.value)
-                    if names is not None:
-                        formats, formats_site = names, (ctx, node)
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                if node.target.id == "INDEX_FORMATS" and node.value is not None:
-                    names = _format_names(node.value)
-                    if names is not None:
-                        formats, formats_site = names, (ctx, node)
-            elif isinstance(node, ast.ClassDef):
-                for stmt in node.body:
-                    if isinstance(stmt, ast.Assign):
-                        for target in stmt.targets:
-                            if (
-                                isinstance(target, ast.Name)
-                                and target.id == "kind"
-                                and isinstance(stmt.value, ast.Constant)
-                                and isinstance(stmt.value.value, str)
-                            ):
-                                adapter_kinds.add(stmt.value.value)
-
-    if kinds is None or kinds_site is None:
-        return []
-
-    violations: list[Violation] = []
-
-    def drift(site, message):
-        ctx, node = site
-        violations.append(_violation(ctx, node, "RL203", message))
-
-    if builders is not None:
-        for kind in kinds:
-            if kind not in builders:
-                drift(builders_site,
-                      f"registry drift: kind '{kind}' is in INDEX_KINDS but "
-                      "has no _BUILDERS entry (build_index will KeyError)")
-        for kind in builders:
-            if kind not in kinds:
-                drift(kinds_site,
-                      f"registry drift: _BUILDERS has '{kind}' but it is "
-                      "missing from INDEX_KINDS (unreachable via the CLI)")
-    if formats is not None:
-        for kind in kinds:
-            if kind not in formats:
-                drift(formats_site,
-                      f"registry drift: kind '{kind}' has no INDEX_FORMATS "
-                      "entry (save/load round-trip is impossible)")
-    if adapter_kinds:
-        for kind in kinds:
-            if kind not in adapter_kinds:
-                drift(kinds_site,
-                      f"registry drift: kind '{kind}' has no adapter class "
-                      "declaring kind = '%s' (as_ann_index cannot "
-                      "dispatch it)" % kind)
-    return violations
-
-
 CHECKERS = (
     ("RL201", "search results bypass SearchResult/normalize_results", _check_rl201),
     ("RL202", "non-int32 ids or float == on the result path", _check_rl202),
-)
-
-PROJECT_CHECKERS = (
-    ("RL203", "INDEX_KINDS / persistence / adapter registry drift", _check_rl203),
 )

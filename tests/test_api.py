@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    INDEX_KINDS,
     AnnIndex,
     BruteForceIndex,
     BuildSpec,
@@ -41,7 +42,7 @@ from repro.core.graph import INDEX_MASK
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "cagra_regression.npz")
 
-ALL_KINDS = ("cagra", "hnsw", "ggnn", "ganns", "nssg", "bruteforce")
+ALL_KINDS = INDEX_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +322,106 @@ class TestPersistenceRegistry:
         after = reloaded.search(api_queries, 5)
         assert np.array_equal(before.indices, after.indices)
         assert np.array_equal(before.distances, after.distances)
+
+    @pytest.mark.parametrize("kind", ALL_SURFACES)
+    def test_saved_at_exactly_the_given_path(self, adapters, api_queries, tmp_path, kind):
+        path = tmp_path / kind  # no ".npz" suffix
+        save_index(adapters[kind], str(path))
+        assert os.listdir(tmp_path) == [kind]
+        reloaded = load_ann_index(str(path))
+        before = adapters[kind].search(api_queries, 5)
+        assert np.array_equal(before.indices, reloaded.search(api_queries, 5).indices)
+
+    def test_native_save_uses_the_given_path(self, adapters, tmp_path):
+        from repro.core.index import CagraIndex
+        from repro.core.sharding import ShardedCagraIndex
+
+        for kind, native in (("cagra", CagraIndex), ("sharded-cagra", ShardedCagraIndex)):
+            path = str(tmp_path / f"native-{kind}")
+            adapters[kind].inner.save(path)
+            loaded = native.load(path)
+            assert np.array_equal(
+                loaded.search_fast(adapters[kind].dataset[:4], 3).indices,
+                adapters[kind].inner.search_fast(adapters[kind].dataset[:4], 3).indices,
+            )
+        assert sorted(os.listdir(tmp_path)) == ["native-cagra", "native-sharded-cagra"]
+
+    #: The exact keys each kind's archive holds, as written before the
+    #: kind registry: CAGRA archives stay untagged, the rest carry
+    #: ``format=<kind>``.  Archives of either layout load on the other.
+    ARCHIVE_KEYS = {
+        "cagra": {"dataset", "metric", "neighbors"},
+        "sharded-cagra": {
+            "assignment_0", "assignment_1", "dataset_0", "dataset_1", "metric",
+            "neighbors_0", "neighbors_1", "num_shards",
+        },
+        "hnsw": {
+            "data", "ef_construction", "entry_point", "format", "m", "max_level",
+            "metric", "num_layers",
+        } | {
+            f"layer{level}_{part}"
+            for level in range(6)
+            for part in ("nodes", "offsets", "values")
+        },
+        "ggnn": {"coarse_ids", "data", "degree", "format", "metric", "neighbors"},
+        "ganns": {
+            "adjacency_offsets", "adjacency_values", "data", "degree",
+            "entry_point", "format", "metric",
+        },
+        "nssg": {
+            "adjacency_offsets", "adjacency_values", "data", "degree_bound",
+            "format", "metric",
+        },
+        "bruteforce": {"data", "format", "metric"},
+    }
+
+    @pytest.mark.parametrize("kind", ALL_SURFACES)
+    def test_archive_key_set_is_pinned(self, adapters, tmp_path, kind):
+        path = str(tmp_path / f"{kind}.npz")
+        save_index(adapters[kind], path)
+        with np.load(path, allow_pickle=False) as archive:
+            assert set(archive.files) == self.ARCHIVE_KEYS[kind]
+            if "format" in archive.files:
+                assert str(archive["format"]) == kind
+
+    @staticmethod
+    def _damaged(kind: str, source: str, path: str) -> None:
+        if kind == "truncated":
+            with open(source, "rb") as handle:
+                blob = handle.read()
+            with open(path, "wb") as handle:
+                handle.write(blob[: len(blob) // 2])
+        elif kind == "text":
+            with open(path, "w") as handle:
+                handle.write("not an index\n")
+        elif kind == "empty":
+            open(path, "wb").close()
+        else:  # a tagged archive missing one of its keys
+            with np.load(source, allow_pickle=False) as archive:
+                arrays = {key: archive[key] for key in archive.files if key != "m"}
+            np.savez(path, **arrays)
+
+    @pytest.mark.parametrize(
+        "damage, source_kind",
+        [("truncated", "cagra"), ("text", "cagra"), ("empty", "cagra"),
+         ("missing-key", "hnsw")],
+    )
+    def test_damaged_archive_fails_typed(self, adapters, tmp_path, damage, source_kind):
+        source = str(tmp_path / "source.npz")
+        save_index(adapters[source_kind], source)
+        path = str(tmp_path / f"{damage}.npz")
+        self._damaged(damage, source, path)
+        with pytest.raises(UnknownIndexFormatError, match="damaged|not an index") as info:
+            load_index(path)
+        assert path in str(info.value) and info.value.__cause__ is not None
+        if damage != "missing-key":  # the tag still names the kind
+            with pytest.raises(UnknownIndexFormatError) as info:
+                sniff_format(path)
+            assert path in str(info.value)
+
+    def test_missing_file_stays_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_index(str(tmp_path / "absent.npz"))
 
     def test_load_index_returns_native_cagra(self, adapters, tmp_path):
         from repro.core.index import CagraIndex

@@ -70,6 +70,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "recall@5" in out
 
+    def test_build_out_without_suffix_is_searchable(self, tmp_path, capsys):
+        index_path = str(tmp_path / "idx")
+        assert main(["build", "--dataset", "deep-1m", "--scale", "300",
+                     "--degree", "8", "--out", index_path]) == 0
+        assert f"saved to {index_path}" in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+        assert main(["search", "--index", index_path, "--dataset", "deep-1m",
+                     "--scale", "300", "--queries", "5", "-k", "5"]) == 0
+
     def test_build_fp16(self, tmp_path, capsys):
         index_path = str(tmp_path / "half.npz")
         rc = main([
@@ -87,6 +96,30 @@ class TestCommands:
         index_path = str(tmp_path / "idx.npz")
         rc = main(["build", "--fvecs", fvecs, "--degree", "8", "--out", index_path])
         assert rc == 0
+
+
+class TestBadIndexExitsTwo:
+    """A missing or damaged ``--index`` is a usage error: one stderr line
+    naming the path and exit code 2, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["search", "serve"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_bad_index(self, tmp_path, capsys, command, damage):
+        index_path = str(tmp_path / "idx.npz")
+        if damage == "truncated":
+            assert main(["build", "--dataset", "deep-1m", "--scale", "300",
+                         "--degree", "8", "--out", index_path]) == 0
+            with open(index_path, "rb") as handle:
+                blob = handle.read()
+            with open(index_path, "wb") as handle:
+                handle.write(blob[: len(blob) // 2])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main([command, "--index", index_path, "--dataset", "deep-1m",
+                  "--scale", "300", "--queries", "5"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and index_path in err
 
 
 class TestValidateAndReport:

@@ -1,5 +1,5 @@
 """Tests for the concurrency/contract lint rules (RL101–RL104,
-RL201–RL203) and the thread-sanitizer-lite runtime mode (RL301/RL302).
+RL201–RL202) and the thread-sanitizer-lite runtime mode (RL301/RL302).
 
 Each static rule gets positive, negative, and waived cases; the
 sanitizer is exercised against a seeded two-lock deadlock and the
@@ -493,59 +493,6 @@ class TestRL202:
         assert "RL202" not in rules_of(src, path=ADAPTER_PATH)
 
 
-class TestRL203:
-    def test_builder_drift_is_flagged(self):
-        src = (
-            "INDEX_KINDS = ('cagra', 'flat')\n"
-            "_BUILDERS = {'cagra': None}\n"
-        )
-        assert "RL203" in rules_of(src)
-
-    def test_extra_builder_is_flagged(self):
-        src = (
-            "INDEX_KINDS = ('cagra',)\n"
-            "_BUILDERS = {'cagra': None, 'flat': None}\n"
-        )
-        assert "RL203" in rules_of(src)
-
-    def test_synced_registries_pass(self):
-        src = (
-            "INDEX_KINDS = ('cagra', 'flat')\n"
-            "_BUILDERS = {'cagra': None, 'flat': None}\n"
-        )
-        assert "RL203" not in rules_of(src)
-
-    def test_missing_format_is_flagged(self):
-        src = (
-            "INDEX_KINDS = ('cagra', 'flat')\n"
-            "_BUILDERS = {'cagra': None, 'flat': None}\n"
-            "INDEX_FORMATS = [IndexFormat('cagra', None, None, None, None)]\n"
-        )
-        assert "RL203" in rules_of(src)
-
-    def test_cross_file_drift_is_detected(self, tmp_path, capsys):
-        (tmp_path / "factory.py").write_text(
-            "__all__ = ['INDEX_KINDS']\n"
-            "INDEX_KINDS = ('cagra', 'flat')\n"
-            "_BUILDERS = {'cagra': None, 'flat': None}\n"
-        )
-        (tmp_path / "persistence.py").write_text(
-            "__all__ = ['INDEX_FORMATS']\n"
-            "INDEX_FORMATS = [IndexFormat('cagra', None)]\n"
-        )
-        assert main(["lint", str(tmp_path), "--strict"]) == 1
-        out = capsys.readouterr().out
-        assert "RL203" in out and "flat" in out
-
-    def test_waiver_suppresses(self):
-        src = (
-            "# repro-lint: disable-file=RL203\n"
-            "INDEX_KINDS = ('cagra', 'flat')\n"
-            "_BUILDERS = {'cagra': None}\n"
-        )
-        assert "RL203" not in rules_of(src)
-
-
 # ----------------------------------------------------------------------
 # committed fixtures through the CLI
 # ----------------------------------------------------------------------
@@ -560,7 +507,6 @@ class TestFixturesThroughCli:
             (CONCURRENCY_FIXTURES, "RL104"),
             (API_FIXTURES, "RL201"),
             (API_FIXTURES, "RL202"),
-            (API_FIXTURES, "RL203"),
         ],
     )
     def test_each_fixture_fails_strict_lint(self, fixtures, rule_id, capsys):

@@ -353,11 +353,6 @@ class TestRegistryAndCli:
             "RL201", "RL202",
         ]
 
-    def test_project_rules_registered(self):
-        from repro.lint import PROJECT_RULES
-
-        assert sorted(PROJECT_RULES) == ["RL203"]
-
     @pytest.mark.parametrize(
         "rule_id", ["RL001", "RL002", "RL003", "RL004", "RL005", "RL007"]
     )
