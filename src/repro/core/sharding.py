@@ -14,10 +14,12 @@ one sub-graph independently".  :class:`ShardedCagraIndex` implements it:
 
 Shard builds and searches are genuinely concurrent: both fan out through
 :mod:`repro.parallel`'s :class:`~repro.parallel.executor.ShardExecutor`
-(process pool + shared-memory dataset hand-off by default on multi-core
-POSIX hosts; thread/serial fallbacks elsewhere), the software analogue of
-"one GPU per sub-graph".  Results are bitwise identical to the serial
-loop on every backend — see ``docs/parallel.md``.
+(a process pool by default on multi-core POSIX hosts, thread/serial
+elsewhere), the software analogue of "one GPU per sub-graph".  The pool's
+workers get the dataset (build) or this index's shard list (search) once,
+when they start, and each shard search runs on that shard's own cached
+engine.  Results are bitwise identical to the serial loop on every
+backend — see ``docs/parallel.md``.
 
 Because every shard search is a full CAGRA search over a subset, recall
 is at least that of a single index of the same total size searched with
@@ -64,24 +66,20 @@ class ShardQuorumError(RuntimeError):
 
 
 class _ShardRuntime:
-    """Pool + shared-memory state owned by one sharded index.
+    """The worker pool owned by one sharded index.
 
     Kept separate from the index so a ``weakref.finalize`` can release
-    OS resources (worker processes, ``/dev/shm`` segments) when the index
-    is garbage collected without resurrecting it.
+    the worker processes when the index is garbage collected without
+    resurrecting it.
     """
 
     def __init__(self):
         self.executor = None
-        self.handle = None
 
     def close(self) -> None:
         if self.executor is not None:
             self.executor.close()
             self.executor = None
-        if self.handle is not None:
-            self.handle.close()
-            self.handle = None
 
 
 class ShardedCagraIndex:
@@ -112,7 +110,7 @@ class ShardedCagraIndex:
     # execution plumbing
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the worker pool and shared-memory segments (idempotent).
+        """Release the worker pool (idempotent).
 
         Also runs automatically when the index is garbage collected or
         the interpreter exits; call it explicitly in long-lived processes
@@ -125,21 +123,14 @@ class ShardedCagraIndex:
 
         if parallel is not self.parallel:
             # Per-call override: a throwaway executor, closed by caller.
-            return ShardExecutor.from_config(parallel, self.num_shards), True
+            return ShardExecutor.from_config(
+                parallel, self.num_shards, state=self.shards
+            ), True
         if self._runtime.executor is None:
             self._runtime.executor = ShardExecutor.from_config(
-                parallel, self.num_shards
+                parallel, self.num_shards, state=self.shards
             )
         return self._runtime.executor, False
-
-    def _shared_handle(self, executor):
-        from repro.parallel.shards import SharedIndexHandle
-
-        if executor.backend != "process":
-            return None
-        if self._runtime.handle is None:
-            self._runtime.handle = SharedIndexHandle(self.shards)
-        return self._runtime.handle
 
     # ------------------------------------------------------------------
     @classmethod
@@ -158,9 +149,7 @@ class ShardedCagraIndex:
         shard's build is seeded by shard number, so the resulting graphs
         are bitwise identical to a serial build.
         """
-        from repro.parallel.executor import ShardExecutor
         from repro.parallel.shards import build_shards, plan_shards
-        from repro.resilience import resolve_fault_plan
 
         dataset = np.asarray(dataset)
         if num_shards < 1:
@@ -171,11 +160,7 @@ class ShardedCagraIndex:
         config = config or GraphBuildConfig()
         parallel = parallel or ParallelConfig()
         plans = plan_shards(n, num_shards, config)
-        with ShardExecutor.from_config(parallel, num_shards) as executor:
-            shards = build_shards(
-                dataset, plans, dataset_dtype, executor,
-                fault=resolve_fault_plan(parallel.fault_plan),
-            )
+        shards = build_shards(dataset, plans, dataset_dtype, parallel)
         return cls(shards, [plan.ids for plan in plans], parallel=parallel)
 
     # ------------------------------------------------------------------
@@ -261,21 +246,16 @@ class ShardedCagraIndex:
         ]
         executor, throwaway = self._executor(active)
         try:
-            handle = None
-            if not throwaway:
-                handle = self._shared_handle(executor)
             outcomes = search_shards(
-                [self.shards[s] for s in live],
+                executor,
+                live,
                 queries,
                 k,
                 config,
                 num_sms,
-                executor,
                 fast=fast,
                 filter_masks=[masks[s] for s in live],
-                handle=handle,
                 fault=resolve_fault_plan(active.fault_plan),
-                shard_ids=live,
             )
         finally:
             if throwaway:

@@ -24,7 +24,7 @@ __all__ = ["BACKENDS", "ParallelConfig", "available_cpus"]
 
 #: Recognised backend names.  ``auto`` resolves per call: ``process`` on
 #: POSIX when more than one worker is useful, ``thread`` elsewhere
-#: (Windows-safe: no fork, no shared-memory lifetime pitfalls), ``serial``
+#: (Windows-safe: no fork, no per-worker copy of the state), ``serial``
 #: when one worker would run everything anyway.
 BACKENDS = ("auto", "serial", "thread", "process")
 

@@ -21,8 +21,12 @@ the executor can guarantee:
 
 Process pools use the ``fork`` start method where available (no module
 re-import, sub-second spin-up) and fall back to the platform default
-elsewhere; payload arrays that would be expensive to pickle travel via
-:mod:`repro.parallel.sharedmem` instead of the task queue.
+elsewhere.  The data every task reads (a dataset to build from, the shard
+list to search) is the executor's ``state``: each process worker gets it
+once, at start-up, through the pool initializer — inherited without a
+copy under ``fork``, pickled once per worker start under ``spawn`` — and
+serial or thread tasks get the same object directly, so payloads carry
+only what differs per task.
 
 Failure-path accounting lands in :attr:`ShardExecutor.stats`
 (:class:`ExecutorStats`): retries, watchdog timeouts, pool recycles, and
@@ -79,13 +83,32 @@ def _process_context():
     return multiprocessing.get_context()
 
 
-def _run_task(fn, payload, attempt):
-    """Worker-side wrapper: publish the retry attempt to the fault layer."""
+#: The executor state of this process worker, installed by
+#: :func:`_install_state` when the worker starts.
+_worker_state = None
+
+
+def _install_state(state):
+    global _worker_state
+    _worker_state = state
+
+
+def _run_task(fn, payload, attempt, state=None):
+    """Run one task, publishing the retry attempt to the fault layer.
+
+    ``fn(state, payload)`` when the executor holds state, else
+    ``fn(payload)``.
+    """
     set_current_attempt(attempt)
     try:
-        return fn(payload)
+        return fn(payload) if state is None else fn(state, payload)
     finally:
         set_current_attempt(0)
+
+
+def _run_in_worker(fn, payload, attempt):
+    """Process-worker entry: the state arrived once, at worker start."""
+    return _run_task(fn, payload, attempt, _worker_state)
 
 
 @dataclass
@@ -172,7 +195,9 @@ class ShardExecutor:
     Construct directly with *resolved* values, or via :meth:`from_config`
     to apply :class:`~repro.parallel.config.ParallelConfig` resolution
     (auto worker count, platform backend choice, env overrides, retry
-    policy, fault plan).  Usable as a context manager; :meth:`close`
+    policy, fault plan).  ``state`` is the read-only data every task of
+    this executor needs; with it set, tasks are called as
+    ``fn(state, payload)``.  Usable as a context manager; :meth:`close`
     shuts the pool down.
     """
 
@@ -182,6 +207,7 @@ class ShardExecutor:
         backend: str = "serial",
         retry: RetryPolicy | None = None,
         fault_plan=None,
+        state=None,
     ):
         if backend not in ("serial", "thread", "process"):
             raise ValueError(f"unknown backend {backend!r}")
@@ -190,6 +216,7 @@ class ShardExecutor:
         self.num_workers = num_workers
         self.backend = backend if num_workers > 1 else "serial"
         self.retry = retry or RetryPolicy()
+        self.state = state
         self.stats = ExecutorStats()
         self._fault = None
         if fault_plan is not None:
@@ -200,12 +227,15 @@ class ShardExecutor:
         self._pool_epoch = 0
 
     @classmethod
-    def from_config(cls, config: ParallelConfig, num_tasks: int) -> "ShardExecutor":
+    def from_config(
+        cls, config: ParallelConfig, num_tasks: int, state=None
+    ) -> "ShardExecutor":
         return cls(
             num_workers=config.resolved_workers(num_tasks),
             backend=config.resolved_backend(num_tasks),
             retry=config.retry_policy(),
             fault_plan=resolve_fault_plan(config.fault_plan),
+            state=state,
         )
 
     # ------------------------------------------------------------------
@@ -235,6 +265,8 @@ class ShardExecutor:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.num_workers,
                     mp_context=_process_context(),
+                    initializer=_install_state,
+                    initargs=(self.state,),
                 )
         return self._pool
 
@@ -269,8 +301,9 @@ class ShardExecutor:
     def map(self, fn: Callable, payloads: Sequence, policy: RetryPolicy | None = None) -> list:
         """Run ``fn`` over ``payloads``; results in payload order.
 
-        ``fn`` must be a module-level function and each payload picklable
-        when the backend is ``process``.  Tasks are retried per the
+        ``fn`` must be a module-level function and each payload (and
+        the executor's state, under ``spawn``) picklable when the backend
+        is ``process``.  Tasks are retried per the
         executor's :class:`RetryPolicy`; the first payload (in payload
         order) whose retries are exhausted has its exception re-raised
         unchanged.  Use :meth:`map_outcomes` to collect per-payload
@@ -325,7 +358,7 @@ class ShardExecutor:
             attempt = 0
             while True:
                 try:
-                    value = _run_task(fn, payload, attempt)
+                    value = _run_task(fn, payload, attempt, self.state)
                 except Exception as exc:
                     if attempt < policy.max_retries:
                         self.stats.increment("retries")
@@ -358,7 +391,12 @@ class ShardExecutor:
             nonlocal infra_error
             try:
                 pool = self._ensure_pool()
-                future = pool.submit(_run_task, fn, payloads[index], attempt)
+                if self.backend == "process":
+                    future = pool.submit(_run_in_worker, fn, payloads[index], attempt)
+                else:
+                    future = pool.submit(
+                        _run_task, fn, payloads[index], attempt, self.state
+                    )
             except Exception as exc:
                 infra_error = exc
                 return False
@@ -370,7 +408,7 @@ class ShardExecutor:
             """Last resort after repeated pool breakage: one inline try."""
             self.stats.increment("serial_fallbacks")
             try:
-                value = _run_task(fn, payloads[index], attempt)
+                value = _run_task(fn, payloads[index], attempt, self.state)
             except Exception as exc:
                 slots[index] = TaskOutcome(error=exc, attempts=attempt + 1)
                 self.stats.increment("failed")

@@ -2,17 +2,19 @@
 
 The unit of parallelism mirrors the paper's multi-GPU story (Sec. IV-C2 /
 V-E): one *shard* — an independent CAGRA sub-index — per worker, exactly
-GGNN's independent-shard construction trick.  This module turns the two
-shard operations into pool-friendly pure functions:
+GGNN's independent-shard construction trick.  Each operation has one task
+body, shared by the serial, thread and process backends; the data it
+reads is the executor's ``state``, which a process worker receives once,
+when it starts (see :mod:`repro.parallel.executor`):
 
-* :func:`build_shards` — one NN-descent + graph-optimization build per
-  shard; the (potentially huge) dataset crosses the process boundary via
-  :mod:`repro.parallel.sharedmem`, each worker slices its shard's rows,
-  and only the small ``(n_s, d)`` adjacency array is pickled back;
-* :func:`search_shards` — one full CAGRA search per shard; with the
-  process backend, shard datasets and graphs are mapped from a
-  :class:`SharedIndexHandle` the owner keeps alive across calls, so a
-  serving layer pays the copy once per index generation, not per query.
+* :func:`build_shards` — the state is the dataset; each task slices its
+  shard's rows, runs one NN-descent + graph-optimization build, and
+  returns only the small ``(n_s, d)`` adjacency array;
+* :func:`search_shards` — the state is the index's shard list; each task
+  searches one shard on that shard's own cached
+  :meth:`~repro.core.index.CagraIndex.engine`, so a serving layer pays
+  the per-shard setup (the fp16 conversion) once per worker, not per
+  query.
 
 Results are bitwise identical to running the same loop serially: every
 task derives its randomness from explicit seeds in its payload
@@ -35,19 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.traversal import search_batch_fast
 from repro.core.config import GraphBuildConfig, SearchConfig
 from repro.core.distances import as_storage_dtype
 from repro.core.graph import INDEX_MASK, FixedDegreeGraph
 from repro.core.index import CagraIndex
-from repro.core.search import SearchResult, search_batch
+from repro.core.search import SearchResult
+from repro.parallel.config import ParallelConfig
 from repro.parallel.executor import ShardExecutor, TaskOutcome
-from repro.parallel.sharedmem import ArraySpec, SharedArray, attach_array
-from repro.resilience import FaultInjector, FaultPlan
+from repro.resilience import FaultInjector, FaultPlan, resolve_fault_plan
 
 __all__ = [
     "ShardPlan",
-    "SharedIndexHandle",
     "build_shards",
     "plan_shards",
     "search_shards",
@@ -101,32 +101,24 @@ def _task_injector(fault_json: str | None) -> FaultInjector | None:
 # ----------------------------------------------------------------------
 # build
 # ----------------------------------------------------------------------
-def _build_shard_task(payload):
-    """Worker body: build one shard, return (neighbors, report, seconds).
-
-    ``source`` is either the dataset itself (serial/thread backends) or
-    an :class:`ArraySpec` naming the shared segment (process backend).
-    """
-    source, ids, config, dataset_dtype, shard_no, fault_json = payload
+def _build_shard(dataset, payload):
+    """Task body: build one shard, return ``(neighbors, report)``."""
+    ids, config, dataset_dtype, shard_no, fault_json = payload
     injector = _task_injector(fault_json)
     if injector is not None:
         # ``corrupt`` is search-only; build faults fail loudly or stall.
         injector.fire("shard.build", shard=shard_no, op="build")
-    data = attach_array(source) if isinstance(source, ArraySpec) else source
-    started = time.perf_counter()
-    index = CagraIndex.build(data[ids], config, dataset_dtype=dataset_dtype)
-    seconds = time.perf_counter() - started
-    return index.graph.neighbors, index.build_report, seconds
+    index = CagraIndex.build(dataset[ids], config, dataset_dtype=dataset_dtype)
+    return index.graph.neighbors, index.build_report
 
 
 def build_shards(
     dataset: np.ndarray,
     plans: list[ShardPlan],
     dataset_dtype: str,
-    executor: ShardExecutor,
-    fault: FaultPlan | None = None,
+    parallel: ParallelConfig,
 ) -> list[CagraIndex]:
-    """Build every planned shard on ``executor``; shards in plan order.
+    """Build every planned shard on a ``parallel`` pool; shards in plan order.
 
     Builds are all-or-nothing: a shard whose build fails on every retry
     re-raises (a partially built sharded index has no useful meaning),
@@ -134,66 +126,31 @@ def build_shards(
     :func:`search_shards` outcomes.
     """
     dataset = np.asarray(dataset)
-    share = None
-    source = dataset
-    if executor.backend == "process":
-        share = SharedArray.create(dataset)
-        source = share.spec
+    fault = resolve_fault_plan(parallel.fault_plan)
     fault_json = fault.to_json() if fault is not None else None
     payloads = [
-        (source, plan.ids, plan.config, dataset_dtype, s, fault_json)
+        (plan.ids, plan.config, dataset_dtype, s, fault_json)
         for s, plan in enumerate(plans)
     ]
-    try:
-        outputs = executor.map(_build_shard_task, payloads)
-    finally:
-        if share is not None:
-            share.close()
-    shards = []
-    for plan, (neighbors, report, _seconds) in zip(plans, outputs):
-        # Reconstruct the shard around the parent's own dataset slice —
-        # only the adjacency crossed the process boundary.
-        stored = as_storage_dtype(dataset[plan.ids], dataset_dtype)
-        shards.append(
-            CagraIndex(
-                stored,
-                FixedDegreeGraph(neighbors),
-                metric=plan.config.metric,
-                build_config=plan.config,
-                build_report=report,
-            )
+    with ShardExecutor.from_config(parallel, len(plans), state=dataset) as executor:
+        outputs = executor.map(_build_shard, payloads)
+    # Each shard wraps the parent's own dataset slice — only the
+    # adjacency crosses a process boundary.
+    return [
+        CagraIndex(
+            as_storage_dtype(dataset[plan.ids], dataset_dtype),
+            FixedDegreeGraph(neighbors),
+            metric=plan.config.metric,
+            build_config=plan.config,
+            build_report=report,
         )
-    return shards
+        for plan, (neighbors, report) in zip(plans, outputs)
+    ]
 
 
 # ----------------------------------------------------------------------
 # search
 # ----------------------------------------------------------------------
-class SharedIndexHandle:
-    """Shared-memory projection of a sharded index's arrays.
-
-    Owning code (typically :class:`~repro.core.sharding.ShardedCagraIndex`)
-    creates this once, reuses it across every process-backend search, and
-    closes it when the index is dropped — workers attach each segment a
-    single time and serve all subsequent searches from the same mapping.
-    """
-
-    def __init__(self, shards: list[CagraIndex]):
-        self._arrays: list[SharedArray] = []
-        self.shard_specs: list[tuple[ArraySpec, ArraySpec, str]] = []
-        for shard in shards:
-            data = SharedArray.create(shard.dataset)
-            graph = SharedArray.create(shard.graph.neighbors)
-            self._arrays.extend([data, graph])
-            self.shard_specs.append((data.spec, graph.spec, shard.metric))
-
-    def close(self) -> None:
-        for array in self._arrays:
-            array.close()
-        self._arrays = []
-        self.shard_specs = []
-
-
 def _corrupt_result(result: SearchResult) -> SearchResult:
     """Apply a ``corrupt`` fault: sentinel ids + NaN distances.
 
@@ -208,110 +165,50 @@ def _corrupt_result(result: SearchResult) -> SearchResult:
     return SearchResult(indices=indices, distances=distances, report=result.report)
 
 
-def _run_search(data, graph, metric, queries, k, config, num_sms, fast, filter_mask):
+def _search_shard(shards, payload) -> tuple[SearchResult, float]:
+    """Task body: search ``shards[s]``, return ``(result, seconds)``."""
+    s, queries, k, config, num_sms, fast, filter_mask, fault_json = payload
+    injector = _task_injector(fault_json)
+    spec = None
+    if injector is not None:
+        spec = injector.fire("shard.search", shard=s, op="search")
+    shard = shards[s]
     started = time.perf_counter()
     if fast:
-        result = search_batch_fast(
-            data, graph, queries, k, config=config, metric=metric,
-            filter_mask=filter_mask,
-        )
+        result = shard.search_fast(queries, k, config=config, filter_mask=filter_mask)
     else:
-        result = search_batch(
-            data, graph, queries, k, config=config, metric=metric,
-            num_sms=num_sms, filter_mask=filter_mask,
+        result = shard.search(
+            queries, k, config=config, num_sms=num_sms, filter_mask=filter_mask
         )
-    return result, time.perf_counter() - started
-
-
-def _search_shard_local(payload) -> tuple[SearchResult, float]:
-    """Worker body for serial/thread backends (shared address space)."""
-    shard, queries, k, config, num_sms, fast, filter_mask, shard_no, \
-        fault_json = payload
-    injector = _task_injector(fault_json)
-    spec = None
-    if injector is not None:
-        spec = injector.fire("shard.search", shard=shard_no, op="search")
-    result, seconds = _run_search(
-        shard.dataset, shard.graph, shard.metric,
-        queries, k, config, num_sms, fast, filter_mask,
-    )
-    if spec is not None and spec.kind == "corrupt":
-        result = _corrupt_result(result)
-    return result, seconds
-
-
-def _search_shard_shm(payload) -> tuple[SearchResult, float]:
-    """Worker body for the process backend (attach shared segments)."""
-    (data_spec, graph_spec, metric), queries, k, config, num_sms, fast, \
-        filter_mask, shard_no, fault_json = payload
-    injector = _task_injector(fault_json)
-    spec = None
-    if injector is not None:
-        spec = injector.fire("shard.search", shard=shard_no, op="search")
-    data = attach_array(data_spec)
-    graph = FixedDegreeGraph(attach_array(graph_spec))
-    result, seconds = _run_search(
-        data, graph, metric, queries, k, config, num_sms, fast, filter_mask
-    )
+    seconds = time.perf_counter() - started
     if spec is not None and spec.kind == "corrupt":
         result = _corrupt_result(result)
     return result, seconds
 
 
 def search_shards(
-    shards: list[CagraIndex],
+    executor: ShardExecutor,
+    shard_ids: list[int],
     queries: np.ndarray,
     k: int,
     config: SearchConfig | None,
     num_sms: int,
-    executor: ShardExecutor,
-    fast: bool = False,
-    filter_masks: list[np.ndarray | None] | None = None,
-    handle: SharedIndexHandle | None = None,
+    fast: bool,
+    filter_masks: list[np.ndarray | None],
     fault: FaultPlan | None = None,
-    shard_ids: list[int] | None = None,
 ) -> list[TaskOutcome]:
-    """Search every shard on ``executor``; one :class:`TaskOutcome` each.
+    """Search shards ``shard_ids`` of ``executor.state`` (the shard list).
 
-    A successful outcome's ``value`` is ``(SearchResult, seconds)``; a
+    Returns one :class:`TaskOutcome` per entry of ``shard_ids``.  A
+    successful outcome's ``value`` is ``(SearchResult, seconds)``; a
     failed outcome (retries exhausted, worker dead, watchdog fired)
     carries the error instead of raising, so the caller decides between
-    all-or-nothing and degraded-merge semantics.
-
-    ``filter_masks`` carries one per-shard (local-id) mask or ``None``
-    each.  ``shard_ids`` names each entry's global shard number (for
-    fault matching) when ``shards`` is a subset; defaults to positional.
-    With the process backend, pass a live :class:`SharedIndexHandle` to
-    reuse its segments; otherwise a temporary one is created for the
-    call.
+    all-or-nothing and degraded-merge semantics.  ``filter_masks`` holds
+    one per-shard (local-id) mask or ``None`` per entry.
     """
-    if filter_masks is None:
-        filter_masks = [None] * len(shards)
-    if shard_ids is None:
-        shard_ids = list(range(len(shards)))
     fault_json = fault.to_json() if fault is not None else None
-    if executor.backend == "process":
-        own_handle = handle is None
-        if own_handle:
-            handle = SharedIndexHandle(shards)
-        # A caller-provided handle spans the *whole* index (specs indexed
-        # by global shard id); a handle built here spans only the subset.
-        spec_of = (lambda s: handle.shard_specs[s]) if own_handle else (
-            lambda s: handle.shard_specs[shard_ids[s]]
-        )
-        payloads = [
-            (spec_of(s), queries, k, config, num_sms, fast,
-             filter_masks[s], shard_ids[s], fault_json)
-            for s in range(len(shards))
-        ]
-        try:
-            return executor.map_outcomes(_search_shard_shm, payloads)
-        finally:
-            if own_handle:
-                handle.close()
     payloads = [
-        (shard, queries, k, config, num_sms, fast, filter_masks[s],
-         shard_ids[s], fault_json)
-        for s, shard in enumerate(shards)
+        (s, queries, k, config, num_sms, fast, mask, fault_json)
+        for s, mask in zip(shard_ids, filter_masks)
     ]
-    return executor.map_outcomes(_search_shard_local, payloads)
+    return executor.map_outcomes(_search_shard, payloads)

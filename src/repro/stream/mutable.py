@@ -591,15 +591,13 @@ class MutableIndex:
         self,
         *,
         build_config: GraphBuildConfig | None = None,
-        parallel=None,
         on_stage=None,
     ) -> MaintenanceReport:
         """Rebuild the base graph from every live row, dropping tombstones.
 
-        The build runs outside the lock (optionally on a
-        :class:`~repro.parallel.executor.ShardExecutor` process worker to
-        get off the GIL); promotion installs the compacted base, clears
-        tombstones, and empties the drained memtable prefix atomically.
+        The build runs outside the lock; promotion installs the compacted
+        base, clears tombstones, and empties the drained memtable prefix
+        atomically.
         """
         self._begin_maintenance()
         try:
@@ -629,7 +627,7 @@ class MutableIndex:
                 if on_stage is not None:
                     on_stage(name, seconds, counters)
 
-            new_core = _build_core(snap_vectors, config, parallel)
+            new_core = CagraIndex.build(snap_vectors, config)
             build_seconds = time.perf_counter() - build_started
             record_stage(
                 "stream.rebuild",
@@ -713,23 +711,3 @@ class MutableIndex:
             f"epoch={f.epoch})"
         )
 
-
-def _build_task(payload):
-    """Module-level full-rebuild body (picklable for process workers)."""
-    vectors, config = payload
-    return CagraIndex.build(vectors, config)
-
-
-def _build_core(vectors, config, parallel) -> CagraIndex:
-    """Build directly, or through a ShardExecutor worker when given."""
-    if parallel is None:
-        return CagraIndex.build(vectors, config)
-    from repro.parallel.executor import ShardExecutor
-
-    if isinstance(parallel, ShardExecutor):
-        return parallel.map(_build_task, [(vectors, config)])[0]
-    executor = ShardExecutor.from_config(parallel, num_tasks=1)
-    try:
-        return executor.map(_build_task, [(vectors, config)])[0]
-    finally:
-        executor.close()

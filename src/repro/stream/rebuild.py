@@ -34,7 +34,6 @@ class Rebuilder:
         *,
         interval_s: float = 0.5,
         promote=None,
-        parallel=None,
         calibrate: bool = False,
         on_stage=None,
     ):
@@ -44,7 +43,6 @@ class Rebuilder:
         self.policy = policy or StalenessPolicy()
         self.interval_s = float(interval_s)
         self._promote = promote
-        self._parallel = parallel
         self._calibrate = bool(calibrate)
         self._on_stage = on_stage
         self._lock = threading.Lock()
@@ -130,9 +128,7 @@ class Rebuilder:
         if action == "incremental":
             report = self.index.repair_incremental(on_stage=self._on_stage)
         else:
-            report = self.index.rebuild_full(
-                parallel=self._parallel, on_stage=self._on_stage
-            )
+            report = self.index.rebuild_full(on_stage=self._on_stage)
         self.policy.note_report(report)
         promote_started = time.perf_counter()
         if self._promote is not None:

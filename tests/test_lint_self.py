@@ -171,3 +171,45 @@ def test_search_draws_come_from_one_counter_function():
             assert not random_calls(node), (name, node.name)
     rng_init = root / "core" / "rng_init.py"
     assert not rng_init.exists() or len(rng_init.read_text().splitlines()) <= 60
+
+
+def test_shard_tasks_have_one_body_per_operation():
+    """The executor's state is how shard data reaches a worker: nothing
+    under ``src/repro`` imports ``multiprocessing.shared_memory``, and
+    ``repro.parallel.shards`` has exactly one build task body and one
+    search task body, whatever the backend."""
+    import ast
+
+    root = default_root() / "repro"
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(
+                name.startswith("multiprocessing.shared_memory") for name in names
+            ), (str(path.relative_to(root)), names)
+
+    tree = ast.parse((root / "parallel" / "shards.py").read_text())
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    bodies = {}
+    for entry in ("build_shards", "search_shards"):
+        bodies[entry] = {
+            ast.unparse(call.args[0])
+            for call in ast.walk(functions[entry])
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("map", "map_outcomes")
+        }
+        assert len(bodies[entry]) == 1, (entry, bodies[entry])
+    takes_payload = {
+        name
+        for name, node in functions.items()
+        if "payload" in [arg.arg for arg in node.args.args]
+    }
+    assert takes_payload == set().union(*bodies.values()), takes_payload

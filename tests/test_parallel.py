@@ -1,20 +1,19 @@
-"""Tests for repro.parallel: config resolution, the shard executor,
-shared-memory hand-off, and cross-backend determinism of sharded
-builds and searches."""
+"""Tests for repro.parallel: config resolution, the shard executor and
+its per-worker state, and cross-backend determinism of sharded builds
+and searches."""
 
+import multiprocessing
 import os
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 from repro import GraphBuildConfig, SearchConfig, ShardedCagraIndex
 from repro.parallel import (
-    ArraySpec,
     ParallelConfig,
     ShardExecutor,
-    SharedArray,
-    attach_array,
     available_cpus,
     plan_shards,
 )
@@ -128,40 +127,45 @@ def _call_it(fn):
     return fn()
 
 
-class TestSharedMemory:
-    def test_roundtrip(self):
-        source = np.arange(24, dtype=np.float32).reshape(4, 6)
-        share = SharedArray.create(source)
-        try:
-            spec = share.spec
-            assert pickle.loads(pickle.dumps(spec)) == spec
-            view = attach_array(spec)
-            np.testing.assert_array_equal(view, source)
-        finally:
-            share.close()
+def _row_of_state(state, payload):
+    return state[payload]
 
-    def test_attach_cached_per_name(self):
-        source = np.ones(8, dtype=np.uint32)
-        share = SharedArray.create(source)
-        try:
-            first = attach_array(share.spec)
-            second = attach_array(share.spec)
-            assert first is second
-        finally:
-            share.close()
 
-    def test_close_idempotent(self):
-        share = SharedArray.create(np.zeros(4))
-        share.close()
-        share.close()
+class _NeverPickled:
+    """Executor state that fails loudly if it is ever pickled."""
 
-    def test_spec_carries_geometry(self):
-        source = np.zeros((3, 5), dtype=np.float16)
-        share = SharedArray.create(source)
-        try:
-            assert share.spec == ArraySpec(share.spec.name, (3, 5), "float16")
-        finally:
-            share.close()
+    rows = (10, 11, 12, 13)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __reduce__(self):
+        raise pickle.PicklingError("executor state was pickled")
+
+
+class TestExecutorState:
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_tasks_receive_the_state(self, backend):
+        state = np.arange(40).reshape(4, 10)
+        with ShardExecutor(num_workers=2, backend=backend, state=state) as executor:
+            rows = executor.map(_row_of_state, [3, 0, 2, 1])
+        for row, i in zip(rows, [3, 0, 2, 1]):
+            np.testing.assert_array_equal(row, state[i])
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_forked_workers_inherit_the_state(self):
+        # Under fork the state reaches each worker at start-up with no
+        # pickling at all, so an unpicklable state still runs pooled:
+        # nothing per task carries it.
+        with ShardExecutor(
+            num_workers=2, backend="process", state=_NeverPickled()
+        ) as executor:
+            assert executor.map(_row_of_state, [0, 1, 2, 3]) == [10, 11, 12, 13]
+            assert executor.backend == "process"
+        assert executor.stats.serial_fallbacks == 0
 
 
 class TestPlanShards:
@@ -245,6 +249,38 @@ class TestCrossBackendDeterminism:
             np.testing.assert_array_equal(got.indices, expected.indices)
         index.close()
 
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_process_backend_every_start_method(
+        self, payload, serial_index, start_method, monkeypatch
+    ):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method} start method on this platform")
+        monkeypatch.setattr(
+            "repro.parallel.executor._process_context",
+            lambda: multiprocessing.get_context(start_method),
+        )
+        data, queries = payload
+        config = SearchConfig(itopk=32, seed=9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            index = ShardedCagraIndex.build(
+                data, 4, GraphBuildConfig(graph_degree=8, seed=3),
+                parallel=ParallelConfig(num_workers=2, backend="process"),
+            )
+            got = index.search(queries, 10, config)
+            fast_got = index.search_fast(queries, 10, config)
+        assert not [w for w in caught if "serially" in str(w.message)]
+        for ours, theirs in zip(index.shards, serial_index.shards):
+            np.testing.assert_array_equal(ours.graph.neighbors, theirs.graph.neighbors)
+        expected = serial_index.search(queries, 10, config)
+        fast_expected = serial_index.search_fast(queries, 10, config)
+        np.testing.assert_array_equal(got.indices, expected.indices)
+        np.testing.assert_array_equal(got.distances, expected.distances)
+        np.testing.assert_array_equal(fast_got.indices, fast_expected.indices)
+        np.testing.assert_array_equal(fast_got.distances, fast_expected.distances)
+        assert index.executor_stats["serial_fallbacks"] == 0
+        index.close()
+
     def test_per_call_parallel_override(self, payload, serial_index):
         data, queries = payload
         config = SearchConfig(itopk=32, seed=9)
@@ -260,6 +296,34 @@ class TestCrossBackendDeterminism:
         result = serial_index.search(queries, 5, SearchConfig(itopk=32))
         assert len(result.shard_seconds) == serial_index.num_shards
         assert all(seconds >= 0.0 for seconds in result.shard_seconds)
+
+
+class TestShardEngineReuse:
+    def test_fp16_search_converts_each_shard_once(self, monkeypatch):
+        """A shard search runs on the shard's cached engine, so repeated
+        fp16 searches convert each shard's dataset once, not per call."""
+        import repro.core.traversal as traversal
+
+        conversions = []
+        convert = traversal.as_storage_dtype
+
+        def counting(data, dtype):
+            conversions.append(dtype)
+            return convert(data, dtype)
+
+        monkeypatch.setattr(traversal, "as_storage_dtype", counting)
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((240, 16)).astype(np.float32)
+        index = ShardedCagraIndex.build(
+            data, 2, GraphBuildConfig(graph_degree=8, seed=1),
+            parallel=ParallelConfig(num_workers=1, backend="serial"),
+        )
+        config = SearchConfig(itopk=32, seed=0, precision="fp16")
+        for _ in range(5):
+            index.search_fast(data[:4], 5, config)
+            index.search(data[:4], 5, config)
+        assert conversions == ["float16"] * index.num_shards
+        index.close()
 
 
 class TestServeShardedIndex:
