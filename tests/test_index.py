@@ -13,6 +13,9 @@ from repro.core.nn_descent import build_knn_graph
 BUILD_FIXTURE = os.path.join(
     os.path.dirname(__file__), "fixtures", "build_regression.npz"
 )
+TINY_BUILD_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "fixtures", "build_regression_tiny.npz"
+)
 
 
 def _build_regression_outputs() -> dict[str, np.ndarray]:
@@ -50,6 +53,59 @@ def _build_regression_outputs() -> dict[str, np.ndarray]:
                     [report.nn_descent_iterations, report.knn_distance_computations],
                     dtype=np.int64,
                 )
+    return out
+
+
+def _build_outputs(prefix: str, data: np.ndarray, config: GraphBuildConfig) -> dict:
+    """One build's k-NN graph, final graph and work counters, keyed by ``prefix``."""
+    knn = build_knn_graph(data, config.resolved_intermediate_degree, config)
+    index = CagraIndex.build(data, config)
+    report = index.build_report
+    return {
+        f"{prefix}_knn_ids": knn.graph.neighbors,
+        f"{prefix}_knn_distances": knn.distances,
+        f"{prefix}_neighbors": index.graph.neighbors,
+        f"{prefix}_counters": np.array(
+            [
+                report.nn_descent_iterations,
+                report.knn_distance_computations,
+                report.optimize.detour_checks,
+            ],
+            dtype=np.int64,
+        ),
+    }
+
+
+def _tiny_build_regression_outputs() -> dict[str, np.ndarray]:
+    """Builds small enough that a row can hold fewer than ``d_init``
+    distinct ids mid-round, plus the two optimizer switches the 240-row
+    fixture does not cover.
+
+    N in {9, 13, 17, 24, 33} x graph degree {4, 8} (``d <= N - 1``) x
+    seeds 0-3 on 4-dim Gaussian rows, then ``reordering="none"`` and
+    ``add_reverse_edges=False`` on the 240-row data of
+    :func:`_build_regression_outputs`.  Re-record (only ever from a commit
+    whose build is trusted) with
+    ``np.savez_compressed(TINY_BUILD_FIXTURE, **_tiny_build_regression_outputs())``.
+    """
+    out: dict[str, np.ndarray] = {}
+    for n in (9, 13, 17, 24, 33):
+        for degree in (4, 8):
+            if degree > n - 1:
+                continue
+            for seed in range(4):
+                data = np.random.default_rng(100 * n + seed).standard_normal((n, 4))
+                config = GraphBuildConfig(graph_degree=degree, seed=seed)
+                out.update(
+                    _build_outputs(f"n{n}_d{degree}_s{seed}", data.astype(np.float32), config)
+                )
+    rng = np.random.default_rng(2024)
+    data = rng.standard_normal((240, 12)).astype(np.float32)
+    data[10:20] = data[:10]
+    data[20] = 0.0
+    for name, switch in (("none", {"reordering": "none"}), ("noreverse", {"add_reverse_edges": False})):
+        config = GraphBuildConfig(graph_degree=8, seed=11, **switch)
+        out.update(_build_outputs(f"n240_{name}", data, config))
     return out
 
 
@@ -148,6 +204,18 @@ class TestBuildRegression:
         with np.load(BUILD_FIXTURE) as archive:
             expected = {key: archive[key] for key in archive.files}
         got = _build_regression_outputs()
+        assert sorted(got) == sorted(expected)
+        for key, value in got.items():
+            assert value.dtype == expected[key].dtype, key
+            np.testing.assert_array_equal(value, expected[key], err_msg=key)
+
+    def test_bitwise_against_recorded_tiny_builds(self):
+        """``fixtures/build_regression_tiny.npz`` was recorded by
+        :func:`_tiny_build_regression_outputs` from the build that scored
+        every candidate of a round and merged reverse edges node by node."""
+        with np.load(TINY_BUILD_FIXTURE) as archive:
+            expected = {key: archive[key] for key in archive.files}
+        got = _tiny_build_regression_outputs()
         assert sorted(got) == sorted(expected)
         for key, value in got.items():
             assert value.dtype == expected[key].dtype, key
