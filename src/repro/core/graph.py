@@ -81,9 +81,10 @@ class FixedDegreeGraph:
             self.neighbors.ravel().astype(np.int64), minlength=self.num_nodes
         )
 
-    def reversed_edge_lists(self) -> list[np.ndarray]:
-        """Incoming-edge source lists per node, each ordered by the rank the
-        edge has in its source row (ascending).
+    def reversed_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Incoming-edge sources of every node, flat: node ``v``'s list is
+        ``sources[offsets[v]:offsets[v + 1]]``, ordered by the rank the edge
+        has in its source row (ascending), ties by source id.
 
         This is the "reversed graph ... sorted by the rank in the pruned
         graph" of Sec. III-B2: position ``r`` in a source row is the edge's
@@ -96,12 +97,13 @@ class FixedDegreeGraph:
         # Sort primarily by destination, secondarily by rank: stable sort on
         # the composite key keeps reverse lists rank-ordered.
         order = np.lexsort((rank, dst))
-        dst_sorted = dst[order]
-        src_sorted = src[order]
-        boundaries = np.searchsorted(dst_sorted, np.arange(n + 1))
-        return [
-            src_sorted[boundaries[i] : boundaries[i + 1]] for i in range(n)
-        ]
+        offsets = np.searchsorted(dst[order], np.arange(n + 1))
+        return src[order], offsets
+
+    def reversed_edge_lists(self) -> list[np.ndarray]:
+        """:meth:`reversed_edges` as one array per node."""
+        sources, offsets = self.reversed_edges()
+        return [sources[offsets[i] : offsets[i + 1]] for i in range(len(offsets) - 1)]
 
     def copy(self) -> "FixedDegreeGraph":
         return FixedDegreeGraph(self.neighbors.copy())

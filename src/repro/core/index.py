@@ -140,13 +140,20 @@ class CagraIndex:
             dataset_dtype: ``float32`` or ``float16`` storage (the paper's
                 half-precision mode).
 
-        Raises ``ValueError`` on a bad shape, and naming the first row that
-        holds NaN or inf (NN-descent orders distances by their bits).
+        Raises ``ValueError`` on a bad shape, on ``graph_degree >= N``
+        (before any NN-descent work), and naming the first row that holds
+        NaN or inf (NN-descent orders distances by their bits).
         """
         config = config or GraphBuildConfig()
         dataset = np.asarray(dataset)
         if dataset.ndim != 2 or dataset.shape[0] < 2:
             raise ValueError("dataset must be (N >= 2, dim)")
+        if config.graph_degree > dataset.shape[0] - 1:
+            # d_init is clamped to N - 1, so no intermediate_degree helps.
+            raise ValueError(
+                f"graph_degree {config.graph_degree} needs at least "
+                f"{config.graph_degree + 1} rows; the dataset has N={dataset.shape[0]}"
+            )
         if dataset.shape[0] > MAX_DATASET_SIZE:
             raise ValueError(
                 f"dataset too large: the 1-bit parented flag caps N at "

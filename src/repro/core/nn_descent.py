@@ -11,8 +11,10 @@ array operations rather than per-pair Python work:
    flagged *new* (not yet expanded), plus ``S`` reverse neighbors;
 2. the 2-hop pool ``neighbors(sampled ∪ reverse-sampled)`` becomes the
    round's candidate set;
-3. candidate distances are computed in one gathered batch and merged into
-   the current lists with a vectorized sort/deduplicate;
+3. one sort by id per row finds the *fresh* candidates (distinct ids not
+   already in the row), their distances are computed in one gathered batch
+   of flat ``(row, id)`` pairs, and one sort by distance merges them into
+   the current lists;
 4. the round's *update count* (changed list entries) drives the
    termination test ``updates < delta · N · K``.
 
@@ -24,6 +26,7 @@ graph whose rows are distance-sorted, together with the distance table
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,8 +51,13 @@ class KnnGraphResult:
         distances: ``(N, k)`` float32 distance table aligned with
             ``graph.neighbors`` (consumed by distance-based reordering).
         iterations: NN-descent rounds actually executed.
-        distance_computations: total candidate distances evaluated — the
-            work counter used by the construction-time cost model.
+        distance_computations: candidate pairs the algorithm scores —
+            ``N * k`` at initialization plus every ``(row, candidate)``
+            pair of every round, repeats included, as a GPU local join
+            evaluates them.  This is the work counter
+            ``GpuCostModel.knn_build_time`` prices.  The NumPy build
+            evaluates each distinct fresh pair once per round, fewer than
+            half of these at the benchmark shape (docs/COSTMODEL.md).
     """
 
     graph: FixedDegreeGraph
@@ -64,61 +72,98 @@ def _sample_columns(rng: np.random.Generator, width: int, take: int, rows: int) 
 
 
 _HALF = np.uint64(32)
-_INF_KEY = np.uint64(INF_ORDER_BITS) << _HALF  # (+inf, id 0) key
+_LOW = np.uint64(0xFFFFFFFF)
+_ID_SHIFT = np.uint64(33)
+_ID_UNIT = np.uint64(1) << _ID_SHIFT  # id-sort keys: id 1
+_CANDIDATE = np.uint64(1) << _HALF  # id-sort flag: a candidate, not a row entry
+_INF_KEY = np.uint64(INF_ORDER_BITS) << _HALF  # (+inf, id 0) merge key
+
+#: ``distance(rows, ids)``: float32 distances of the flat ``(row, id)`` pairs.
+PairDistance = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _merge_candidates(
     ids: np.ndarray,
     dists: np.ndarray,
-    cand_ids: np.ndarray,
-    cand_dists: np.ndarray,
+    cand: np.ndarray,
     k: int,
+    distance: PairDistance,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge candidate columns into the current k-NN lists.
+    """Merge candidate ids into the current k-NN lists, scoring each
+    distinct *fresh* id once.
 
     Returns the new ``(ids, dists)`` arrays plus a boolean mask of entries
-    whose id is genuinely new to the row (set membership, not position).
-    Duplicate ids within a row keep only their best distance; the rows stay
-    sorted ascending by distance, ties by ascending id.
+    whose id was not in the old row.  Rows come back sorted ascending by
+    distance, ties by ascending id, each id at most once; a row with fewer
+    than ``k`` distinct ids among ``[ids | cand]`` ends in one ``(+inf,
+    id)`` entry per surplus copy, in id order.
 
-    Every entry is one ``uint64``: a 32-bit id and the float32 distance as
-    *ordered bits* (:func:`repro.core.topm.float32_order_bits`: unsigned
-    order is float order).  Both orderings are a plain in-place
-    ``sort`` of such keys — equal keys are the same (id, distance) pair, so
-    nothing needs a stable sort, an argsort or a gather.  Distances must not
-    be NaN (``CagraIndex.build`` rejects non-finite data); ``-0.0`` comes
+    A distance is a function of its ``(row, id)`` pair, and every id of an
+    old row holds it there at least once (surplus copies may hold +inf), so
+    an id already in the row keeps its distance, and ``distance`` is called
+    once, with the pairs of every distinct candidate id not already in its
+    row.  Two sorts of packed ``uint64`` keys do the rest:
+
+    * by id: ``id << 33 | is_candidate << 32 | distance bits`` puts a row
+      entry ahead of candidate copies of the same id, so the first key of
+      each id says whether it is fresh and, if not, carries its distance;
+    * by distance: ``distance bits << 32 | id << 1 | is_candidate``, every
+      copy after an id's first one at +inf.  A first copy is a candidate
+      exactly when it is fresh, so the low bit is the new mask; the rare
+      row that keeps a surplus copy is checked against the old row instead.
+
+    Distances are float32 *ordered bits*
+    (:func:`repro.core.topm.float32_order_bits`); they must not be NaN
+    (``CagraIndex.build`` rejects non-finite data), and ``-0.0`` comes
     back as ``+0.0``.
     """
-    bits = float32_order_bits(
-        np.concatenate([dists, cand_dists], axis=1, dtype=np.float32)
-    )
-
-    # Deduplicate per row: sort by (id, dist); a repeat of the previous id
-    # is a worse copy and gets +inf, so only the best copy of each id
-    # survives the distance sort.
-    keys = np.concatenate([ids, cand_ids], axis=1, dtype=np.uint64, casting="unsafe")
-    keys <<= _HALF
-    keys |= bits
+    n, width = ids.shape[0], ids.shape[1] + cand.shape[1]
+    keys = np.empty((n, width), dtype=np.uint64)
+    row_part, cand_part = keys[:, : ids.shape[1]], keys[:, ids.shape[1] :]
+    row_part[...] = ids
+    row_part <<= _ID_SHIFT
+    row_part |= float32_order_bits(dists.astype(np.float32))
+    cand_part[...] = cand
+    cand_part <<= _ID_SHIFT
+    cand_part |= _CANDIDATE
     keys.sort(axis=1)
-    sorted_ids = keys >> _HALF
-    keys <<= _HALF  # (dist, 0)
-    np.putmask(keys[:, 1:], sorted_ids[:, 1:] == sorted_ids[:, :-1], _INF_KEY)
-    keys |= sorted_ids
+
+    # A copy repeats the id before it when the keys agree from bit 33 up.
+    repeat = np.zeros((n, width), dtype=bool)
+    np.less(keys[:, 1:] ^ keys[:, :-1], _ID_UNIT, out=repeat[:, 1:])
+    fresh = (keys & _CANDIDATE).astype(bool)
+    fresh &= ~repeat
+    pairs = np.flatnonzero(fresh)
+    del fresh
+    pair_ids = (keys.reshape(-1)[pairs] >> _ID_SHIFT).astype(np.int64)
+
+    # Rotate each id-sort key into a distance-sort key: the low half
+    # (distance bits; 0 for a candidate) moves up, ``id << 1 | is_candidate``
+    # comes down, and a repeat's distance becomes +inf.
+    id_half = keys >> _HALF
+    keys <<= _HALF
+    np.maximum(keys, repeat * _INF_KEY, out=keys)  # no distance's bits exceed +inf's
+    keys |= id_half
+    del id_half, repeat
+
+    pair_rows = (pairs // width).astype(np.int32)
+    bits = float32_order_bits(distance(pair_rows, pair_ids).astype(np.float32, copy=False))
+    del pair_rows, pair_ids
+    flat = keys.reshape(-1)
+    flat[pairs] |= bits.astype(np.uint64) << _HALF
+    del pairs, bits
+
     keys.sort(axis=1)
     keys = keys[:, :k]
-    new_ids = (keys & np.uint64(0xFFFFFFFF)).astype(ids.dtype)
-    new_dists = float32_from_order_bits((keys >> _HALF).astype(np.uint32))
-
-    # Set-based newness: an entry counts as an update only if its id was not
-    # in the old row at all (positions churn every round and never settle).
-    n = ids.shape[0]
-    offsets = np.arange(n, dtype=np.int64)[:, None] * np.int64(1 << 32)
-    old_sorted = np.sort(ids + offsets, axis=1)
-    keys = new_ids + offsets
-    pos = np.searchsorted(old_sorted.ravel(), keys.ravel())
-    pos = np.minimum(pos, old_sorted.size - 1)
-    entered = (old_sorted.ravel()[pos] != keys.ravel()).reshape(n, k)
-    return new_ids, new_dists, entered
+    entered = (keys & np.uint64(1)).astype(bool)
+    new_ids = ((keys & _LOW) >> np.uint64(1)).astype(ids.dtype)
+    dist_bits = (keys >> _HALF).astype(np.uint32)
+    # A repeat's low bit only says it was a candidate copy: in a row that
+    # keeps one, newness is set membership in the old row.
+    tail = np.flatnonzero((dist_bits == INF_ORDER_BITS).any(axis=1))
+    if tail.size:
+        entered[tail] = ~(new_ids[tail, :, None] == ids[tail, None, :]).any(axis=2)
+    return new_ids, float32_from_order_bits(dist_bits), entered
 
 
 def _reverse_samples(
@@ -126,47 +171,23 @@ def _reverse_samples(
 ) -> np.ndarray:
     """Sample up to ``take`` reverse neighbors per node.
 
-    Built by scattering all (neighbor → node) pairs, shuffling, and keeping
-    the first ``take`` arrivals per destination; missing slots repeat the
-    node itself (harmless: self-candidates dedupe away).
+    All (neighbor → node) edges are shuffled, and each node keeps the first
+    ``take`` sources to arrive; missing slots repeat the node itself
+    (harmless: self-candidates dedupe away).  One sort of packed
+    ``(destination, shuffled position)`` keys groups the arrivals by node
+    in arrival order.
     """
     n, k = ids.shape
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    dst = ids.ravel().astype(np.int64)
-    perm = rng.permutation(len(dst))
-    src, dst = src[perm], dst[perm]
+    perm = rng.permutation(n * k)
+    keys = ids.reshape(-1)[perm].astype(np.uint64)
+    keys <<= _HALF
+    keys |= np.arange(n * k, dtype=np.uint64)
+    keys.sort()
+    counts = np.bincount(ids.reshape(-1), minlength=n)
+    arrivals = np.arange(take) < counts[:, None]
+    first = (np.cumsum(counts) - counts)[:, None] + np.arange(take)
     out = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, take))
-    fill = np.zeros(n, dtype=np.int64)
-    for s, d in zip(src, dst):
-        slot = fill[d]
-        if slot < take:
-            out[d, slot] = s
-            fill[d] = slot + 1
-    return out
-
-
-def _reverse_samples_fast(
-    ids: np.ndarray, take: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized variant of :func:`_reverse_samples`.
-
-    Sorting the shuffled (dst, src) pairs by destination lets us slice the
-    first ``take`` sources per destination without a Python loop.
-    """
-    n, k = ids.shape
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    dst = ids.ravel().astype(np.int64)
-    perm = rng.permutation(len(dst))
-    src, dst = src[perm], dst[perm]
-    order = np.argsort(dst, kind="stable")
-    src, dst = src[order], dst[order]
-    starts = np.searchsorted(dst, np.arange(n))
-    counts = np.minimum(np.searchsorted(dst, np.arange(n), side="right") - starts, take)
-    out = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, take))
-    cols = np.arange(take)[None, :]
-    mask = cols < counts[:, None]
-    flat_pos = (starts[:, None] + cols)[mask]
-    out[mask] = src[flat_pos]
+    out[arrivals] = perm[(keys[first[arrivals]] & _LOW).astype(np.intp)] // k
     return out
 
 
@@ -183,6 +204,12 @@ def build_knn_graph(
             ``N - 1`` for tiny datasets.
         config: build options; only the ``nn_descent_*``, ``metric`` and
             ``seed`` fields are consulted.
+
+    Each round's candidates are scored for
+    :attr:`KnnGraphResult.distance_computations` as the algorithm defines
+    them, but a distance is computed only for a candidate id that is new
+    to its row, once however often it was sampled; the graph is the same
+    bit for bit as when every candidate was computed.
     """
     config = config or GraphBuildConfig()
     n = int(data.shape[0])
@@ -191,6 +218,11 @@ def build_knn_graph(
     k = min(k, n - 1)
     rng = np.random.default_rng(config.seed)
     metric = config.metric
+
+    def distance(rows: np.ndarray, pair_ids: np.ndarray) -> np.ndarray:
+        return gathered_distances(
+            data, data, pair_ids[:, None], metric=metric, query_rows=rows
+        ).reshape(-1)
 
     # --- random initialization -------------------------------------------
     ids = rng.integers(0, n - 1, size=(n, k), dtype=np.int64)
@@ -229,7 +261,7 @@ def build_knn_graph(
         )
         is_new &= ~sampled_mask
 
-        rev = _reverse_samples_fast(ids, sample, rng)
+        rev = _reverse_samples(ids, sample, rng)
 
         # --- 2-hop expansion ----------------------------------------------
         sources = np.concatenate([fwd, rev], axis=1)  # (n, 2*sample)
@@ -244,12 +276,11 @@ def build_knn_graph(
         if self_mask.any():
             cand[self_mask] = np.broadcast_to(ids[:, :1], cand.shape)[self_mask]
 
-        cand_dists = gathered_distances(data, data, cand, metric=metric).astype(
-            np.float32
-        )
+        # The algorithm scores every candidate pair (the cost model prices
+        # them all); the merge evaluates each distinct fresh pair once.
         distance_computations += cand.size
 
-        new_ids, new_dists, entered = _merge_candidates(ids, dists, cand, cand_dists, k)
+        new_ids, new_dists, entered = _merge_candidates(ids, dists, cand, k, distance)
         # Freshly inserted ids must be expanded next round; survivors have
         # already had their chance.
         is_new = entered

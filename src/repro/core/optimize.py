@@ -168,65 +168,58 @@ def merge_reverse_edges(
     are compensated from the forward list (Sec. III-B2).  Duplicates are
     skipped; in pathological tiny graphs remaining slots are filled with
     random distinct nodes so the out-degree stays fixed.
+
+    Every node runs the interleave at once, in lockstep: each micro-step
+    reads one candidate per unfinished node (from its reverse list on a
+    reverse slot while it has reverse edges and fewer than ``d/2`` taken,
+    else from its forward list, else the rest of its reverse list) and
+    keeps it unless the row already holds it.  A node reads at most ``d``
+    forward and ``d`` reverse candidates, so there are at most ``2d``
+    steps.  Only the rows still short after that go through the scalar
+    random fill, in node order.
     """
     rng = rng or np.random.default_rng(0)
-    d = pruned.degree
-    n = pruned.num_nodes
+    n, d = pruned.num_nodes, pruned.degree
     half = d // 2
-    reverse_lists = pruned.reversed_edge_lists()
-    merged = np.empty((n, d), dtype=np.uint32)
+    forward = pruned.neighbors.astype(np.int64)
+    sources, offsets = pruned.reversed_edges()
+    rev_len = np.minimum(np.diff(offsets), d)
+    chosen = np.full((n, d), -1, dtype=np.int64)
+    filled = np.zeros(n, dtype=np.int64)
+    fwd_pos = np.zeros(n, dtype=np.int64)
+    rev_pos = np.zeros(n, dtype=np.int64)
+    rev_taken = np.zeros(n, dtype=np.int64)
 
-    for node in range(n):
-        fwd = pruned.neighbors[node]
-        rev = reverse_lists[node][:d]
-        chosen: list[int] = []
-        seen = {node}
-        fwd_pos = rev_pos = 0
-        rev_taken = 0
-        # Interleave: forward slot, then reverse slot, compensating from
-        # the forward list when reverse edges run out.
-        while len(chosen) < d:
-            use_reverse = (len(chosen) % 2 == 1) and rev_taken < half
-            advanced = False
-            if use_reverse:
-                while rev_pos < len(rev):
-                    cand = int(rev[rev_pos])
-                    rev_pos += 1
-                    if cand not in seen:
-                        chosen.append(cand)
-                        seen.add(cand)
-                        rev_taken += 1
-                        advanced = True
-                        break
-            if not advanced:
-                while fwd_pos < len(fwd):
-                    cand = int(fwd[fwd_pos])
-                    fwd_pos += 1
-                    if cand not in seen:
-                        chosen.append(cand)
-                        seen.add(cand)
-                        advanced = True
-                        break
-            if not advanced:
-                # Forward exhausted: drain remaining reverse edges (on a
-                # reverse slot they already are, and the row is done).
-                while rev_pos < len(rev):
-                    cand = int(rev[rev_pos])
-                    rev_pos += 1
-                    if cand not in seen:
-                        chosen.append(cand)
-                        seen.add(cand)
-                        advanced = True
-                        break
-                if not advanced:
-                    break
-        while len(chosen) < d:
+    nodes = np.arange(n, dtype=np.int64)
+    while nodes.size:
+        has_rev = rev_pos[nodes] < rev_len[nodes]
+        has_fwd = fwd_pos[nodes] < d
+        reverse_slot = (filled[nodes] % 2 == 1) & (rev_taken[nodes] < half) & has_rev
+        from_rev = reverse_slot | (has_rev & ~has_fwd)
+        live = from_rev | has_fwd  # both lists dry: the row is done
+        nodes, from_rev, reverse_slot = nodes[live], from_rev[live], reverse_slot[live]
+        cand = np.empty(nodes.size, dtype=np.int64)
+        at_rev, at_fwd = nodes[from_rev], nodes[~from_rev]
+        cand[from_rev] = sources[offsets[at_rev] + rev_pos[at_rev]]
+        cand[~from_rev] = forward[at_fwd, fwd_pos[at_fwd]]
+        rev_pos[at_rev] += 1
+        fwd_pos[at_fwd] += 1
+        keep = (cand != nodes) & ~(chosen[nodes] == cand[:, None]).any(axis=1)
+        took = nodes[keep]
+        chosen[took, filled[took]] = cand[keep]
+        filled[took] += 1
+        rev_taken[took] += reverse_slot[keep]
+        nodes = nodes[filled[nodes] < d]
+
+    for node in np.flatnonzero(filled < d):  # malformed rows only
+        seen = {int(node), *chosen[node, : filled[node]].tolist()}
+        while filled[node] < d:
             cand = int(rng.integers(0, n))
             if cand not in seen:
-                chosen.append(cand)
+                chosen[node, filled[node]] = cand
+                filled[node] += 1
                 seen.add(cand)
-        merged[node] = np.asarray(chosen, dtype=np.uint32)
-    return FixedDegreeGraph(merged)
+    return FixedDegreeGraph(chosen.astype(np.uint32))
 
 
 def optimize_graph(

@@ -7,10 +7,23 @@ from repro.core.config import GraphBuildConfig
 from repro.core.nn_descent import (
     _merge_candidates,
     _reverse_samples,
-    _reverse_samples_fast,
     brute_force_knn_graph,
     build_knn_graph,
 )
+from tests.oracles.build import reverse_samples
+
+
+def table_distance(table: dict[tuple[int, int], float], calls: list | None = None):
+    """A pair-distance callback over ``{(row, id): distance}``, optionally
+    recording every pair it is asked for."""
+
+    def distance(rows, ids):
+        pairs = list(zip(rows.tolist(), ids.tolist()))
+        if calls is not None:
+            calls.extend(pairs)
+        return np.array([table[pair] for pair in pairs], dtype=np.float32)
+
+    return distance
 
 
 class TestMergeCandidates:
@@ -18,26 +31,37 @@ class TestMergeCandidates:
         ids = np.array([[1, 2]])
         dists = np.array([[1.0, 2.0]])
         cand = np.array([[3]])
-        cand_d = np.array([[0.5]])
-        new_ids, new_dists, entered = _merge_candidates(ids, dists, cand, cand_d, 2)
+        table = {(0, 1): 1.0, (0, 2): 2.0, (0, 3): 0.5}
+        new_ids, new_dists, entered = _merge_candidates(
+            ids, dists, cand, 2, table_distance(table)
+        )
         np.testing.assert_array_equal(new_ids, [[3, 1]])
         np.testing.assert_allclose(new_dists, [[0.5, 1.0]])
         np.testing.assert_array_equal(entered, [[True, False]])
 
     def test_duplicate_keeps_best_distance(self):
+        """Each distinct fresh id is scored once, however often it is a
+        candidate; an id already in the row keeps its row distance and is
+        not scored again."""
         ids = np.array([[1, 2]])
         dists = np.array([[1.0, 2.0]])
-        cand = np.array([[2, 2]])
-        cand_d = np.array([[0.3, 5.0]])
-        new_ids, new_dists, _ = _merge_candidates(ids, dists, cand, cand_d, 2)
-        np.testing.assert_array_equal(new_ids, [[2, 1]])
+        cand = np.array([[2, 3, 3, 2]])
+        table = {(0, 1): 1.0, (0, 2): 2.0, (0, 3): 0.3}
+        calls: list = []
+        new_ids, new_dists, entered = _merge_candidates(
+            ids, dists, cand, 2, table_distance(table, calls)
+        )
+        assert calls == [(0, 3)]
+        np.testing.assert_array_equal(new_ids, [[3, 1]])
         np.testing.assert_allclose(new_dists, [[0.3, 1.0]])
+        np.testing.assert_array_equal(entered, [[True, False]])
 
     def test_no_change_reports_nothing_entered(self):
         ids = np.array([[1, 2]])
         dists = np.array([[1.0, 2.0]])
+        table = {(0, 1): 1.0, (0, 2): 2.0, (0, 9): 99.0}
         new_ids, _, entered = _merge_candidates(
-            ids, dists, np.array([[9]]), np.array([[99.0]]), 2
+            ids, dists, np.array([[9]]), 2, table_distance(table)
         )
         np.testing.assert_array_equal(new_ids, ids)
         assert not entered.any()
@@ -45,12 +69,12 @@ class TestMergeCandidates:
     def test_rows_stay_sorted(self):
         rng = np.random.default_rng(0)
         ids = rng.permutation(20)[:8][None, :]
-        dists = rng.random((1, 8))
+        cand = rng.permutation(30)[20:28][None, :] + 100
+        table = {(0, int(i)): float(d) for i, d in zip(range(200), rng.random(200))}
+        dists = np.array([[table[0, int(i)] for i in ids[0]]])
         order = np.argsort(dists[0])
         ids, dists = ids[:, order], dists[:, order]
-        cand = rng.permutation(30)[20:28][None, :] + 100
-        cand_d = rng.random((1, 8))
-        _, new_dists, _ = _merge_candidates(ids, dists, cand, cand_d, 8)
+        _, new_dists, _ = _merge_candidates(ids, dists, cand, 8, table_distance(table))
         assert (np.diff(new_dists[0]) >= 0).all()
 
 
@@ -58,17 +82,20 @@ class TestReverseSamples:
     def test_fast_matches_reference_semantics(self):
         rng = np.random.default_rng(1)
         ids = rng.integers(0, 30, size=(30, 5))
-        out = _reverse_samples_fast(ids.astype(np.int64), 4, np.random.default_rng(2))
+        out = _reverse_samples(ids.astype(np.int64), 4, np.random.default_rng(2))
         # Every sampled reverse neighbor must actually point at the node.
         for node in range(30):
             for src in out[node]:
                 if src != node:  # padding value
                     assert node in ids[src]
+        np.testing.assert_array_equal(
+            out, reverse_samples(ids.astype(np.int64), 4, np.random.default_rng(2))
+        )
 
     def test_reference_variant_same_property(self):
         rng = np.random.default_rng(1)
         ids = rng.integers(0, 20, size=(20, 4))
-        out = _reverse_samples(ids.astype(np.int64), 3, np.random.default_rng(2))
+        out = reverse_samples(ids.astype(np.int64), 3, np.random.default_rng(2))
         for node in range(20):
             for src in out[node]:
                 if src != node:
@@ -77,7 +104,7 @@ class TestReverseSamples:
     def test_shapes(self):
         ids = np.zeros((10, 3), dtype=np.int64)
         ids[:] = np.arange(3)
-        out = _reverse_samples_fast(ids, 5, np.random.default_rng(0))
+        out = _reverse_samples(ids, 5, np.random.default_rng(0))
         assert out.shape == (10, 5)
 
 

@@ -7,8 +7,10 @@ Invariants checked:
 * merge_topm equals a reference top-M selection for any inputs;
 * detour-route counting equals the literal O(d²) reference on random
   graphs, with duplicate neighbour ids and at any block size;
-* NN-descent merge keeps rows sorted and deduplicated, and its packed-key
-  sorts reproduce the lexsort + stable-argsort merge they replaced;
+* NN-descent merge keeps rows sorted and deduplicated, scores each fresh
+  pair once, and reproduces bit for bit both the lexsort + stable-argsort
+  merge and the score-every-candidate merge it replaced; reverse sampling
+  and the lockstep reverse-edge merge reproduce their scalar oracles;
 * the traversal engine's packed top-M merge, first-occurrence mask and
   parent pick reproduce the stable multi-key code they replaced;
 * the row-blocked gathered-distance kernel is bitwise its one-block self;
@@ -26,9 +28,10 @@ from repro.core import distances as distances_module
 from repro.core.distances import METRICS, gathered_distances
 from repro.core.graph import FixedDegreeGraph, INDEX_MASK
 from repro.core.hashtable import StandardHashTable
-from repro.core.nn_descent import _merge_candidates
-from repro.core.optimize import count_detourable_routes
+from repro.core.nn_descent import _merge_candidates, _reverse_samples
+from repro.core.optimize import count_detourable_routes, merge_reverse_edges
 from repro.core.topm import bitonic_sort, merge_topm
+from tests.oracles import build as oracle
 
 MAX_EXAMPLES = 40
 
@@ -277,7 +280,7 @@ class TestBlockedGatherProperties:
 
 def _lexsort_merge_oracle(ids, dists, cand_ids, cand_dists, k):
     """The two-key ``lexsort`` + stable ``argsort`` merge that
-    ``_merge_candidates`` used before it packed keys, kept as its oracle."""
+    ``_merge_candidates`` used before it packed keys, kept as an oracle."""
     all_ids = np.concatenate([ids, cand_ids], axis=1)
     all_dists = np.concatenate([dists, cand_dists], axis=1)
     order = np.lexsort((all_dists, all_ids), axis=1)
@@ -295,50 +298,179 @@ def _lexsort_merge_oracle(ids, dists, cand_ids, cand_dists, k):
     return new_ids, new_dists, entered
 
 
+#: Few distinct values, so ties between different ids are the rule: both
+#: zeros, negatives (inner product), +inf, extremes.
+_DISTANCE_POOL = np.array(
+    [-0.0, 0.0, -3.5, -1e-30, 1e-30, 0.25, 0.25, 7.0, np.inf,
+     np.finfo(np.float32).max, -np.finfo(np.float32).max],
+    dtype=np.float32,
+)
+
+
+def _pool_distance(salt: int, calls: list | None = None):
+    """A pair distance drawn from :data:`_DISTANCE_POOL` that is a function
+    of its ``(row, id)`` pair, as every metric is; ``calls`` collects the
+    pairs asked for."""
+
+    def distance(rows, ids):
+        if calls is not None:
+            calls.extend(zip(rows.tolist(), ids.tolist()))
+        slot = (ids.astype(np.int64) * 7919 + rows.astype(np.int64) * 104729 + salt)
+        return _DISTANCE_POOL[slot % len(_DISTANCE_POOL)]
+
+    return distance
+
+
+def _merge_inputs(seed, rows, k, n_cand, universe, tail_copies):
+    """An old k-NN block and its candidates under :func:`_pool_distance`.
+
+    Old rows may repeat an id (tiny N); with ``tail_copies`` every copy
+    after an id's first holds +inf, as the merge leaves surplus copies.
+    """
+    rng = np.random.default_rng(seed)
+    distance = _pool_distance(seed)
+    ids = rng.integers(0, universe, size=(rows, k), dtype=np.int64)
+    cand = rng.integers(0, universe, size=(rows, n_cand), dtype=np.int64)
+    row_of = np.repeat(np.arange(rows), k)
+    dists = distance(row_of, ids.ravel()).reshape(rows, k).copy()
+    if tail_copies:
+        for r in range(rows):
+            seen: set[int] = set()
+            for c, i in enumerate(ids[r].tolist()):
+                if i in seen:
+                    dists[r, c] = np.inf
+                seen.add(i)
+    cand_dists = distance(np.repeat(np.arange(rows), n_cand), cand.ravel()).reshape(
+        rows, n_cand
+    )
+    return ids, dists, cand, cand_dists, distance
+
+
+_merge_cases = dict(
+    seed=st.integers(0, 100_000),
+    rows=st.integers(1, 5),
+    k=st.integers(1, 10),
+    n_cand=st.integers(0, 14),
+    universe=st.sampled_from([3, 12, 2**31 - 1]),
+    tail_copies=st.booleans(),
+)
+
+
 class TestNnDescentMergeProperties:
     @settings(max_examples=4 * MAX_EXAMPLES, deadline=None)
-    @given(
-        seed=st.integers(0, 100_000),
-        rows=st.integers(1, 5),
-        k=st.integers(1, 10),
-        n_cand=st.integers(0, 14),
-        universe=st.sampled_from([3, 12, 2**31 - 1]),
-    )
-    def test_packed_keys_match_lexsort_oracle(self, seed, rows, k, n_cand, universe):
-        rng = np.random.default_rng(seed)
-        # Few distinct values, so ties between different ids are the rule:
-        # both zeros, negatives (inner product), +inf (padding), extremes.
-        pool = np.array(
-            [-0.0, 0.0, -3.5, -1e-30, 1e-30, 0.25, 0.25, 7.0, np.inf,
-             np.finfo(np.float32).max, -np.finfo(np.float32).max],
-            dtype=np.float32,
+    @given(**_merge_cases)
+    def test_packed_keys_match_lexsort_oracle(
+        self, seed, rows, k, n_cand, universe, tail_copies
+    ):
+        ids, dists, cand, cand_d, distance = _merge_inputs(
+            seed, rows, k, n_cand, universe, tail_copies
         )
-        ids = rng.integers(0, universe, size=(rows, k), dtype=np.int64)
-        cand = rng.integers(0, universe, size=(rows, n_cand), dtype=np.int64)
-        dists = rng.choice(pool, size=(rows, k))
-        cand_d = rng.choice(pool, size=(rows, n_cand))
-        got = _merge_candidates(ids, dists, cand, cand_d, k)
+        got = _merge_candidates(ids, dists, cand, k, distance)
         want = _lexsort_merge_oracle(ids, dists, cand, cand_d, k)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             # == on values: a -0.0 comes back as +0.0 (documented).
             np.testing.assert_array_equal(g, w)
 
+    @settings(max_examples=4 * MAX_EXAMPLES, deadline=None)
+    @given(**_merge_cases)
+    def test_bitwise_against_score_every_candidate_oracle(
+        self, seed, rows, k, n_cand, universe, tail_copies
+    ):
+        ids, dists, cand, cand_d, distance = _merge_inputs(
+            seed, rows, k, n_cand, universe, tail_copies
+        )
+        new_ids, new_dists, entered = _merge_candidates(ids, dists, cand, k, distance)
+        want_ids, want_dists, want_entered = oracle.merge_candidates(
+            ids, dists, cand, cand_d, k
+        )
+        np.testing.assert_array_equal(new_ids, want_ids)
+        np.testing.assert_array_equal(_bits(new_dists), _bits(want_dists))
+        np.testing.assert_array_equal(entered, want_entered)
+
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(**_merge_cases)
+    def test_each_fresh_pair_is_scored_once(
+        self, seed, rows, k, n_cand, universe, tail_copies
+    ):
+        ids, dists, cand, _, _ = _merge_inputs(seed, rows, k, n_cand, universe, tail_copies)
+        calls: list = []
+        _merge_candidates(ids, dists, cand, k, _pool_distance(seed, calls))
+        fresh = {
+            (r, c) for r in range(rows) for c in cand[r].tolist() if c not in ids[r]
+        }
+        assert sorted(calls) == sorted(fresh)
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(seed=st.integers(0, 10_000), k=st.integers(2, 12))
     def test_rows_sorted_and_unique(self, seed, k):
         rng = np.random.default_rng(seed)
         rows = 3
-        ids = rng.integers(0, 100, size=(rows, k)).astype(np.int64)
-        dists = np.sort(rng.random((rows, k)), axis=1)
+        table = rng.random((rows, 100)).astype(np.float32)
+        ids = np.stack([rng.permutation(100)[:k] for _ in range(rows)]).astype(np.int64)
+        dists = np.take_along_axis(table, ids, axis=1)
         cand = rng.integers(0, 100, size=(rows, k)).astype(np.int64)
-        cand_d = rng.random((rows, k))
-        new_ids, new_dists, _ = _merge_candidates(ids, dists, cand, cand_d, k)
+        new_ids, new_dists, _ = _merge_candidates(
+            ids, dists, cand, k, lambda r, i: table[r, i]
+        )
         for row_ids, row_dists in zip(new_ids, new_dists):
             finite = np.isfinite(row_dists)
             assert (np.diff(row_dists[finite]) >= 0).all()
             assert len(np.unique(row_ids[finite])) == finite.sum()
+
+
+class TestReverseSampleProperties:
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(1, 40),
+        k=st.integers(1, 8),
+        take=st.integers(1, 10),
+    )
+    def test_bitwise_against_scalar_oracle(self, seed, n, k, take):
+        """Any id block: self ids, repeats and nodes nobody lists."""
+        ids = np.random.default_rng(seed).integers(0, n, size=(n, k), dtype=np.int64)
+        got = _reverse_samples(ids, take, np.random.default_rng(seed + 1))
+        want = oracle.reverse_samples(ids, take, np.random.default_rng(seed + 1))
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+class TestReverseEdgeMergeProperties:
+    @settings(max_examples=2 * MAX_EXAMPLES, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(2, 30),
+        d=st.integers(1, 8),
+        orphans=st.integers(0, 3),
+    )
+    def test_bitwise_against_per_node_oracle(self, seed, n, d, orphans):
+        """Random rows with self loops and repeated ids; the first
+        ``orphans`` nodes get no in-edges at all."""
+        d = min(d, n - 1)
+        orphans = min(orphans, n - 1)
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(orphans, n, size=(n, d)).astype(np.uint32)
+        pruned = FixedDegreeGraph(rows)
+        got = merge_reverse_edges(pruned, rng=np.random.default_rng(seed))
+        want = oracle.merge_reverse_edges(pruned, rng=np.random.default_rng(seed))
+        np.testing.assert_array_equal(got.neighbors, want.neighbors)
+
+    def test_both_lists_dry_matches_oracle(self):
+        """The graph of ``test_both_lists_dry_on_a_reverse_slot_terminates``:
+        node 1's lists run dry on a reverse slot and it takes the random
+        fill."""
+        rows = np.array(
+            [[5, 4, 3, 1], [2, 0, 0, 0], [1, 5, 4, 6], [3, 4, 6, 5],
+             [4, 3, 3, 6], [1, 5, 4, 0], [2, 6, 3, 0]],
+            dtype=np.uint32,
+        )
+        for seed in range(8):
+            got = merge_reverse_edges(FixedDegreeGraph(rows), rng=np.random.default_rng(seed))
+            want = oracle.merge_reverse_edges(
+                FixedDegreeGraph(rows), rng=np.random.default_rng(seed)
+            )
+            np.testing.assert_array_equal(got.neighbors, want.neighbors)
 
 
 class TestBatchMergeProperties:
