@@ -144,7 +144,7 @@ def _merge_candidates(
     keys <<= _HALF
     np.maximum(keys, repeat * _INF_KEY, out=keys)  # no distance's bits exceed +inf's
     keys |= id_half
-    del id_half, repeat
+    del id_half, repeat  # the build's memory peak is this round's key slabs
 
     pair_rows = (pairs // width).astype(np.int32)
     bits = float32_order_bits(distance(pair_rows, pair_ids).astype(np.float32, copy=False))
