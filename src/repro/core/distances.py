@@ -94,19 +94,22 @@ def distances_to_query(
     indices: np.ndarray | None = None,
     metric: str = "sqeuclidean",
 ) -> np.ndarray:
-    """Distances from one query vector to ``data[indices]`` (or all rows)."""
+    """Distances from one query vector to ``data[indices]`` (or all rows).
+
+    Bit for bit what :func:`gathered_distances` gives the same pairs, on
+    every metric and storage dtype, so a query's distances do not depend on
+    whether it is scored alone or inside a batch.  Inner product and cosine
+    run through :func:`gathered_distances` itself; squared L2 keeps its own
+    two-line kernel (the same per-row reduction, without the block setup).
+    """
     _check_metric(metric)
+    if metric != "sqeuclidean":
+        ids = np.arange(len(data)) if indices is None else np.asarray(indices)
+        return gathered_distances(data, np.asarray(query)[None], ids[None], metric)[0]
     dtype = _compute_dtype(data)
     rows = data if indices is None else data[indices]
     rows = np.asarray(rows, dtype=dtype)
     q = np.asarray(query, dtype=dtype)
-    if metric == "cosine":
-        rows = normalize_rows(rows)
-        nq = np.linalg.norm(q)
-        if nq > 0.0:
-            q = q / nq
-    if metric in ("inner_product", "cosine"):
-        return -(rows @ q)
     diff = rows - q
     return np.einsum("ij,ij->i", diff, diff)
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import distances as distances_module
-from repro.core.distances import METRICS, gathered_distances
+from repro.core.distances import METRICS, distances_to_query, gathered_distances
 from repro.core.graph import FixedDegreeGraph, INDEX_MASK
 from repro.core.hashtable import StandardHashTable
 from repro.core.nn_descent import _merge_candidates, _reverse_samples
@@ -264,6 +264,39 @@ class TestBlockedGatherProperties:
             )
         assert flat.dtype == full.dtype and flat.shape == (pairs, 1)
         np.testing.assert_array_equal(_bits(flat[:, 0]), _bits(full.reshape(-1)[at]))
+
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        width=st.integers(0, 40),
+        dim=st.integers(1, 300),
+        metric=st.sampled_from(METRICS),
+        dtype=st.sampled_from(["float32", "float16", "float64"]),
+        batch=st.integers(1, 32),
+    )
+    def test_one_query_kernel_bitwise_equal_to_gathered(
+        self, seed, width, dim, metric, dtype, batch
+    ):
+        """``distances_to_query`` (the sequential specification and the
+        baselines) gives every metric and storage dtype the bits
+        ``gathered_distances`` (the engine) gives the same pair, in any
+        batch row — so a query scores the same alone or batched."""
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((50, dim)).astype(dtype)
+        data[3] = 0.0
+        queries = rng.standard_normal((batch, dim)).astype(np.float32)
+        indices = rng.integers(0, 50, size=(batch, width))
+        indices[:, :1] = 3
+        batched = gathered_distances(data, queries, indices, metric)
+        for row in range(batch):
+            alone = distances_to_query(data, queries[row], indices[row], metric)
+            assert alone.dtype == batched.dtype
+            np.testing.assert_array_equal(_bits(alone), _bits(batched[row]))
+        every = distances_to_query(data, queries[0], metric=metric)
+        np.testing.assert_array_equal(
+            _bits(every),
+            _bits(gathered_distances(data, queries[:1], np.arange(50)[None], metric)[0]),
+        )
 
     def test_row_wider_than_the_real_budget(self):
         """width x dim x 4 bytes above the module's own constant: the block

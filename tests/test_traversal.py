@@ -221,6 +221,29 @@ class TestDispatchArms:
         assert not calls  # batch 32 goes through the array-parallel slab
 
 
+class TestLoneVersusBatchedReference:
+    """The two reference arms share one distance kernel per metric: on an
+    inner-product index a query gets the same ids *and distance bits*
+    alone (scalar arm) as inside a batch of 32 (hash slab)."""
+
+    @pytest.mark.parametrize("algo", ["single_cta", "multi_cta"])
+    def test_inner_product_lone_equals_batch_row(self, hard_data, algo):
+        index = CagraIndex.build(
+            hard_data[:600],
+            GraphBuildConfig(graph_degree=16, metric="inner_product", seed=1),
+        )
+        queries = hard_data[600:632]
+        config = SearchConfig(itopk=32, seed=5, algo=algo)
+        batch = index.search(queries, 10, config=config)
+        assert len(queries) >= traversal._SCALAR_REFERENCE_ROWS
+        for row in range(len(queries)):
+            alone = index.search(queries[row : row + 1], 10, config=config)
+            np.testing.assert_array_equal(alone.indices[0], batch.indices[row])
+            np.testing.assert_array_equal(
+                alone.distances[0].view(np.uint64), batch.distances[row].view(np.uint64)
+            )
+
+
 class TestFp16Storage:
     def test_engine_quantizes_storage_only(self, regression):
         _, _, index, _ = regression
