@@ -116,12 +116,11 @@ def normalize_results(
     """Normalize raw backend output to the unified result contract.
 
     Casts ids to int32 and distances to float32, rewrites every unfilled
-    slot (sentinel id or non-finite distance, e.g. a baseline's zero-id
-    ``inf`` padding) to ``(INDEX_MASK, +inf)``, and compacts each row so
-    the padding is strictly trailing.  The relative order of filled
-    entries is preserved (stable), so already-sorted backends stay
-    sorted and filled CAGRA/sharded outputs pass through bit-identical
-    in value.  With ``k`` the output is exactly ``k`` columns wide: the
+    slot (sentinel id or non-finite distance) to ``(INDEX_MASK, +inf)``,
+    and compacts each row so the padding is strictly trailing.  The
+    relative order of filled entries is preserved (stable), so
+    already-sorted backends stay sorted and filled CAGRA/sharded outputs
+    pass through bit-identical in value.  With ``k`` the output is exactly ``k`` columns wide: the
     compacted rows are cut to ``k`` or, when the backend had fewer
     candidates than that (``k`` above the index size), padded with
     trailing sentinels — asking for more than an index holds is answered,

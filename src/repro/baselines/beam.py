@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.distances import distances_to_query
+from repro.core.graph import INDEX_MASK
 
 __all__ = ["BeamCounters", "beam_search"]
 
@@ -55,7 +56,8 @@ def beam_search(
         neighbor_lists: indexable giving each node's neighbor id array —
             a ``(N, d)`` array, a list of arrays, or any ``[]``-able.
         query: one query vector.
-        k: results to return (``<= beam_width``).
+        k: results to return (``<= beam_width``); slots beyond the nodes
+            reachable from ``seeds`` come back as ``(INDEX_MASK, inf)``.
         beam_width: pool size ``L`` — the recall/throughput knob.
         seeds: entry-point node ids.
         counters: accumulates work across calls when provided.
@@ -85,8 +87,9 @@ def beam_search(
         hops += 1
         if max_hops and hops > max_hops:
             break
-        neighbors = np.asarray(neighbor_lists[node], dtype=np.int64)
-        fresh = np.array([n for n in neighbors if int(n) not in visited], dtype=np.int64)
+        # A repeated neighbour is a non-first visit: scored once at most.
+        neighbors = dict.fromkeys(np.asarray(neighbor_lists[node]).tolist())
+        fresh = np.array([n for n in neighbors if n not in visited], dtype=np.int64)
         if len(fresh) == 0:
             continue
         visited.update(int(n) for n in fresh)
@@ -105,8 +108,9 @@ def beam_search(
     top = pool[:k]
     ids = np.array([n for _, n in top], dtype=np.uint32)
     dists_out = np.array([d for d, _ in top], dtype=np.float64)
-    if len(ids) < k:  # pathological tiny graphs
+    if len(ids) < k:  # fewer than k nodes reachable from the seeds
         pad = k - len(ids)
-        ids = np.concatenate([ids, np.zeros(pad, dtype=np.uint32)])
+        ids = np.concatenate([ids, np.full(pad, INDEX_MASK, dtype=np.uint32)])
         dists_out = np.concatenate([dists_out, np.full(pad, np.inf)])
     return ids, dists_out
+

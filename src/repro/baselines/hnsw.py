@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.baselines.beam import BeamCounters
 from repro.core.distances import distances_to_query
+from repro.core.graph import INDEX_MASK
 
 __all__ = ["HnswBuildStats", "HnswIndex"]
 
@@ -272,7 +273,7 @@ class HnswIndex:
             row_ids = [n for _, n in top]
             row_dists = [d for d, _ in top]
             while len(row_ids) < k:
-                row_ids.append(0)
+                row_ids.append(int(INDEX_MASK))
                 row_dists.append(np.inf)
             ids[i] = np.array(row_ids, dtype=np.uint32)
             dists[i] = row_dists

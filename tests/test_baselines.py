@@ -87,6 +87,27 @@ class TestBeamSearch:
                                np.array([3, 40, 80]))
         assert (np.diff(dists) >= 0).all()
 
+    def test_unfilled_slots_never_count_as_hits(self, tiny_data):
+        """On a two-component graph a search seeded in one component
+        finds fewer than ``k`` nodes; the unfilled slots are
+        ``(INDEX_MASK, inf)``, not node 0, so they score no recall even
+        though node 0 is a true neighbour."""
+        from repro.core.graph import INDEX_MASK
+
+        # Component A = nodes 0..59 (a ring), component B = 60..119.
+        ring = lambda lo: [[lo + (i + 1) % 60, lo + (i - 1) % 60] for i in range(60)]
+        adjacency = np.array(ring(0) + ring(60))
+        query = tiny_data[0]
+        ids, dists = beam_search(
+            tiny_data, adjacency, query, 80, 80, np.array([60]),
+        )
+        assert set(ids[:60].tolist()) == set(range(60, 120))
+        assert (ids[60:] == INDEX_MASK).all() and np.isinf(dists[60:]).all()
+        truth, _ = exact_search(tiny_data, query, 80)
+        assert 0 in truth[0]
+        reachable_hits = len(np.intersect1d(truth[0], np.arange(60, 120)))
+        assert recall(ids[None], truth) == pytest.approx(reachable_hits / 80)
+
     def test_counters_merge(self):
         a = BeamCounters(distance_computations=3, hops=2, queries=1)
         b = BeamCounters(distance_computations=4, hops=5, queries=2)
@@ -137,6 +158,14 @@ class TestHnsw:
 
     def test_build_stats(self, hnsw):
         assert hnsw.build_stats.distance_computations > 0
+
+    def test_k_above_index_size_pads_with_the_sentinel(self, small_data):
+        from repro.core.graph import INDEX_MASK
+
+        tiny = HnswIndex(small_data[:6], m=2, ef_construction=4, seed=0).build()
+        ids, dists, _ = tiny.search(small_data[:3], 8, ef=8)
+        assert (np.sort(ids[:, :6], axis=1) == np.arange(6)).all()
+        assert (ids[:, 6:] == INDEX_MASK).all() and np.isinf(dists[:, 6:]).all()
 
     def test_bad_m_rejected(self, small_data):
         with pytest.raises(ValueError):
@@ -265,3 +294,4 @@ class TestBaselineDeterminism:
         assert a.max_level == b.max_level
         for node in (0, 50, 150):
             np.testing.assert_array_equal(a.layers[0][node], b.layers[0][node])
+
