@@ -18,7 +18,7 @@ Every search reports operation counters compatible with the cost models in
 """
 
 from repro.baselines.bruteforce import exact_search
-from repro.baselines.beam import BeamCounters, beam_search
+from repro.baselines.beam import BeamCounters, beam_search, link_orphans
 from repro.baselines.hnsw import HnswIndex
 from repro.baselines.nssg import NssgIndex, nssg_search
 from repro.baselines.ggnn import GgnnIndex
@@ -28,6 +28,7 @@ __all__ = [
     "exact_search",
     "BeamCounters",
     "beam_search",
+    "link_orphans",
     "HnswIndex",
     "NssgIndex",
     "nssg_search",

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.distances import distances_to_query
 from repro.core.graph import INDEX_MASK
 
-__all__ = ["BeamCounters", "beam_search"]
+__all__ = ["BeamCounters", "beam_search", "link_orphans"]
 
 
 @dataclass
@@ -114,3 +114,39 @@ def beam_search(
         dists_out = np.concatenate([dists_out, np.full(pad, np.inf)])
     return ids, dists_out
 
+
+def link_orphans(rows: list[list[int]], degree: int, entry: int = -1) -> int:
+    """Give every node except ``entry`` at least one in-edge, in place.
+
+    A node no other row lists goes into the row of its first out-neighbour
+    that can take it (then of any node, in id order): appended while the
+    row holds fewer than ``degree`` ids, else written over the row's last
+    entry that keeps another in-edge.  So a repair never evicts another
+    node's last in-edge, and none is undone by a later repair or by the
+    degree cap.  Returns the number of nodes linked.
+    """
+    n = len(rows)
+    lengths = np.fromiter((len(row) for row in rows), dtype=np.int64, count=n)
+    targets = np.fromiter((t for row in rows for t in row), dtype=np.int64)
+    sources = np.repeat(np.arange(n), lengths)
+    in_degree = np.bincount(targets[targets != sources], minlength=n)
+    linked = 0
+    for node in np.flatnonzero(in_degree == 0).tolist():
+        if node == entry:
+            continue
+        for host in [*rows[node], *range(n)]:
+            row = rows[host]
+            if host == node:
+                continue
+            if len(row) < degree:
+                row.append(node)
+            else:
+                spare = [j for j, t in enumerate(row) if t == host or in_degree[t] > 1]
+                if not spare:
+                    continue
+                in_degree[row[spare[-1]]] -= row[spare[-1]] != host
+                row[spare[-1]] = node
+            in_degree[node] += 1
+            linked += 1
+            break
+    return linked

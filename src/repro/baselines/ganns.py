@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.beam import BeamCounters, beam_search
+from repro.baselines.beam import BeamCounters, beam_search, link_orphans
 from repro.core.distances import pairwise_distances
 from repro.core.rng_init import counter_draws, query_keys
 
@@ -121,13 +121,11 @@ class GannsIndex:
             stats.num_batches += 1
 
         self._trim_rows(stats)
-        # Reachability guarantee: every node force-linked into its first
-        # target's row so it keeps at least one in-edge after trimming.
-        for node in range(boot, n):
-            target = int(self.adjacency[node][0])
-            row = self.adjacency[target]
-            if node not in row:
-                row[-1] = node
+        # Reachability guarantee: every node keeps at least one in-edge
+        # after trimming.
+        rows = [row.tolist() for row in self.adjacency]
+        link_orphans(rows, self.degree, entry=self.entry_point)
+        self.adjacency = [np.array(row, dtype=np.int64) for row in rows]
         stats.distance_computations += counters.distance_computations
         stats.hops += counters.hops
         self._built = True

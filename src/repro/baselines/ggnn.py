@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.beam import BeamCounters, beam_search
+from repro.baselines.beam import BeamCounters, beam_search, link_orphans
 from repro.core.distances import gathered_distances, pairwise_distances
 from repro.core.graph import FixedDegreeGraph
 
@@ -136,12 +136,16 @@ class GgnnIndex:
         for _ in range(self.refine_rounds):
             neighbors = self._two_hop_sweep(neighbors, stats)
 
-        # Reverse-edge pass: guarantee in-links so no node is unreachable
-        # (GGNN symmetrizes during its merge step).
+        # Reverse-edge pass (GGNN symmetrizes during its merge step), then
+        # an in-edge for any node the pass left without one, so no node is
+        # unreachable.
         for node in range(n):
             target = int(neighbors[node][0])
             if node not in neighbors[target]:
                 neighbors[target][-1] = node
+        rows = neighbors.tolist()
+        link_orphans(rows, self.degree)
+        neighbors = np.array(rows, dtype=np.int64)
 
         # Top of the hierarchy: a coarse random subset used as search entry
         # points (GGNN descends its layer hierarchy to seed the base-layer

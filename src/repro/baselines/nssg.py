@@ -7,8 +7,8 @@ pool (its neighbors plus 2-hop expansion), then prunes it with the
 *angular* criterion — a candidate is kept only if the angle it forms at
 the node with every already-kept neighbor exceeds a threshold (60° in the
 NSSG paper), which spreads edges in all directions like satellite orbits.
-Reverse edges are added up to the degree bound, and random spanning-tree
-edges patch disconnected nodes.
+Reverse edges are added up to the degree bound, and a patch edge gives
+every node left without an in-edge one.
 
 Search: best-first beam from random seeds (:func:`nssg_search` also runs
 on *any* adjacency array, which is how Fig. 12 evaluates a CAGRA graph
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.beam import BeamCounters, beam_search
+from repro.baselines.beam import BeamCounters, beam_search, link_orphans
 from repro.core.distances import distances_to_query
 from repro.core.graph import FixedDegreeGraph
 from repro.core.nn_descent import KnnGraphResult
@@ -50,7 +50,7 @@ class NssgIndex:
         pool_size: candidate pool length ``L`` per node.
         angle_degrees: minimum pairwise edge angle (NSSG default 60°).
         metric: distance metric.
-        seed: RNG seed for 2-hop sampling / patching.
+        seed: RNG seed for 2-hop sampling.
     """
 
     def __init__(
@@ -97,19 +97,11 @@ class NssgIndex:
                 if len(adjacency[dst]) < self.degree_bound and src not in adjacency[dst]:
                     adjacency[dst].append(src)
 
-        # Patch unreachable nodes with a random incoming edge (NSSG's
-        # spanning-tree step, simplified to random attachment).
-        in_degree = np.zeros(n, dtype=np.int64)
-        for row in adjacency:
-            for dst in row:
-                in_degree[dst] += 1
-        for node in np.nonzero(in_degree == 0)[0]:
-            donor = int(rng.integers(0, n))
-            if donor != node:
-                adjacency[donor].append(int(node))
-                stats.patched_nodes += 1
-
-        self.adjacency = [np.array(row[: self.degree_bound], dtype=np.int64) for row in adjacency]
+        # Patch unreachable nodes with an incoming edge from their nearest
+        # kept neighbour (NSSG's spanning-tree step, simplified to
+        # attaching each unreached node to the graph it points into).
+        stats.patched_nodes = link_orphans(adjacency, self.degree_bound)
+        self.adjacency = [np.array(row, dtype=np.int64) for row in adjacency]
         self._built = True
         return self
 

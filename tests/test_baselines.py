@@ -295,3 +295,59 @@ class TestBaselineDeterminism:
         for node in (0, 50, 150):
             np.testing.assert_array_equal(a.layers[0][node], b.layers[0][node])
 
+
+def _in_degrees(rows) -> np.ndarray:
+    """In-edges from other nodes, one per (source, target) pair."""
+    degrees = np.zeros(len(rows), dtype=np.int64)
+    for source, row in enumerate(rows):
+        for target in {int(t) for t in row} - {source}:
+            degrees[target] += 1
+    return degrees
+
+
+class TestReachabilityRepairs:
+    """Every baseline graph gives each node except the entry point an
+    in-edge, and a repair survives the later ones and the degree cap."""
+
+    def test_repair_never_evicts_a_last_in_edge(self):
+        from repro.baselines import link_orphans
+
+        # Node 3 is listed only by row 0's last slot, node 4 by nobody;
+        # writing 4 over row 0's last slot would orphan 3.
+        rows = [[1, 3], [2, 0], [0, 1], [0, 1], [0, 1]]
+        assert link_orphans(rows, 2) == 1
+        assert rows[0] == [4, 3]
+        assert (_in_degrees(rows) >= 1).all()
+
+    def test_repair_appends_below_the_cap_and_skips_the_entry(self):
+        from repro.baselines import link_orphans
+
+        rows = [[1], [2], [1], [0, 1]]
+        assert link_orphans(rows, 3, entry=3) == 0
+        rows = [[1], [2], [1], [0, 1]]
+        assert link_orphans(rows, 3) == 1
+        assert rows[0] == [1, 3]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nssg_patches_survive_the_degree_bound(self, seed):
+        data = np.random.default_rng(seed).standard_normal((400, 16)).astype(np.float32)
+        knn = build_knn_graph(data, 8, GraphBuildConfig(graph_degree=4, seed=seed))
+        index = NssgIndex(data, knn, degree_bound=4, pool_size=12, seed=seed).build()
+        assert all(len(row) <= 4 for row in index.adjacency)
+        assert (_in_degrees(index.adjacency) >= 1).all()
+        assert index.build_stats.patched_nodes > 0
+
+    @pytest.mark.parametrize("dataset", ["deep-1m", "glove-200"])
+    def test_ganns_every_node_but_the_entry_has_an_in_edge(self, dataset):
+        from repro.datasets import load_dataset
+
+        bundle = load_dataset(dataset, scale=600, num_queries=1)
+        index = GannsIndex(bundle.data, degree=32, metric=bundle.spec.metric).build()
+        degrees = _in_degrees(index.adjacency)
+        degrees[index.entry_point] = 1
+        assert (degrees >= 1).all()
+        assert all(len(row) <= 32 for row in index.adjacency)
+
+    def test_ggnn_every_node_has_an_in_edge(self, small_data):
+        index = GgnnIndex(small_data[:500], degree=8, shard_size=150, seed=0).build()
+        assert (_in_degrees(index.graph.neighbors) >= 1).all()
