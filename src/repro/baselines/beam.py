@@ -1,11 +1,14 @@
 """Greedy best-first beam search over an adjacency structure.
 
-This is the classic graph-ANNS search loop (NSG/NSSG/GGNN/GANNS all use a
-variant of it): keep a pool of the best ``L`` candidates found so far,
-repeatedly expand the best unexpanded one, and stop when the pool's top-L
-are all expanded.  It differs from the CAGRA loop in expanding *one*
-parent at a time from an unbounded visited set rather than ``p`` parents
-from a fixed buffer — which is exactly the contrast the paper draws.
+This is the classic graph-ANNS search loop (NSG/NSSG/GGNN/GANNS/HNSW all
+use a variant of it): keep a pool of the best ``L`` candidates found so
+far, repeatedly expand the best unexpanded one, and stop when the pool's
+top-L are all expanded.  It differs from the CAGRA loop in expanding
+*one* parent at a time from an exact visited set rather than ``p``
+parents — which is exactly the contrast the paper draws.  So a batch
+search is the traversal engine at ``itopk = L``, ``search_width = 1``
+(:func:`batched_beam_search`); the scalar :func:`beam_search` serves the
+builders that are sequential by construction, HNSW's and GGNN's.
 
 Counters (:class:`BeamCounters`) record distance computations and hops so
 the CPU/GPU cost models can price the search.
@@ -18,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import SearchConfig
 from repro.core.distances import distances_to_query
-from repro.core.graph import INDEX_MASK
+from repro.core.graph import INDEX_MASK, FixedDegreeGraph
+from repro.core.traversal import TraversalEngine
 
-__all__ = ["BeamCounters", "beam_search", "link_orphans"]
+__all__ = ["BeamCounters", "batched_beam_search", "beam_search", "link_orphans"]
 
 
 @dataclass
@@ -47,7 +52,6 @@ def beam_search(
     seeds: np.ndarray,
     metric: str = "sqeuclidean",
     counters: BeamCounters | None = None,
-    max_hops: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best-first search returning the top-k (ids, distances).
 
@@ -61,7 +65,6 @@ def beam_search(
         beam_width: pool size ``L`` — the recall/throughput knob.
         seeds: entry-point node ids.
         counters: accumulates work across calls when provided.
-        max_hops: optional safety cap on expansions (0 = unlimited).
     """
     if k > beam_width:
         raise ValueError(f"k={k} exceeds beam_width={beam_width}")
@@ -85,8 +88,6 @@ def beam_search(
         if dist > worst and len(pool) >= beam_width:
             break  # best unexpanded is outside the pool: converged
         hops += 1
-        if max_hops and hops > max_hops:
-            break
         # A repeated neighbour is a non-first visit: scored once at most.
         neighbors = dict.fromkeys(np.asarray(neighbor_lists[node]).tolist())
         fresh = np.array([n for n in neighbors if n not in visited], dtype=np.int64)
@@ -115,36 +116,67 @@ def beam_search(
     return ids, dists_out
 
 
-def link_orphans(rows: list[list[int]], degree: int, entry: int = -1) -> int:
-    """Give every node except ``entry`` at least one in-edge, in place.
+def batched_beam_search(
+    data: np.ndarray,
+    adjacency,
+    queries: np.ndarray,
+    k: int,
+    beam_width: int,
+    seeds: np.ndarray,
+    metric: str = "sqeuclidean",
+) -> tuple[np.ndarray, np.ndarray, BeamCounters]:
+    """:func:`beam_search` row by row, as one traversal-engine call.
 
-    A node no other row lists goes into the row of its first out-neighbour
-    that can take it (then of any node, in id order): appended while the
-    row holds fewer than ``degree`` ids, else written over the row's last
-    entry that keeps another in-edge.  So a repair never evicts another
-    node's last in-edge, and none is undone by a later repair or by the
-    degree cap.  Returns the number of nodes linked.
+    Row ``i`` of ``seeds`` holds query ``i``'s entry points.  Ragged rows
+    of ``adjacency`` are padded with the node's own id, gathered only when
+    that (visited) node expands: a non-first visit, never scored or charged.
+    """
+    if k > beam_width:
+        raise ValueError(f"k={k} exceeds beam_width={beam_width}")
+    if not isinstance(adjacency, FixedDegreeGraph):
+        rows = [np.asarray(row, dtype=np.int64) for row in adjacency]
+        lengths = np.array([len(row) for row in rows], dtype=np.int64)
+        neighbors = np.repeat(np.arange(len(rows))[:, None], max(1, lengths.max()), axis=1)
+        neighbors[np.arange(neighbors.shape[1]) < lengths[:, None]] = np.concatenate(rows)
+        adjacency = FixedDegreeGraph(neighbors)
+    config = SearchConfig(
+        itopk=beam_width, search_width=1, max_iterations=adjacency.num_nodes + 1
+    )
+    result = TraversalEngine(data, adjacency, metric=metric).search(
+        queries, k, config=config, mode="fast", seeds=seeds
+    )
+    counters = BeamCounters(
+        distance_computations=result.report.distance_computations,
+        hops=result.report.candidate_gathers // adjacency.degree,
+        queries=len(result.indices),
+    )
+    return result.indices, result.distances, counters
+
+
+def link_orphans(rows, degree: int, entry: int = -1) -> int:
+    """Give every node but ``entry`` an in-edge; returns how many it linked.
+
+    An unlisted node goes into the first row among its out-neighbours'
+    (then every node's) that has room below ``degree`` or an entry with
+    another in-edge to overwrite, so no repair ever loses a node its last
+    in-edge.  ``rows`` (id arrays, no self-loops) is updated in place.
     """
     n = len(rows)
-    lengths = np.fromiter((len(row) for row in rows), dtype=np.int64, count=n)
     targets = np.fromiter((t for row in rows for t in row), dtype=np.int64)
-    sources = np.repeat(np.arange(n), lengths)
-    in_degree = np.bincount(targets[targets != sources], minlength=n)
+    in_degree = np.bincount(targets, minlength=n)
     linked = 0
     for node in np.flatnonzero(in_degree == 0).tolist():
         if node == entry:
             continue
         for host in [*rows[node], *range(n)]:
             row = rows[host]
-            if host == node:
+            spare = [j for j, t in enumerate(row) if in_degree[t] > 1]
+            if host == node or (len(row) >= degree and not spare):
                 continue
             if len(row) < degree:
-                row.append(node)
+                rows[host] = np.append(row, node)
             else:
-                spare = [j for j, t in enumerate(row) if t == host or in_degree[t] > 1]
-                if not spare:
-                    continue
-                in_degree[row[spare[-1]]] -= row[spare[-1]] != host
+                in_degree[row[spare[-1]]] -= 1
                 row[spare[-1]] = node
             in_degree[node] += 1
             linked += 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.beam import BeamCounters, beam_search, link_orphans
+from repro.baselines.beam import BeamCounters, batched_beam_search, link_orphans
 from repro.core.distances import pairwise_distances
 from repro.core.rng_init import counter_draws, query_keys
 
@@ -75,7 +75,6 @@ class GannsIndex:
         """Insert all points batch-by-batch against stale graph snapshots."""
         n = self.data.shape[0]
         stats = self.build_stats
-        counters = BeamCounters()
 
         # Bootstrap: exact graph over the first small block.
         boot = min(max(self.degree + 1, 64), n)
@@ -89,27 +88,21 @@ class GannsIndex:
         inserted = boot
         while inserted < n:
             batch_end = min(inserted + self.batch_size, n)
-            snapshot = [row.copy() for row in self.adjacency]
-            links: list[tuple[int, np.ndarray]] = []
-            for node in range(inserted, batch_end):
-                seeds = np.array([self.entry_point], dtype=np.int64)
-                ids, _ = beam_search(
-                    self.data,
-                    snapshot,
-                    self.data[node],
-                    min(self.degree, len(snapshot)),
-                    self.ef_construction,
-                    seeds,
-                    self.metric,
-                    counters,
-                )
-                links.append((node, ids[ids < len(snapshot)].astype(np.int64)))
+            # The whole batch searches the graph as it stood before it.
+            found, _, batch_counters = batched_beam_search(
+                self.data, self.adjacency, self.data[inserted:batch_end],
+                min(self.degree, inserted), self.ef_construction,
+                np.full((batch_end - inserted, 1), self.entry_point), self.metric,
+            )
+            stats.distance_computations += batch_counters.distance_computations
+            stats.hops += batch_counters.hops
             # Commit the whole batch: bidirectional links.  Rows may grow
             # to a 2x soft cap during construction (NSW keeps its early
             # long-range links; a hard nearest-only cap would destroy
             # navigability) and are trimmed once at the end.
             soft_cap = 2 * self.degree
-            for node, targets in links:
+            for node, ids in zip(range(inserted, batch_end), found):
+                targets = ids[ids < inserted].astype(np.int64)
                 self.adjacency.append(targets[: self.degree].copy())
                 for t in targets[: self.degree]:
                     row = self.adjacency[int(t)]
@@ -123,11 +116,7 @@ class GannsIndex:
         self._trim_rows(stats)
         # Reachability guarantee: every node keeps at least one in-edge
         # after trimming.
-        rows = [row.tolist() for row in self.adjacency]
-        link_orphans(rows, self.degree, entry=self.entry_point)
-        self.adjacency = [np.array(row, dtype=np.int64) for row in rows]
-        stats.distance_computations += counters.distance_computations
-        stats.hops += counters.hops
+        link_orphans(self.adjacency, self.degree, entry=self.entry_point)
         self._built = True
         return self
 
@@ -167,25 +156,13 @@ class GannsIndex:
         if not self._built:
             raise RuntimeError("call build() before search()")
         queries = np.atleast_2d(queries)
-        counters = BeamCounters()
         draws = counter_draws(
             seed, query_keys(queries), 0, 0, num_seeds, len(self.adjacency)
         )
-        ids = np.empty((queries.shape[0], k), dtype=np.uint32)
-        dists = np.empty((queries.shape[0], k), dtype=np.float64)
-        for i in range(queries.shape[0]):
-            seeds = np.concatenate([[self.entry_point], draws[i]])
-            ids[i], dists[i] = beam_search(
-                self.data,
-                self.adjacency,
-                queries[i],
-                k,
-                beam_width,
-                seeds,
-                self.metric,
-                counters,
-            )
-        return ids, dists, counters
+        seeds = np.column_stack([np.full(len(queries), self.entry_point), draws])
+        return batched_beam_search(
+            self.data, self.adjacency, queries, k, beam_width, seeds, self.metric
+        )
 
     @property
     def average_degree(self) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.beam import BeamCounters, beam_search, link_orphans
+from repro.baselines.beam import BeamCounters, batched_beam_search, beam_search, link_orphans
 from repro.core.distances import gathered_distances, pairwise_distances
 from repro.core.graph import FixedDegreeGraph
 
@@ -137,15 +137,12 @@ class GgnnIndex:
             neighbors = self._two_hop_sweep(neighbors, stats)
 
         # Reverse-edge pass (GGNN symmetrizes during its merge step), then
-        # an in-edge for any node the pass left without one, so no node is
-        # unreachable.
+        # an in-edge for any node it left without one: none is unreachable.
         for node in range(n):
             target = int(neighbors[node][0])
             if node not in neighbors[target]:
                 neighbors[target][-1] = node
-        rows = neighbors.tolist()
-        link_orphans(rows, self.degree)
-        neighbors = np.array(rows, dtype=np.int64)
+        link_orphans(neighbors, self.degree)
 
         # Top of the hierarchy: a coarse random subset used as search entry
         # points (GGNN descends its layer hierarchy to seed the base-layer
@@ -197,28 +194,17 @@ class GgnnIndex:
         num_seeds: int = 8,
         seed: int = 0,
     ) -> tuple[np.ndarray, np.ndarray, BeamCounters]:
-        """Per-query beam search seeded by the coarse hierarchy layer
-        (GGNN maps one query to one thread block)."""
+        """Beam search seeded by the coarse hierarchy layer (GGNN maps one
+        query to one thread block; the batch runs in lockstep)."""
         if self.graph is None:
             raise RuntimeError("call build() before search()")
         queries = np.atleast_2d(queries)
-        counters = BeamCounters()
-        ids = np.empty((queries.shape[0], k), dtype=np.uint32)
-        dists = np.empty((queries.shape[0], k), dtype=np.float64)
         # Hierarchy descent: nearest coarse-layer nodes seed the base layer.
         coarse_d = pairwise_distances(queries, self.data[self.coarse_ids], self.metric)
-        counters.distance_computations += coarse_d.size
         seed_pick = np.argsort(coarse_d, axis=1, kind="stable")[:, :num_seeds]
-        for i in range(queries.shape[0]):
-            seeds = self.coarse_ids[seed_pick[i]]
-            ids[i], dists[i] = beam_search(
-                self.data,
-                self.graph.neighbors,
-                queries[i],
-                k,
-                beam_width,
-                seeds,
-                self.metric,
-                counters,
-            )
+        ids, dists, counters = batched_beam_search(
+            self.data, self.graph, queries, k, beam_width,
+            self.coarse_ids[seed_pick], self.metric,
+        )
+        counters.distance_computations += coarse_d.size
         return ids, dists, counters

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.beam import BeamCounters
+from repro.baselines.beam import BeamCounters, batched_beam_search, beam_search
 from repro.core.distances import distances_to_query
 from repro.core.graph import INDEX_MASK
 
@@ -110,8 +110,14 @@ class HnswIndex:
             ep = self._greedy_closest(query, ep, l, stats)
 
         # ef-bounded search + heuristic linking on the node's layers.
+        ef = self.ef_construction
+        counters = BeamCounters()
         for l in range(min(level, self.max_level), -1, -1):
-            pool = self._search_layer(query, [ep], l, self.ef_construction, stats)
+            ids, dists = beam_search(
+                self.data, self.layers[l], query, ef, ef, [ep], self.metric, counters
+            )
+            found = ids != INDEX_MASK
+            pool = list(zip(dists[found].tolist(), ids[found].tolist()))
             m_here = self.m0 if l == 0 else self.m
             chosen = self._select_heuristic(query, pool, self.m, stats)
             self.layers[l][node] = np.array([c for _, c in chosen], dtype=np.int64)
@@ -120,6 +126,8 @@ class HnswIndex:
             ep = pool[0][1]
         for l in range(min(level, self.max_level) + 1, level + 1):
             self.layers[l][node] = np.empty(0, dtype=np.int64)
+        stats.distance_computations += counters.distance_computations
+        stats.hops += counters.hops
 
         if level > self.max_level:
             self.max_level = level
@@ -207,77 +215,26 @@ class HnswIndex:
                 improved = True
         return current
 
-    def _search_layer(
-        self, query: np.ndarray, entry_points: list[int], level: int, ef: int, stats
-    ) -> list[tuple[float, int]]:
-        """ef-bounded best-first search on one layer; returns a sorted pool."""
-        import heapq
-
-        eps = list(dict.fromkeys(entry_points))
-        dists = distances_to_query(
-            self.data, query, np.array(eps, dtype=np.int64), self.metric
-        )
-        stats.distance_computations += len(eps)
-        visited = set(eps)
-        frontier = [(float(d), e) for d, e in zip(dists, eps)]
-        heapq.heapify(frontier)
-        pool = sorted(frontier)[:ef]
-        worst = pool[-1][0] if len(pool) >= ef else np.inf
-
-        while frontier:
-            dist, node = heapq.heappop(frontier)
-            if dist > worst and len(pool) >= ef:
-                break
-            stats.hops += 1
-            neighbors = self.layers[level].get(node)
-            if neighbors is None or len(neighbors) == 0:
-                continue
-            fresh = np.array(
-                [n for n in neighbors if int(n) not in visited], dtype=np.int64
-            )
-            if len(fresh) == 0:
-                continue
-            visited.update(int(n) for n in fresh)
-            nd = distances_to_query(self.data, query, fresh, self.metric)
-            stats.distance_computations += len(fresh)
-            for d, n in zip(nd, fresh):
-                d = float(d)
-                if len(pool) < ef or d < worst:
-                    pool.append((d, int(n)))
-                    pool.sort()
-                    del pool[ef:]
-                    worst = pool[-1][0] if len(pool) >= ef else np.inf
-                    heapq.heappush(frontier, (d, int(n)))
-        return pool
-
     def search(
         self, queries: np.ndarray, k: int, ef: int = 64
     ) -> tuple[np.ndarray, np.ndarray, BeamCounters]:
-        """Batched k-ANN search; ``ef`` is the recall/throughput knob."""
+        """Batched k-ANN search; ``ef`` is the recall/throughput knob.  The
+        base layer is one engine call, entered where each query's greedy
+        upper-layer descent ends."""
         if not self._built:
             raise RuntimeError("call build() before search()")
-        if k > ef:
-            ef = k
         queries = np.atleast_2d(queries)
-        counters = BeamCounters()
-        ids = np.empty((queries.shape[0], k), dtype=np.uint32)
-        dists = np.empty((queries.shape[0], k), dtype=np.float64)
-        for i in range(queries.shape[0]):
-            stats = BeamCounters()
-            stats.queries = 1
-            ep = self.entry_point
-            for l in range(self.max_level, 0, -1):
-                ep = self._greedy_closest(queries[i], ep, l, stats)
-            pool = self._search_layer(queries[i], [ep], 0, ef, stats)
-            top = pool[:k]
-            row_ids = [n for _, n in top]
-            row_dists = [d for d, _ in top]
-            while len(row_ids) < k:
-                row_ids.append(int(INDEX_MASK))
-                row_dists.append(np.inf)
-            ids[i] = np.array(row_ids, dtype=np.uint32)
-            dists[i] = row_dists
-            counters.merge_from(stats)
+        descent = BeamCounters()
+        entries = np.full(len(queries), self.entry_point, dtype=np.int64)
+        for l in range(self.max_level, 0, -1):  # upper layers, per query
+            for i, query in enumerate(queries):
+                entries[i] = self._greedy_closest(query, entries[i], l, descent)
+        base = self.layers[0]
+        ids, dists, counters = batched_beam_search(
+            self.data, [base[node] for node in range(len(base))], queries, k,
+            max(ef, k), entries[:, None], self.metric,
+        )
+        counters.merge_from(descent)
         return ids, dists, counters
 
     @property

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.beam import BeamCounters, beam_search, link_orphans
+from repro.baselines.beam import BeamCounters, batched_beam_search, link_orphans
 from repro.core.distances import distances_to_query
-from repro.core.graph import FixedDegreeGraph
 from repro.core.nn_descent import KnnGraphResult
 from repro.core.rng_init import counter_draws, query_keys
 
@@ -97,9 +96,8 @@ class NssgIndex:
                 if len(adjacency[dst]) < self.degree_bound and src not in adjacency[dst]:
                     adjacency[dst].append(src)
 
-        # Patch unreachable nodes with an incoming edge from their nearest
-        # kept neighbour (NSSG's spanning-tree step, simplified to
-        # attaching each unreached node to the graph it points into).
+        # Patch unreachable nodes with an in-edge from their nearest kept
+        # neighbour (NSSG's spanning-tree step, simplified).
         stats.patched_nodes = link_orphans(adjacency, self.degree_bound)
         self.adjacency = [np.array(row, dtype=np.int64) for row in adjacency]
         self._built = True
@@ -193,21 +191,12 @@ def nssg_search(
     """NSSG's search procedure over any adjacency structure.
 
     This is the "NSSG search implementation" of Fig. 12: random seed
-    sampling followed by best-first beam search.  ``adjacency`` may be an
-    ``(N, d)`` array (e.g. a CAGRA graph) or a list of id arrays (a native
-    NSSG graph).  Query ``q``'s seeds are
+    sampling followed by best-first beam search.  ``adjacency`` may be a
+    ``FixedDegreeGraph`` or ``(N, d)`` array (e.g. a CAGRA graph) or a list
+    of id arrays (a native NSSG graph).  Query ``q``'s seeds are
     :func:`repro.core.rng_init.counter_draws` keyed on ``(seed, q's
     bytes)``, so its answer does not depend on the rest of the batch.
     """
     queries = np.atleast_2d(queries)
-    if isinstance(adjacency, FixedDegreeGraph):
-        adjacency = adjacency.neighbors
     draws = counter_draws(seed, query_keys(queries), 0, 0, num_seeds, len(adjacency))
-    counters = BeamCounters()
-    ids = np.empty((queries.shape[0], k), dtype=np.uint32)
-    dists = np.empty((queries.shape[0], k), dtype=np.float64)
-    for i in range(queries.shape[0]):
-        ids[i], dists[i] = beam_search(
-            data, adjacency, queries[i], k, beam_width, draws[i], metric, counters
-        )
-    return ids, dists, counters
+    return batched_beam_search(data, adjacency, queries, k, beam_width, draws, metric)

@@ -94,14 +94,10 @@ def distances_to_query(
     indices: np.ndarray | None = None,
     metric: str = "sqeuclidean",
 ) -> np.ndarray:
-    """Distances from one query vector to ``data[indices]`` (or all rows).
-
-    Bit for bit what :func:`gathered_distances` gives the same pairs, on
-    every metric and storage dtype, so a query's distances do not depend on
-    whether it is scored alone or inside a batch.  Inner product and cosine
-    run through :func:`gathered_distances` itself; squared L2 keeps its own
-    two-line kernel (the same per-row reduction, without the block setup).
-    """
+    """Distances from one query vector to ``data[indices]`` (or all rows),
+    bit for bit what :func:`gathered_distances` gives the same pairs, so a
+    query scores the same alone or in a batch.  Squared L2 keeps its own
+    (faster, same-reduction) kernel."""
     _check_metric(metric)
     if metric != "sqeuclidean":
         ids = np.arange(len(data)) if indices is None else np.asarray(indices)

@@ -572,12 +572,17 @@ class TraversalEngine:
         mode: str = "fast",
         num_sms: int = 108,
         filter_mask: np.ndarray | None = None,
+        seeds: np.ndarray | None = None,
     ) -> SearchResult:
         """Batched k-ANN search.
 
         ``mode="reference"`` runs the hash-faithful backend (per-query
         open-addressing tables, single- or multi-CTA per the Fig. 7 rule);
         ``mode="fast"`` runs the dense lockstep backend.
+
+        ``seeds`` (fast mode only), a ``(batch, s)`` id array, replaces
+        step ⓪'s counter draws (and ``random_inits``) with row ``i``'s
+        entry points: the baselines' beam (``docs/traversal.md``).
         """
         if mode not in ("reference", "fast"):
             raise ValueError(f"mode must be 'reference' or 'fast', got {mode!r}")
@@ -586,6 +591,17 @@ class TraversalEngine:
         queries, filter_mask = validate_request(
             queries, k, self.data.shape[1], size=self.graph.num_nodes, filter_mask=filter_mask
         )
+        if seeds is not None:
+            if not dense:
+                raise ValueError("seeds are only accepted in fast mode")
+            seeds = np.asarray(seeds)
+            if seeds.shape[:1] != (len(queries),) or seeds.ndim != 2 or seeds.size == 0:
+                raise ValueError(f"seeds must have shape ({len(queries)}, s >= 1)")
+            if seeds.dtype.kind not in "iu":
+                raise ValueError(f"seeds must be integer node ids, got {seeds.dtype}")
+            if seeds.min() < 0 or seeds.max() >= self.graph.num_nodes:
+                raise ValueError(f"seed ids must lie in [0, {self.graph.num_nodes})")
+            seeds = seeds.astype(np.uint32)
         if not dense and k > config.itopk:
             raise ValueError(f"k={k} exceeds itopk={config.itopk}")
         batch = queries.shape[0]
@@ -612,7 +628,8 @@ class TraversalEngine:
         for start in range(0, batch, chunk):  # memory-bounded chunks
             rows = slice(start, start + chunk)
             ids, dists = self._run_chunk(
-                queries[rows], keys[rows], k, plan, config.seed, filter_mask, total
+                queries[rows], keys[rows], k, plan, config.seed, filter_mask, total,
+                None if seeds is None else seeds[rows],
             )
             indices[rows] = ids
             distances[rows] = dists
@@ -762,6 +779,7 @@ class TraversalEngine:
         seed: int,
         filter_mask: np.ndarray | None,
         report: CostReport,
+        seeds: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """All of ``plan``'s worker passes for one memory-bounded chunk.
 
@@ -772,7 +790,7 @@ class TraversalEngine:
         rows = queries.shape[0]
         visited = plan.visited(rows, self.graph.num_nodes)
         workers = [
-            self._traverse(queries, keys, plan, visited, seed, w, filter_mask, report)
+            self._traverse(queries, keys, plan, visited, seed, w, filter_mask, report, seeds)
             for w in range(plan.passes)  # sequential worker CTAs, not per-query
         ]
         report.cta_count += rows * plan.passes
@@ -799,6 +817,7 @@ class TraversalEngine:
         worker: int,
         filter_mask: np.ndarray | None,
         report: CostReport,
+        seeds: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Worker ``worker``'s greedy pass for all rows; returns the final
         top-M buffers.
@@ -822,22 +841,24 @@ class TraversalEngine:
         out_dists = np.empty((total_rows, itopk), dtype=np.float64)
         row_ids = np.arange(total_rows, dtype=np.int64)
 
-        # ⓪ random initialization: step 0 of each query's counter draws.
+        # ⓪ the given entry points, else step 0 of each query's counter draws.
+        if seeds is None:
+            seeds = counter_draws(seed, keys, worker, 0, width, n)
+            report.random_inits += total_rows * width
         cand_ids, cand_dists = self._first_visits(
             visited,
             row_ids,
             queries,
-            counter_draws(seed, keys, worker, 0, width, n),
-            np.ones((total_rows, width), dtype=bool),
+            seeds,
+            np.ones(seeds.shape, dtype=bool),
             filter_mask,
             report,
         )
-        report.random_inits += total_rows * width
 
         topm_ids = np.full((total_rows, itopk), INDEX_MASK, dtype=np.uint32)
         topm_dists = np.full((total_rows, itopk), np.inf, dtype=cand_dists.dtype)
         live = np.ones(total_rows, dtype=bool)
-        cand_width = np.full(total_rows, width, dtype=np.int64)
+        cand_width = np.full(total_rows, seeds.shape[1], dtype=np.int64)
 
         iteration = 0
         while iteration < plan.max_iterations and live.any():

@@ -74,13 +74,6 @@ class TestBeamSearch:
             beam_search(tiny_data, knn.graph.neighbors, tiny_data[0], 10, 5,
                         np.array([0]))
 
-    def test_max_hops_caps_work(self, tiny_data):
-        knn = brute_force_knn_graph(tiny_data, 8)
-        counters = BeamCounters()
-        beam_search(tiny_data, knn.graph.neighbors, tiny_data[0], 3, 64,
-                    np.array([50]), counters=counters, max_hops=2)
-        assert counters.hops <= 3
-
     def test_results_sorted(self, tiny_data):
         knn = brute_force_knn_graph(tiny_data, 8)
         _, dists = beam_search(tiny_data, knn.graph.neighbors, tiny_data[0], 5, 16,
@@ -310,7 +303,7 @@ class TestReachabilityRepairs:
     in-edge, and a repair survives the later ones and the degree cap."""
 
     def test_repair_never_evicts_a_last_in_edge(self):
-        from repro.baselines import link_orphans
+        from repro.baselines.beam import link_orphans
 
         # Node 3 is listed only by row 0's last slot, node 4 by nobody;
         # writing 4 over row 0's last slot would orphan 3.
@@ -320,13 +313,13 @@ class TestReachabilityRepairs:
         assert (_in_degrees(rows) >= 1).all()
 
     def test_repair_appends_below_the_cap_and_skips_the_entry(self):
-        from repro.baselines import link_orphans
+        from repro.baselines.beam import link_orphans
 
         rows = [[1], [2], [1], [0, 1]]
         assert link_orphans(rows, 3, entry=3) == 0
         rows = [[1], [2], [1], [0, 1]]
         assert link_orphans(rows, 3) == 1
-        assert rows[0] == [1, 3]
+        assert list(rows[0]) == [1, 3]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_nssg_patches_survive_the_degree_bound(self, seed):

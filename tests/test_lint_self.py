@@ -213,3 +213,64 @@ def test_shard_tasks_have_one_body_per_operation():
         if "payload" in [arg.arg for arg in node.args.args]
     }
     assert takes_payload == set().union(*bodies.values()), takes_payload
+
+
+def test_baselines_search_on_the_traversal_engine():
+    """One traversal for every index kind: ``HnswIndex._search_layer`` is
+    gone; the four baseline batch searches and GANNS's batch insertion each
+    make one ``batched_beam_search`` call, outside any ``for`` loop, and
+    never call the scalar ``beam_search``; that scalar loop has exactly two
+    callers, the builders that are sequential by construction (HNSW
+    insertion and GGNN's per-node linking)."""
+    import ast
+
+    root = default_root() / "repro"
+
+    def call_name(node) -> str:
+        func = node.func
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+    functions = {}  # (file, class, function) -> FunctionDef
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        name = str(path.relative_to(root))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[(name, None, node.name)] = node
+            elif isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        functions[(name, node.name, member.name)] = member
+
+    assert ("baselines/hnsw.py", "HnswIndex", "_search_layer") not in functions
+    for key in (
+        ("baselines/hnsw.py", "HnswIndex", "search"),
+        ("baselines/nssg.py", None, "nssg_search"),
+        ("baselines/ggnn.py", "GgnnIndex", "search"),
+        ("baselines/ganns.py", "GannsIndex", "search"),
+        ("baselines/ganns.py", "GannsIndex", "build"),
+    ):
+        body = functions[key]
+        looped = {
+            id(call)
+            for loop in ast.walk(body)
+            if isinstance(loop, ast.For)
+            for call in ast.walk(loop)
+        }
+        calls = [node for node in ast.walk(body) if isinstance(node, ast.Call)]
+        engine = [c for c in calls if call_name(c) == "batched_beam_search"]
+        assert len(engine) == 1 and id(engine[0]) not in looped, key
+        assert not [c for c in calls if call_name(c) == "beam_search"], key
+    nssg = functions[("baselines/nssg.py", "NssgIndex", "search")]
+    assert any(call_name(c) == "nssg_search" for c in ast.walk(nssg) if isinstance(c, ast.Call))
+
+    callers = {
+        key
+        for key, body in functions.items()
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call) and call_name(node) == "beam_search"
+    }
+    assert callers == {
+        ("baselines/hnsw.py", "HnswIndex", "_insert"),
+        ("baselines/ggnn.py", "GgnnIndex", "build"),
+    }, callers

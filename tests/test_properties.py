@@ -788,3 +788,61 @@ class TestSearchContractProperties:
         result = index.search_fast(queries, 3, SearchConfig(itopk=8))
         assert result.indices.shape == (4, 3)
         assert (result.indices < 80).all()
+
+
+@st.composite
+def beam_cases(draw):
+    """A ragged graph with empty rows, repeated neighbours and self-loops,
+    split into several components, plus duplicate-laden seeds and a ``k``
+    that may exceed what the seeds can reach."""
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 40))
+    components = draw(st.integers(1, 3))
+    members = [np.flatnonzero(np.arange(n) % components == c) for c in range(components)]
+    rows = []
+    for node in range(n):
+        pool = members[node % components]
+        degree = int(rng.integers(0, 7))
+        rows.append(rng.choice(pool, size=degree, replace=True).astype(np.int64))
+    # Continuous data in >= 2 dims, so no two distances tie: a tie is the
+    # one place the scalar loop (rejects a candidate equal to the worst
+    # kept) and the merge (breaks it by id) may differ.  In one dimension
+    # every cosine distance is +-1.
+    dim = draw(st.integers(2, 8))
+    batch = draw(st.integers(1, 6))
+    beam = draw(st.integers(1, 16))
+    return {
+        "rows": rows,
+        "data": rng.standard_normal((n, dim)).astype(np.float32),
+        "queries": rng.standard_normal((batch, dim)).astype(np.float32),
+        "seeds": rng.integers(0, n, size=(batch, draw(st.integers(1, 4)))),
+        "beam": beam,
+        "k": draw(st.integers(1, beam)),
+        "metric": draw(st.sampled_from(METRICS)),
+    }
+
+
+class TestBatchedBeamSearchProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(case=beam_cases())
+    def test_engine_batch_equals_scalar_rows(self, case):
+        """The engine-backed batch search is per-row ``beam_search``: ids,
+        distance bits and counters."""
+        from repro.baselines.beam import BeamCounters, batched_beam_search, beam_search
+
+        data, rows, seeds, queries = (case[key] for key in ("data", "rows", "seeds", "queries"))
+        k, beam, metric = case["k"], case["beam"], case["metric"]
+        ids, dists, counters = batched_beam_search(
+            data, rows, queries, k, beam, seeds, metric
+        )
+        scalar = BeamCounters()
+        for row, query in enumerate(queries):
+            want_ids, want_dists = beam_search(
+                data, rows, query, k, beam, seeds[row], metric, scalar
+            )
+            np.testing.assert_array_equal(ids[row], want_ids)
+            np.testing.assert_array_equal(_bits(dists[row]), _bits(want_dists))
+        assert (counters.distance_computations, counters.hops, counters.queries) == (
+            scalar.distance_computations, scalar.hops, scalar.queries
+        )

@@ -479,6 +479,49 @@ class TestEngineValidation:
             index.search(queries, 70, config=CONFIG)
 
 
+class TestSeedsValidation:
+    """``seeds`` is checked at the engine boundary, typed and before any
+    traversal work."""
+
+    def test_wrong_shape_rejected(self, regression):
+        _, queries, index, _ = regression
+        engine = index.engine()
+        for bad in (np.zeros(len(queries), dtype=np.int64),
+                    np.zeros((len(queries) - 1, 2), dtype=np.int64),
+                    np.zeros((len(queries), 0), dtype=np.int64)):
+            with pytest.raises(ValueError, match="seeds must have shape"):
+                engine.search(queries, 10, config=CONFIG, seeds=bad)
+        with pytest.raises(ValueError, match="integer"):
+            engine.search(queries, 10, config=CONFIG, seeds=np.zeros((len(queries), 2)))
+
+    def test_out_of_range_ids_rejected(self, regression):
+        _, queries, index, _ = regression
+        engine = index.engine()
+        size = index.graph.num_nodes
+        for value in (-1, size):
+            seeds = np.zeros((len(queries), 3), dtype=np.int64)
+            seeds[-1, 1] = value
+            with pytest.raises(ValueError, match="seed ids must lie"):
+                engine.search(queries, 10, config=CONFIG, seeds=seeds)
+
+    def test_reference_mode_rejects_seeds(self, regression):
+        _, queries, index, _ = regression
+        seeds = np.zeros((len(queries), 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="only accepted in fast mode"):
+            index.engine().search(
+                queries, 10, config=CONFIG, mode="reference", seeds=seeds
+            )
+
+    def test_given_seeds_replace_the_random_draws(self, regression):
+        _, queries, index, _ = regression
+        seeds = np.repeat(np.arange(4, dtype=np.int64)[None], len(queries), axis=0)
+        seeds[:, 3] = 0  # a duplicate entry point is visited once
+        result = index.engine().search(queries, 10, config=CONFIG, seeds=seeds)
+        drawn = index.engine().search(queries, 10, config=CONFIG)
+        assert result.report.random_inits == 0 < drawn.report.random_inits
+        assert result.indices.shape == (len(queries), 10)
+
+
 class TestQueryValidation:
     """Malformed queries fail typed at ``TraversalEngine.search`` — before
     any traversal work, and the same way on every path."""
