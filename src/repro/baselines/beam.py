@@ -9,6 +9,7 @@ parents — which is exactly the contrast the paper draws.  So a batch
 search is the traversal engine at ``itopk = L``, ``search_width = 1``
 (:func:`batched_beam_search`); the scalar :func:`beam_search` serves the
 builders that are sequential by construction, HNSW's and GGNN's.
+:func:`link_orphans` is the baselines' one reachability repair.
 
 Counters (:class:`BeamCounters`) record distance computations and hops so
 the CPU/GPU cost models can price the search.
