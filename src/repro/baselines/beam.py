@@ -9,7 +9,6 @@ parents — which is exactly the contrast the paper draws.  So a batch
 search is the traversal engine at ``itopk = L``, ``search_width = 1``
 (:func:`batched_beam_search`); the scalar :func:`beam_search` serves the
 builders that are sequential by construction, HNSW's and GGNN's.
-:func:`link_orphans` is the baselines' one reachability repair.
 
 Counters (:class:`BeamCounters`) record distance computations and hops so
 the CPU/GPU cost models can price the search.
@@ -27,7 +26,7 @@ from repro.core.distances import distances_to_query
 from repro.core.graph import INDEX_MASK, FixedDegreeGraph
 from repro.core.traversal import TraversalEngine
 
-__all__ = ["BeamCounters", "batched_beam_search", "beam_search", "link_orphans"]
+__all__ = ["BeamCounters", "batched_beam_search", "beam_search"]
 
 
 @dataclass
@@ -153,33 +152,3 @@ def batched_beam_search(
     )
     return result.indices, result.distances, counters
 
-
-def link_orphans(rows, degree: int, entry: int = -1) -> int:
-    """Give every node but ``entry`` an in-edge; returns how many it linked.
-
-    An unlisted node goes into the first row among its out-neighbours'
-    (then every node's) that has room below ``degree`` or an entry with
-    another in-edge to overwrite, so no repair ever loses a node its last
-    in-edge.  ``rows`` (id arrays, no self-loops) is updated in place.
-    """
-    n = len(rows)
-    targets = np.fromiter((t for row in rows for t in row), dtype=np.int64)
-    in_degree = np.bincount(targets, minlength=n)
-    linked = 0
-    for node in np.flatnonzero(in_degree == 0).tolist():
-        if node == entry:
-            continue
-        for host in [*rows[node], *range(n)]:
-            row = rows[host]
-            spare = [j for j, t in enumerate(row) if in_degree[t] > 1]
-            if host == node or (len(row) >= degree and not spare):
-                continue
-            if len(row) < degree:
-                rows[host] = np.append(row, node)
-            else:
-                in_degree[row[spare[-1]]] -= 1
-                row[spare[-1]] = node
-            in_degree[node] += 1
-            linked += 1
-            break
-    return linked

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.beam import BeamCounters, batched_beam_search, link_orphans
+from repro.baselines.beam import BeamCounters, batched_beam_search
 from repro.core.distances import pairwise_distances
+from repro.core.graph import link_orphans
 from repro.core.rng_init import counter_draws, query_keys
 
 __all__ = ["GannsBuildStats", "GannsIndex"]

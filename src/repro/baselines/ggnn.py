@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.beam import BeamCounters, batched_beam_search, beam_search, link_orphans
+from repro.baselines.beam import BeamCounters, batched_beam_search, beam_search
 from repro.core.distances import gathered_distances, pairwise_distances
-from repro.core.graph import FixedDegreeGraph
+from repro.core.graph import FixedDegreeGraph, link_orphans
 
 __all__ = ["GgnnBuildStats", "GgnnIndex"]
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.beam import BeamCounters, batched_beam_search, link_orphans
+from repro.baselines.beam import BeamCounters, batched_beam_search
 from repro.core.distances import distances_to_query
+from repro.core.graph import link_orphans
 from repro.core.nn_descent import KnnGraphResult
 from repro.core.rng_init import counter_draws, query_keys
 

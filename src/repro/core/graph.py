@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FixedDegreeGraph", "PARENT_FLAG", "INDEX_MASK", "MAX_DATASET_SIZE"]
+__all__ = [
+    "FixedDegreeGraph", "PARENT_FLAG", "INDEX_MASK", "MAX_DATASET_SIZE", "link_orphans",
+]
 
 #: MSB of a uint32 node id; used by the search as the 1-bit "has been a
 #: parent" flag (Sec. IV-B4).
@@ -115,3 +117,41 @@ class FixedDegreeGraph:
             self.neighbors.shape == other.neighbors.shape
             and bool(np.array_equal(self.neighbors, other.neighbors))
         )
+
+
+def link_orphans(rows, degree: int, entry: int = -1, links=()) -> int:
+    """The one reachability repair; returns how many edges it wrote.
+
+    First each ``(host, node)`` pair of ``links`` (reverse links, in
+    order) is planted in ``host``'s row, unless already there.  Then every
+    node but ``entry`` that still has no in-edge goes into the first row
+    among its out-neighbours' (then every node's) that takes it.  A row
+    takes a node if it has room below ``degree`` or a slot whose entry has
+    another in-edge, the last such slot being overwritten, so no write
+    ever loses a node its last in-edge.  ``rows`` (id arrays or lists, no
+    self-loops) is updated in place.
+    """
+    n = len(rows)
+    targets = np.fromiter((t for row in rows for t in row), dtype=np.int64)
+    in_degree = np.bincount(targets, minlength=n)
+
+    def plant(host: int, node: int) -> bool:
+        row = rows[host]
+        if host == node or node in row:
+            return False
+        if len(row) < degree:
+            rows[host] = np.append(row, node)
+        else:
+            spare = next((j for j in range(len(row) - 1, -1, -1) if in_degree[row[j]] > 1), -1)
+            if spare < 0:
+                return False
+            in_degree[row[spare]] -= 1
+            row[spare] = node
+        in_degree[node] += 1
+        return True
+
+    linked = sum(plant(host, node) for host, node in links)
+    for node in np.flatnonzero(in_degree == 0).tolist():
+        if node != entry:
+            linked += any(plant(host, node) for host in [*rows[node], *range(n)])
+    return linked

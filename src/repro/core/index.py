@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import GraphBuildConfig, SearchConfig
-from repro.core.distances import METRICS, as_storage_dtype
-from repro.core.graph import INDEX_MASK, MAX_DATASET_SIZE, FixedDegreeGraph
+from repro.core.distances import METRICS, as_storage_dtype, gathered_distances
+from repro.core.graph import INDEX_MASK, MAX_DATASET_SIZE, FixedDegreeGraph, link_orphans
 from repro.core.nn_descent import KnnGraphResult, build_knn_graph
 from repro.core.optimize import OptimizeReport, optimize_graph
 from repro.core.search import CostReport, SearchResult
@@ -318,15 +318,18 @@ class CagraIndex:
         """Insert new vectors without rebuilding (cuVS CAGRA ``extend``).
 
         Each new vector searches the current index for its ``degree``
-        nearest neighbors, which become its out-edges; reverse edges are
-        planted by replacing the last (least important) slot of half of
-        its targets, so new vectors stay reachable.  Returns a *new*
-        index — the original is untouched.
+        nearest neighbors; those and its exact nearest neighbors among the
+        batch itself (one ``m x m`` distance block, so same-batch rows
+        link directly) merge, nearest first, into its out-edges.  Reverse
+        links go into half of its targets through
+        :func:`~repro.core.graph.link_orphans`, which never evicts a
+        node's last in-edge and then links any row still without one, so
+        every row stays reachable.  Returns a *new* index — the original
+        is untouched.
 
-        Quality note: this is the standard search-based insertion; edges
-        among the new vectors themselves only appear via reverse links,
-        so after extending by a large fraction of the index a full
-        rebuild recovers graph quality (exactly the cuVS guidance).
+        Quality note: this is the standard search-based insertion; after
+        extending by a large fraction of the index a full rebuild
+        recovers graph quality (exactly the cuVS guidance).
 
         Unfilled search slots (``INDEX_MASK``, e.g. on a near-empty index
         with fewer reachable nodes than ``degree``) are repaired with
@@ -336,7 +339,8 @@ class CagraIndex:
 
         ``on_stage(name, seconds, counters)`` receives one ``core.extend``
         event covering the whole insertion, with counters for the
-        neighbor-search cost (``distance_computations``), rows added, and
+        neighbor-search and batch k-NN cost (``distance_computations``),
+        rows added, and
         the edge-repair work (``repaired_rows`` / ``repaired_edges`` /
         ``repair_rng_draws`` / ``reverse_links_planted``) so streaming
         policies can observe the measured repair cost per batch.
@@ -358,29 +362,40 @@ class CagraIndex:
 
         n = self.size
         m = new_vectors.shape[0]
-        new_edges, repair_stats = _repair_unfilled_edges(
+        searched, repair_stats = _repair_unfilled_edges(
             result.indices.astype(np.uint32), result.distances, n, seed
         )
-        neighbors = np.vstack([self.graph.neighbors, new_edges])
-        # Reverse links: the new node replaces the last slot of its first
-        # degree/2 targets (unless already present).
-        reverse_links = 0
-        for i in range(m):
-            new_id = np.uint32(n + i)
-            for target in new_edges[i][: degree // 2]:
-                row = neighbors[int(target)]
-                if new_id not in row:
-                    row[-1] = new_id
-                    reverse_links += 1
+        dataset = np.vstack([self.dataset, new_vectors])
+        batch_ids = np.arange(n, n + m, dtype=np.uint32)
+        new_edges = np.empty((m, degree), dtype=np.uint32)
+        rows_per_block = max(1, (1 << 20) // m)
+        for start in range(0, m, rows_per_block):
+            rows = np.arange(start, min(m, start + rows_per_block))
+            batch = gathered_distances(
+                dataset, new_vectors[rows], np.broadcast_to(batch_ids, (len(rows), m)),
+                self.metric,
+            )
+            batch[np.arange(len(rows)), rows] = np.inf  # no self-loop
+            ids = np.hstack([searched[rows], np.broadcast_to(batch_ids, batch.shape)])
+            dists = np.hstack([result.distances[rows], batch])
+            order = np.argsort(dists, axis=1, kind="stable")[:, :degree]
+            new_edges[rows] = np.take_along_axis(ids, order, axis=1)
+        rows = np.vstack([self.graph.neighbors, new_edges]).tolist()
+        reverse_links = link_orphans(
+            rows, degree, links=[
+                (t, n + i) for i, row in enumerate(new_edges.tolist()) for t in row[: degree // 2]
+            ],
+        )
         if on_stage is not None:
             counters = dict(result.report.as_dict())
+            counters["distance_computations"] += m * m
             counters.update(repair_stats)
             counters["rows_added"] = m
             counters["reverse_links_planted"] = reverse_links
             on_stage("core.extend", time.perf_counter() - started, counters)
         return CagraIndex(
-            np.vstack([self.dataset, new_vectors]),
-            FixedDegreeGraph(neighbors),
+            dataset,
+            FixedDegreeGraph(np.array(rows, dtype=np.uint32)),
             metric=self.metric,
             build_config=self.build_config,
         )

@@ -303,7 +303,7 @@ class TestReachabilityRepairs:
     in-edge, and a repair survives the later ones and the degree cap."""
 
     def test_repair_never_evicts_a_last_in_edge(self):
-        from repro.baselines.beam import link_orphans
+        from repro.core.graph import link_orphans
 
         # Node 3 is listed only by row 0's last slot, node 4 by nobody;
         # writing 4 over row 0's last slot would orphan 3.
@@ -313,7 +313,7 @@ class TestReachabilityRepairs:
         assert (_in_degrees(rows) >= 1).all()
 
     def test_repair_appends_below_the_cap_and_skips_the_entry(self):
-        from repro.baselines.beam import link_orphans
+        from repro.core.graph import link_orphans
 
         rows = [[1], [2], [1], [0, 1]]
         assert link_orphans(rows, 3, entry=3) == 0

@@ -127,11 +127,14 @@ class TestExtend:
         assert index.size == 600  # original untouched
 
     def test_new_vectors_retrievable(self, base_and_extra):
+        """Every row keeps an in-edge (no reverse link evicts a new row's
+        only one) and each new row finds its own id."""
         base, extra, index = base_and_extra
         bigger = index.extend(extra)
-        result = bigger.search(extra[:20], 1, SearchConfig(itopk=64))
-        found_self = np.mean(result.indices[:, 0] >= 600)
-        assert found_self > 0.7
+        assert bigger.graph.in_degrees().min() >= 1
+        result = bigger.search(extra, 1, SearchConfig(itopk=64))
+        found_self = np.mean(result.indices[:, 0] == 600 + np.arange(len(extra)))
+        assert found_self >= 0.99
 
     def test_overall_recall_after_extend(self, base_and_extra):
         base, extra, index = base_and_extra
