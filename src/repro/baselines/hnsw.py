@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines.beam import BeamCounters, batched_beam_search, beam_search
-from repro.core.distances import distances_to_query
-from repro.core.graph import INDEX_MASK
+from repro.core.distances import distances_to_query, gathered_distances
+from repro.core.graph import INDEX_MASK, occlusion_prune
 
 __all__ = ["HnswBuildStats", "HnswIndex"]
 
@@ -113,17 +113,20 @@ class HnswIndex:
         ef = self.ef_construction
         counters = BeamCounters()
         for l in range(min(level, self.max_level), -1, -1):
-            ids, dists = beam_search(
-                self.data, self.layers[l], query, ef, ef, [ep], self.metric, counters
-            )
+            layer = self.layers[l]
+            ids, dists = beam_search(self.data, layer, query, ef, ef, [ep], self.metric, counters)
             found = ids != INDEX_MASK
-            pool = list(zip(dists[found].tolist(), ids[found].tolist()))
-            m_here = self.m0 if l == 0 else self.m
-            chosen = self._select_heuristic(query, pool, self.m, stats)
-            self.layers[l][node] = np.array([c for _, c in chosen], dtype=np.int64)
-            for dist, other in chosen:
-                self._link(other, node, dist, m_here, l, stats)
-            ep = pool[0][1]
+            layer[node] = self._select([node], ids[found][None], dists[found][None], self.m)[0]
+            # Reverse links; the neighbours they overfill shrink in one call.
+            m_max = self.m0 if l == 0 else self.m
+            full = [other for other in layer[node].tolist() if len(layer[other]) == m_max]
+            layer.update((other, np.append(layer[other], node)) for other in layer[node].tolist())
+            if full:
+                rows = np.array([layer[other] for other in full])
+                dists = gathered_distances(self.data, self.data[full], rows, self.metric)
+                stats.distance_computations += rows.size
+                layer.update(zip(full, self._select(full, rows, dists, m_max)))
+            ep = int(ids[0])
         for l in range(min(level, self.max_level) + 1, level + 1):
             self.layers[l][node] = np.empty(0, dtype=np.int64)
         stats.distance_computations += counters.distance_computations
@@ -133,59 +136,16 @@ class HnswIndex:
             self.max_level = level
             self.entry_point = node
 
-    def _link(
-        self, node: int, new_neighbor: int, dist: float, m_max: int, level: int,
-        stats: HnswBuildStats,
-    ) -> None:
-        """Add ``new_neighbor`` to ``node``'s list, shrinking heuristically."""
-        current = self.layers[level].get(node)
-        if current is None:
-            self.layers[level][node] = np.array([new_neighbor], dtype=np.int64)
-            return
-        if len(current) < m_max:
-            self.layers[level][node] = np.append(current, new_neighbor)
-            return
-        cand_ids = np.append(current, new_neighbor)
-        dists = distances_to_query(self.data, self.data[node], cand_ids, self.metric)
-        stats.distance_computations += len(cand_ids)
-        pool = sorted(zip(dists.tolist(), cand_ids.tolist()))
-        chosen = self._select_heuristic(self.data[node], pool, m_max, stats)
-        self.layers[level][node] = np.array([c for _, c in chosen], dtype=np.int64)
-
-    def _select_heuristic(
-        self,
-        query: np.ndarray,
-        pool: list[tuple[float, int]],
-        m: int,
-        stats: HnswBuildStats | None,
-    ) -> list[tuple[float, int]]:
-        """Algorithm 4: keep a candidate only if it is closer to the query
-        than to every already-kept neighbor (edge diversity)."""
-        chosen: list[tuple[float, int]] = []
-        for dist, cand in sorted(pool):
-            if len(chosen) >= m:
-                break
-            keep = True
-            if chosen:
-                kept_ids = np.array([c for _, c in chosen], dtype=np.int64)
-                to_kept = distances_to_query(
-                    self.data, self.data[cand], kept_ids, self.metric
-                )
-                if stats is not None:
-                    stats.distance_computations += len(kept_ids)
-                keep = bool(np.all(to_kept >= dist))
-            if keep:
-                chosen.append((dist, cand))
-        # Fall back to nearest-first if the heuristic was too aggressive.
-        if len(chosen) < min(m, len(pool)):
-            have = {c for _, c in chosen}
-            for dist, cand in sorted(pool):
-                if len(chosen) >= m:
-                    break
-                if cand not in have:
-                    chosen.append((dist, cand))
-                    have.add(cand)
-        return chosen
+    def _select(self, nodes, cand_ids, cand_dists, m: int) -> list[np.ndarray]:
+        """Algorithm 4 per row: (distance, id) order, the RNG occlusion
+        filter, then a nearest-first fill up to ``min(m, pool)``."""
+        order = np.lexsort((cand_ids, cand_dists))
+        cand_ids, cand_dists = (np.take_along_axis(a, order, 1) for a in (cand_ids, cand_dists))
+        kept, charges = occlusion_prune(self.data, nodes, cand_ids, cand_dists, m, "rng",
+                                        metric=self.metric)
+        self.build_stats.distance_computations += int(charges.sum())
+        return [np.concatenate([row[row >= 0], pool[(pool >= 0) & ~np.isin(pool, row)]])[:m]
+                for row, pool in zip(kept, cand_ids.astype(np.int64))]
 
     # ------------------------------------------------------------------
     # search

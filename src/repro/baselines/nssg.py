@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.baselines.beam import BeamCounters, batched_beam_search
 from repro.core.distances import distances_to_query
-from repro.core.graph import link_orphans
+from repro.core.graph import link_orphans, occlusion_prune
 from repro.core.nn_descent import KnnGraphResult
 from repro.core.rng_init import counter_draws, query_keys
 
@@ -81,14 +81,20 @@ class NssgIndex:
         n = self.data.shape[0]
         neighbors = self.knn.graph.neighbors
         stats = self.build_stats
-        pool_total = 0
 
+        pools = np.array([self._candidate_pool(node, neighbors, rng) for node in range(n)])
+        stats.pool_sizes_mean = int((pools >= 0).sum()) / max(1, n)
+        # Blocks of nodes whose float64 edge directions fit 4 MiB (in cache).
+        block = max(1, (4 << 20) // (8 * self.data.shape[1] * max(1, self.pool_size)))
         kept: list[list[int]] = []
-        for node in range(n):
-            pool = self._candidate_pool(node, neighbors, rng)
-            pool_total += len(pool)
-            kept.append(self._angular_prune(node, pool, stats))
-        stats.pool_sizes_mean = pool_total / max(1, n)
+        for start in range(0, n, block):
+            rows, charges = occlusion_prune(
+                self.data, np.arange(start, min(n, start + block), dtype=np.int64),
+                pools[start : start + block], None, self.degree_bound, "angle",
+                cos_threshold=self.cos_threshold,
+            )
+            stats.distance_computations += int(charges.sum())
+            kept += [row[row >= 0].tolist() for row in rows]
 
         # Reverse edges up to the degree bound.
         adjacency = [list(dict.fromkeys(row)) for row in kept]
@@ -107,7 +113,8 @@ class NssgIndex:
     def _candidate_pool(
         self, node: int, neighbors: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Neighbors plus sampled 2-hop expansion, distance-sorted, <= L."""
+        """Neighbors plus sampled 2-hop expansion, distance-sorted, the
+        first L, padded with -1 to L."""
         one_hop = neighbors[node].astype(np.int64)
         two_hop = neighbors[one_hop].ravel().astype(np.int64)
         if len(two_hop) > self.pool_size:
@@ -117,39 +124,7 @@ class NssgIndex:
         dists = distances_to_query(self.data, self.data[node], pool, self.metric)
         self.build_stats.distance_computations += len(pool)
         order = np.argsort(dists, kind="stable")[: self.pool_size]
-        return pool[order]
-
-    def _angular_prune(
-        self, node: int, pool: np.ndarray, stats: NssgBuildStats
-    ) -> list[int]:
-        """Keep candidates whose pairwise angles at ``node`` exceed the
-        threshold; nearest-first (satellite-system spreading)."""
-        origin = self.data[node].astype(np.float64)
-        kept: list[int] = []
-        kept_dirs: list[np.ndarray] = []
-        for cand in pool:
-            if len(kept) >= self.degree_bound:
-                break
-            direction = self.data[int(cand)].astype(np.float64) - origin
-            # Geometric normalization of an edge direction, not a query
-            # distance — no CostReport charge applies.
-            # repro-lint: disable=RL004 — uncounted geometric norm
-            norm = np.linalg.norm(direction)
-            if norm == 0.0:
-                continue
-            direction /= norm
-            ok = True
-            for kd in kept_dirs:
-                stats.distance_computations += 1
-                # Unit-vector angle test, explicitly counted one line up.
-                # repro-lint: disable=RL004 — counted via stats above
-                if float(direction @ kd) > self.cos_threshold:
-                    ok = False
-                    break
-            if ok:
-                kept.append(int(cand))
-                kept_dirs.append(direction)
-        return kept
+        return np.pad(pool[order], (0, self.pool_size - len(order)), constant_values=-1)
 
     # ------------------------------------------------------------------
     def search(

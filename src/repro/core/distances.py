@@ -22,6 +22,8 @@ __all__ = [
     "pairwise_distances",
     "distances_to_query",
     "gathered_distances",
+    "paired_dots",
+    "unit_directions",
     "normalize_rows",
     "as_storage_dtype",
     "distance_function",
@@ -164,6 +166,20 @@ def gathered_distances(
         else:
             np.einsum("qwd,qod->qw", gathered, q, out=out[rows])
     return out if metric == "sqeuclidean" else np.negative(out, out=out)
+
+
+def paired_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``a[i] @ b[i]``, each the BLAS dot a lone ``@`` takes (bitwise)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def unit_directions(data: np.ndarray, origins, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 unit vectors from ``data[origins[i]]`` to ``data[indices[i, j]]``
+    (bitwise ``(x - o) / np.linalg.norm(x - o)``) and the zero-length mask."""
+    directions = data[indices].astype(np.float64) - data[origins].astype(np.float64)[:, None, :]
+    norms = np.sqrt(paired_dots(directions, directions))
+    directions /= np.where(norms == 0.0, 1.0, norms)[..., None]
+    return directions, norms == 0.0
 
 
 def distance_function(metric: str) -> Callable[[np.ndarray, np.ndarray], float]:

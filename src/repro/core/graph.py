@@ -12,8 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.distances import gathered_distances, paired_dots, unit_directions
+
 __all__ = [
     "FixedDegreeGraph", "PARENT_FLAG", "INDEX_MASK", "MAX_DATASET_SIZE", "link_orphans",
+    "occlusion_prune",
 ]
 
 #: MSB of a uint32 node id; used by the search as the 1-bit "has been a
@@ -117,6 +120,55 @@ class FixedDegreeGraph:
             self.neighbors.shape == other.neighbors.shape
             and bool(np.array_equal(self.neighbors, other.neighbors))
         )
+
+
+def occlusion_prune(data: np.ndarray, nodes, cand_ids, cand_dists, degree: int, rule: str, *,
+                    metric: str = "sqeuclidean", cos_threshold: float = 0.5):
+    """The one occlusion filter: per row, keep candidates nearest first, up
+    to ``degree``, dropping each one that a kept one occludes.
+
+    Row ``i`` prunes for ``nodes[i]``: ``cand_ids[i]`` in (distance, id)
+    order, -1 padded, at ``cand_dists[i]``.  ``"rng"`` (HNSW) drops ``c`` if
+    a kept ``s`` has ``d(c, s) < d(node, c)``; ``"angle"`` (NSSG) if the
+    cosine at the node between ``c`` and a kept ``s`` exceeds
+    ``cos_threshold``, and skips candidates on the node.  One step per
+    pick, vectorised over the rows.
+
+    Returns the kept ids, ``(rows, degree)`` -1 padded, and each row's
+    charge under its rule's counting (docs/COSTMODEL.md)."""
+    if rule not in ("rng", "angle"):
+        raise ValueError(f"unknown occlusion rule {rule!r}")
+    cand_ids = np.asarray(cand_ids, dtype=np.int64)
+    rows, width = cand_ids.shape
+    alive = cand_ids >= 0
+    end = alive.sum(axis=1)  # candidates examined: all, unless the row fills
+    if rule == "angle":
+        directions, zero = unit_directions(data, nodes, np.maximum(cand_ids, 0))
+        alive &= ~zero
+    kept = np.full((rows, degree), -1, dtype=np.int64)
+    tests = np.zeros((rows, width), dtype=np.int64)
+    for step in range(degree):
+        live = np.flatnonzero(alive.any(axis=1))
+        if len(live) == 0:
+            break
+        pick = alive[live].argmax(axis=1)
+        alive[live, pick] = False
+        kept[live, step] = cand_ids[live, pick]
+        if rule == "rng":  # every later candidate is scored against each pick
+            tests[live] += np.arange(width) > pick[:, None]
+        if step == degree - 1:
+            end[live] = pick + 1
+            break
+        at, col = np.nonzero(alive[live])
+        row = live[at]
+        if rule == "rng":
+            d_cs = gathered_distances(data, data[cand_ids[row, col]], kept[row, step, None], metric)
+            occluded = d_cs[:, 0] < cand_dists[row, col]
+        else:  # one angle test per live candidate, up to its first failure
+            tests[row, col] += 1
+            occluded = paired_dots(directions[row, col], directions[row, pick[at]]) > cos_threshold
+        alive[row[occluded], col[occluded]] = False
+    return kept, (tests * (np.arange(width) < end[:, None])).sum(axis=1)
 
 
 def link_orphans(rows, degree: int, entry: int = -1, links=()) -> int:

@@ -18,9 +18,6 @@ flags:
 * ``np.einsum`` contractions whose two operands share the same subscript
   string (the squared-distance / self-dot signature, e.g.
   ``"ij,ij->i"``).
-
-Counted or geometric uses (e.g. an angle test that increments its own
-stats counter) should carry an in-line waiver with a reason.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.ganns import GannsIndex
 from repro.baselines.ggnn import GgnnIndex
 from repro.baselines.hnsw import HnswIndex
+from repro.core.graph import occlusion_prune
 
 
 class TestGgnnTwoHopSweep:
@@ -85,20 +86,20 @@ class TestHnswHeuristic:
         data = np.array(
             [[0.0], [1.0], [1.2], [-2.0]], dtype=np.float32
         )
-        index = HnswIndex(data, m=2, ef_construction=4)
-        pool = [(1.0, 1), (1.44, 2), (4.0, 3)]
-        chosen = index._select_heuristic(data[0], pool, 2, None)
-        ids = [c for _, c in chosen]
+        kept, _ = occlusion_prune(
+            data, [0], np.array([[1, 2, 3]]), np.array([[1.0, 1.44, 4.0]]), 2, "rng"
+        )
+        ids = kept[0].tolist()
         assert 1 in ids
         assert 3 in ids  # diverse far point beats the occluded near one
         assert 2 not in ids
 
     def test_heuristic_falls_back_to_nearest(self):
-        """If diversity filtering would underfill, nearest-first pads."""
+        """If diversity filtering would underfill, HNSW's select pads
+        nearest-first after the filter."""
         data = np.array([[0.0], [1.0], [1.1], [1.2]], dtype=np.float32)
         index = HnswIndex(data, m=3, ef_construction=4)
-        pool = [(1.0, 1), (1.21, 2), (1.44, 3)]
-        chosen = index._select_heuristic(data[0], pool, 3, None)
+        chosen = index._select([0], np.array([[1, 2, 3]]), np.array([[1.0, 1.21, 1.44]]), 3)[0]
         assert len(chosen) == 3
 
     def test_level_distribution_geometric(self):

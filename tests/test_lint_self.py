@@ -274,3 +274,61 @@ def test_baselines_search_on_the_traversal_engine():
         ("baselines/hnsw.py", "HnswIndex", "_insert"),
         ("baselines/ggnn.py", "GgnnIndex", "build"),
     }, callers
+
+
+def test_one_occlusion_filter_called_per_block():
+    """NSSG's angle test and HNSW's Algorithm 4 heuristic are one filter:
+    ``_angular_prune``, ``_select_heuristic`` and ``HnswIndex._link`` are
+    gone, ``occlusion_prune`` is defined once, and its only callers are
+    NSSG's build and HNSW's select.  No call sits in a per-candidate loop:
+    the one loop allowed around a call is NSSG's strided loop over blocks
+    of nodes, and HNSW's select runs once per insertion layer for the new
+    node and once for every neighbour it overfills."""
+    import ast
+
+    root = default_root() / "repro"
+    definitions, callers, select_calls = [], {}, []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        name = str(path.relative_to(root))
+        scopes = [(None, node) for node in tree.body] + [
+            (node.name, member)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for member in node.body
+        ]
+        for owner, function in scopes:
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            assert function.name not in ("_angular_prune", "_select_heuristic"), (name, owner)
+            assert (name, owner, function.name) != ("baselines/hnsw.py", "HnswIndex", "_link")
+            if function.name == "occlusion_prune":
+                definitions.append(name)
+            loops = [
+                node for node in ast.walk(function)
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))
+            ]
+            for call in ast.walk(function):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called == "_select" and name == "baselines/hnsw.py":
+                    select_calls.append((owner, function.name, call))
+                if called != "occlusion_prune":
+                    continue
+                callers[(name, owner, function.name)] = function
+                for loop in loops:
+                    if any(node is call for node in ast.walk(loop)):
+                        block_loop = (
+                            isinstance(loop, ast.For)
+                            and isinstance(loop.iter, ast.Call)
+                            and getattr(loop.iter.func, "id", "") == "range"
+                            and len(loop.iter.args) == 3
+                        )
+                        assert block_loop, (name, function.name, ast.unparse(loop)[:80])
+    assert definitions == ["core/graph.py"]
+    assert set(callers) == {
+        ("baselines/nssg.py", "NssgIndex", "build"),
+        ("baselines/hnsw.py", "HnswIndex", "_select"),
+    }
+    assert [(owner, fn) for owner, fn, _ in select_calls] == [("HnswIndex", "_insert")] * 2

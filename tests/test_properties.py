@@ -14,24 +14,29 @@ Invariants checked:
 * the traversal engine's packed top-M merge, first-occurrence mask and
   parent pick reproduce the stable multi-key code they replaced;
 * the row-blocked gathered-distance kernel is bitwise its one-block self;
-* graph reverse lists invert the edge relation exactly.
+* graph reverse lists invert the edge relation exactly;
+* the block occlusion filter keeps, in order, the ids NSSG's angle test
+  and HNSW's Algorithm 4 heuristic keep, and charges what they charged.
 """
 
+import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import distances as distances_module
 from repro.core.distances import METRICS, distances_to_query, gathered_distances
-from repro.core.graph import FixedDegreeGraph, INDEX_MASK
+from repro.core.graph import FixedDegreeGraph, INDEX_MASK, occlusion_prune
 from repro.core.hashtable import StandardHashTable
 from repro.core.nn_descent import _merge_candidates, _reverse_samples
 from repro.core.optimize import count_detourable_routes, merge_reverse_edges
 from repro.core.topm import bitonic_sort, merge_topm
 from tests.oracles import build as oracle
+from tests.oracles import prune as prune_oracle
 
 MAX_EXAMPLES = 40
 
@@ -846,3 +851,91 @@ class TestBatchedBeamSearchProperties:
         assert (counters.distance_computations, counters.hops, counters.queries) == (
             scalar.distance_computations, scalar.hops, scalar.queries
         )
+
+
+@st.composite
+def occlusion_cases(draw):
+    """A block of candidate rows over values on a coarse grid, so duplicate
+    vectors (zero-length directions) and distance ties are common; pools
+    run from empty to every other node, degree from 1."""
+    n = draw(st.integers(2, 20))
+    dim = draw(st.integers(1, 4))
+    elements = st.one_of(st.integers(-2, 2).map(float), st.floats(-2, 2, width=16))
+    data = draw(arrays(np.float32, (n, dim), elements=elements))
+    data = data.astype(draw(st.sampled_from(["float32", "float16"])))
+    metric = draw(st.sampled_from(["sqeuclidean", "inner_product"]))
+    nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    pools = []
+    for node in nodes:
+        others = [i for i in range(n) if i != node]
+        pool = np.array(draw(st.lists(st.sampled_from(others), unique=True)), dtype=np.int64)
+        dists = distances_to_query(data, data[node], pool, metric)
+        order = np.lexsort((pool, dists))
+        pools.append((pool[order], dists[order]))
+    return {
+        "data": data, "metric": metric, "nodes": nodes, "pools": pools,
+        "degree": draw(st.integers(1, 6)),
+        # NSSG's 60 degrees and 30, plus thresholds that grid angles hit exactly.
+        "cos_threshold": draw(st.sampled_from(
+            [math.cos(math.radians(60.0)), math.cos(math.radians(30.0)), 0.0, 0.5]
+        )),
+    }
+
+
+_RIGHT_ANGLE = np.array([[0, 0], [1, 0], [0, 1], [0, 1], [2, 0]], dtype=np.float32)
+
+
+class TestOcclusionPruneProperties:
+    @settings(max_examples=4 * MAX_EXAMPLES, deadline=None)
+    @given(case=occlusion_cases(), rule=st.sampled_from(["rng", "angle"]))
+    @example(  # a right angle at exactly cos 0, a collinear pair, a duplicate
+        case={
+            "data": _RIGHT_ANGLE, "metric": "sqeuclidean", "nodes": [0, 1, 2], "degree": 3,
+            "pools": [
+                (np.array([1, 2, 3, 4]), np.array([1, 1, 1, 4], dtype=np.float32)),
+                (np.array([0, 4, 2, 3]), np.array([1, 1, 2, 2], dtype=np.float32)),
+                (np.array([3, 0, 1, 4]), np.array([0, 1, 2, 5], dtype=np.float32)),
+            ],
+            "cos_threshold": 0.0,
+        },
+        rule="angle",
+    )
+    def test_block_filter_equals_scalar_oracles(self, case, rule):
+        """Kept ids, their order and the charges equal the scalar filter
+        of the rule, row by row; HNSW's select (filter, then nearest-first
+        fill) equals the whole Algorithm 4 heuristic."""
+        from repro.baselines.hnsw import HnswIndex
+
+        data, metric, nodes, pools, degree = (
+            case[key] for key in ("data", "metric", "nodes", "pools", "degree")
+        )
+        width = max(len(pool) for pool, _ in pools)
+        ids = np.full((len(pools), width), -1, dtype=np.int64)
+        dists = np.full((len(pools), width), np.inf, dtype=np.float32)
+        for row, (pool, pool_dists) in enumerate(pools):
+            ids[row, : len(pool)], dists[row, : len(pool)] = pool, pool_dists
+        kept, charges = occlusion_prune(
+            data, np.array(nodes), ids, dists, degree, rule, metric=metric,
+            cos_threshold=case["cos_threshold"],
+        )
+        assert kept.shape == (len(pools), degree)
+        hnsw = HnswIndex(data, metric=metric)
+        selected = hnsw._select(nodes, ids, dists, degree) if rule == "rng" else None
+        for row, (node, (pool, pool_dists)) in enumerate(zip(nodes, pools)):
+            stats = SimpleNamespace(distance_computations=0)
+            if rule == "angle":
+                want = prune_oracle.angular_prune(
+                    data, node, pool, degree, case["cos_threshold"], stats
+                )
+            else:
+                tuples = list(zip(pool_dists.tolist(), pool.tolist()))
+                want = [c for _, c in prune_oracle.select_heuristic(
+                    data, data[node], tuples, degree, stats, metric, fill=False
+                )]
+                full = prune_oracle.select_heuristic(data, data[node], tuples, degree, None, metric)
+                assert selected[row].tolist() == [c for _, c in full]
+            assert kept[row][kept[row] >= 0].tolist() == want
+            assert (kept[row][len(want):] == -1).all()
+            assert charges[row] == stats.distance_computations
+        if rule == "rng":
+            assert hnsw.build_stats.distance_computations == charges.sum()
