@@ -312,6 +312,17 @@ class TestReachabilityRepairs:
         assert rows[0] == [4, 3]
         assert (_in_degrees(rows) >= 1).all()
 
+    def test_reverse_links_never_evict_a_last_in_edge(self):
+        from repro.core.graph import link_orphans
+
+        # Row 0's last slot holds node 3's only in-edge, so the reverse
+        # link 0 -> 4 takes the slot before it; a link already present
+        # (1 -> 0) is skipped.  ``extend`` plants its links this way.
+        rows = [[1, 3], [0, 2], [0, 1], [0, 1], [0, 1]]
+        assert link_orphans(rows, 2, links=[(0, 4), (1, 0)]) == 1
+        assert rows[0] == [4, 3]
+        assert (_in_degrees(rows) >= 1).all()
+
     def test_repair_appends_below_the_cap_and_skips_the_entry(self):
         from repro.core.graph import link_orphans
 
