@@ -144,8 +144,10 @@ class HnswIndex:
         kept, charges = occlusion_prune(self.data, nodes, cand_ids, cand_dists, m, "rng",
                                         metric=self.metric)
         self.build_stats.distance_computations += int(charges.sum())
-        return [np.concatenate([row[row >= 0], pool[(pool >= 0) & ~np.isin(pool, row)]])[:m]
-                for row, pool in zip(kept, cand_ids.astype(np.int64))]
+        pools = cand_ids.astype(np.int64)
+        spare = (pools >= 0) & (pools[:, :, None] != kept[:, None, :]).all(axis=2)
+        return [np.concatenate([row[row >= 0], pool[fill]])[:m]
+                for row, pool, fill in zip(kept, pools, spare)]
 
     # ------------------------------------------------------------------
     # search
