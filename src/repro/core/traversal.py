@@ -4,25 +4,24 @@
 masked stepping loop** (:meth:`TraversalEngine._traverse`) in which all live
 queries advance one hop per vectorized step: ① top-M merge, ② parent
 selection + neighbor gather, ③ first-visit distance evaluation all run on a
-``(live_queries, ...)`` array slab.  Finished queries retire their buffers
-and are compacted out of the slab, so late iterations only pay for the
-queries still walking.
+``(live_queries, ...)`` array slab.  A query retires its buffer on the step
+it finishes, so every step only pays for the queries still walking.
 
-The loop talks to the visited table only through a four-method seam —
-``probe`` (which gathered ids are first visits), ``end_step`` (the
-forgettable reset hook), ``merge`` (the backend's top-M merge rule) and
-``collect`` (hash counters into the report) — and ``mode`` picks the object
-behind it:
+The loop talks to the visited table, and to the top-M buffer whose
+representation the backend owns, only through a seam (``probe``,
+``candidates``, ``empty``, ``merge``, ``selectable``, ``mark_parents``,
+``decode``, ``end_step``, ``collect``; docs/traversal.md has the table),
+and ``mode`` picks the object behind it:
 
 * ``mode="reference"`` — :class:`_HashSlab`, a row-parallel emulation of the
   real open-addressing hash tables, bit-exact against the sequential
   specification (:func:`repro.core.search._greedy_core`): per-slot probe
   counts, full-table saturation, forgettable resets with top-M
   re-registration, ``min_iterations`` re-seeding, and multi-CTA worker
-  passes sharing one table per query.
+  passes sharing one table per query; ``(ids, dists)`` buffers.
 * ``mode="fast"`` — :class:`_DenseVisited`, an exact dense boolean table with
   flat hash accounting (standard-table behaviour, ``min_iterations``
-  ignored) and a sort-only top-M merge.
+  ignored) and a top-M of packed keys that stays sorted across steps.
 
 The engine also owns the fp16 dataset path (``precision="fp16"`` stores the
 vectors half-precision; distances still accumulate in fp32, matching the
@@ -94,9 +93,6 @@ _KEY_MASK = 0xFFFFFFFF
 #: the matching queries — whatever the batch) rides on top.
 _VISITED_BUDGET_BYTES = 256 * 1024 * 1024
 
-#: Compact the live slab once at least this fraction of its rows is dead.
-_COMPACT_FRACTION = 4  # 1/4
-
 #: Below this many queries, reference mode runs the sequential spec
 #: (:func:`repro.core.search._greedy_core`) per query instead of the hash
 #: slab: the slab's cost is nearly flat in batch size (whole-batch numpy
@@ -160,10 +156,12 @@ def _pick_parents(selectable: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
 
     Returns ``(positions, picked)``, both ``(rows, p)``.  A row with fewer
     than ``p`` selectable entries fills up with its first unselectable
-    positions, ``picked`` False there.  One sort of ``unselectable <<
-    lane_bits | lane`` per row — the keys are distinct, so it needs no
-    stable argsort.
+    positions, ``picked`` False there.  ``p = 1`` is one ``argmax``; wider
+    picks sort ``unselectable << lane_bits | lane`` per row — the keys are
+    distinct, so it needs no stable argsort.
     """
+    if p == 1:
+        return selectable.argmax(axis=1, keepdims=True), selectable.any(axis=1, keepdims=True)
     width = selectable.shape[1]
     lane_bits = (width - 1).bit_length()
     lanes = np.arange(width, dtype=np.uint32)
@@ -175,18 +173,18 @@ def _pick_parents(selectable: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _charge_iteration_sort(
-    report: CostReport, lengths: np.ndarray, itopk: int
+    report: CostReport, counts: np.ndarray, unit: int, itopk: int
 ) -> None:
     """Meter step ①'s sort+merge for the live lockstep queries.
 
-    ``lengths`` holds each live query's *current* candidate-list length:
-    the reference path charges with the actual gather size, which drops
-    below ``search_width * degree`` when a query has fewer unparented
-    top-M entries than ``search_width`` — so must we.
+    ``counts[i]`` live rows merge ``i * unit`` candidates this step: the
+    reference path charges with the actual gather size, which drops below
+    ``search_width * degree`` when a query has fewer unparented top-M
+    entries than ``search_width`` — so must we.
     """
-    counts = np.bincount(lengths)
-    for length in np.flatnonzero(counts[1:]) + 1:  # distinct lengths, not queries
-        length, count = int(length), int(counts[length])
+    for length, count in zip(range(0, len(counts) * unit, unit), counts.tolist()):
+        if not (length and count):  # distinct lengths, not queries
+            continue
         if sort_strategy(length) == "warp_bitonic":
             report.sort_comparator_ops += count * bitonic_comparator_count(length)
         else:
@@ -195,62 +193,6 @@ def _charge_iteration_sort(
         report.sort_comparator_ops += count * (
             bitonic_comparator_count(merged) // max(1, merged.bit_length()) * 2
         )
-
-
-#: Packed-key layout of the dense merge: ``order bits << 32 | bare id << 1
-#: | parent bit``.
-_HALF = np.uint64(32)
-
-
-def _merge_rows(
-    topm_ids: np.ndarray,
-    topm_dists: np.ndarray,
-    cand_ids: np.ndarray,
-    cand_dists: np.ndarray,
-    m: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort-only per-row merge for the **dense** backend: keep the best
-    ``m`` entries ordered by (distance, bare id).
-
-    Preconditions: no distance is NaN or ``-inf``, and (what an exact
-    visited table guarantees) the finite-distance entries of a row carry
-    pairwise distinct bare ids — a top-M entry was a first visit once, so
-    every later copy of it is a non-first visit and arrives with ``+inf``.  Dedup is
-    therefore just "``+inf`` means dummy": every infinite entry becomes
-    ``INDEX_MASK`` (the dense backend never expands infinite-distance
-    nodes), and one sort orders the rest.
-
-    float32 distances (every ``CagraIndex``: fp32 and fp16 storage both
-    accumulate in fp32) pack into one ``uint64`` per entry — ``order bits
-    << 32 | bare id << 1 | parent bit``
-    (:func:`repro.core.topm.float32_order_bits`) — and the merge is one
-    in-place ``sort`` of those keys: distinct bare ids mean the parent bit
-    never decides an order.  ``-0.0`` comes back as ``+0.0``, and the
-    returned distances stay float32.  Any other distance dtype (an engine
-    handed a float64 dataset) takes a two-key ``lexsort``; both arms order
-    float32-representable inputs identically.
-    """
-    dists = np.concatenate([topm_dists, cand_dists], axis=1)
-    ids = np.concatenate([topm_ids, cand_ids], axis=1, dtype=np.uint32)
-    if dists.dtype != np.float32:
-        ids = np.where(np.isinf(dists), INDEX_MASK, ids)
-        order = np.lexsort((ids & INDEX_MASK, dists), axis=1)[:, :m]
-        return (
-            np.take_along_axis(ids, order, axis=1),
-            np.take_along_axis(dists, order, axis=1),
-        )
-    keys = float32_order_bits(dists).astype(np.uint64)
-    keys <<= _HALF
-    keys |= (ids << 1) | (ids >> 31)  # the flag rotates down to bit 0
-    keys.sort(axis=1)
-    keys = keys[:, :m]
-    low = keys.astype(np.uint32)
-    bits = (keys >> _HALF).astype(np.uint32)
-    out_ids = (low >> 1) | (low << 31)
-    # The +inf entries sorted last, in whatever order their ids gave them;
-    # they all leave as the same dummy, so that order never shows.
-    out_ids[bits >= INF_ORDER_BITS] = INDEX_MASK
-    return out_ids, float32_from_order_bits(bits)
 
 
 def _merge_rows_reference(
@@ -263,7 +205,7 @@ def _merge_rows_reference(
     """Row-parallel :func:`repro.core.topm.merge_topm` for the hash-slab
     backend.
 
-    Unlike :func:`_merge_rows` this keeps the scalar merge's exact
+    Unlike the dense merges this keeps the scalar merge's exact
     semantics: ties break by concatenation position (not bare id), and a
     *real* id with an infinite distance survives with its id — the
     reference search does expand such nodes, so erasing them would fork
@@ -296,7 +238,61 @@ def _merge_rows_reference(
 # ----------------------------------------------------------------------
 # visited backends (the seam the stepping loop talks through)
 # ----------------------------------------------------------------------
-class _HashSlab:
+@dataclass
+class _Pairs:
+    """A top-M buffer, or a step's candidate lanes, as ``(ids, dists)``."""
+
+    ids: np.ndarray
+    dists: np.ndarray
+
+    def __getitem__(self, rows) -> "_Pairs":
+        return _Pairs(self.ids[rows], self.dists[rows])
+
+
+class _PairBuffers:
+    """The seam's top-M half for :class:`_Pairs` buffers (ids carry
+    ``PARENT_FLAG``, a dummy is ``INDEX_MASK``), merged by ``_merge_pairs``."""
+
+    _merge_pairs = staticmethod(_merge_rows_reference)
+
+    @staticmethod
+    @hot_path
+    def empty(rows: int, m: int) -> _Pairs:
+        return _Pairs(np.full((rows, m), INDEX_MASK, dtype=np.uint32), np.full((rows, m), np.inf))
+
+    @hot_path
+    def candidates(self, ids, lane_usable, at, nodes, found) -> _Pairs:
+        """Every lane: non-first visits ``+inf``, unusable lanes dummies —
+        they sort after every real entry, so they never perturb a buffer
+        (unlike a real id at ``+inf``, which the reference keeps and
+        later expands)."""
+        dists = np.full(ids.shape, np.inf, dtype=found.dtype)
+        dists.reshape(-1)[at] = found
+        return _Pairs(np.where(lane_usable, ids, INDEX_MASK), dists)
+
+    @hot_path
+    def merge(self, topm: _Pairs, cand: _Pairs, m: int) -> _Pairs:
+        return _Pairs(*self._merge_pairs(topm.ids, topm.dists, cand.ids, cand.dists, m))
+
+    @hot_path
+    def selectable(self, topm: _Pairs) -> np.ndarray:
+        return topm.ids < INDEX_MASK  # flagged entries and dummies are not
+
+    @hot_path
+    def mark_parents(self, topm: _Pairs, positions, picked) -> np.ndarray:
+        """Flag the picked entries; their node ids, node 0 (a stand-in whose
+        lanes the loop marks unusable) where not picked."""
+        rows = np.arange(len(positions))[:, None]
+        entries = topm.ids[rows, positions]
+        topm.ids[rows, positions] = np.where(picked, entries | PARENT_FLAG, entries)
+        return np.where(picked, entries & INDEX_MASK, 0)
+
+    @hot_path
+    def decode(self, topm: _Pairs) -> tuple[np.ndarray, np.ndarray]:
+        return topm.ids, topm.dists
+
+
+class _HashSlab(_PairBuffers):
     """Row-parallel emulation of per-query open-addressing hash tables.
 
     Row ``i`` of ``slots`` is query ``i``'s table.  Inserts advance every
@@ -311,10 +307,9 @@ class _HashSlab:
     into ``recomputed_distances``.
 
     Every method takes ``row_ids`` — the table row of each live-slab row —
-    so the loop can compact its slab without the table ever shrinking.
+    so the loop can retire rows from its slab without the table ever
+    shrinking.
     """
-
-    merge = staticmethod(_merge_rows_reference)
 
     def __init__(
         self, rows: int, num_nodes: int, log2_size: int, reset_interval: int = 0
@@ -381,7 +376,8 @@ class _HashSlab:
     def probe(
         self, row_ids: np.ndarray, ids: np.ndarray, lane_usable: np.ndarray
     ) -> np.ndarray:
-        """Insert ``(rows, W)`` ids; mask of the first visits.
+        """Insert ``(rows, W)`` ids; flat (row, lane) positions of the
+        first visits.
 
         Lanes run in key order per row (the warp-serialized order the
         reference uses), each lane vectorized across all rows.
@@ -396,12 +392,10 @@ class _HashSlab:
             hit_ids = ids[fresh]
             self.recomputed += int(self._ever[hit_rows, hit_ids].sum())
             self._ever[hit_rows, hit_ids] = True
-        return fresh
+        return np.flatnonzero(fresh)
 
     @hot_path
-    def end_step(
-        self, row_ids: np.ndarray, topm_ids: np.ndarray, expanded: np.ndarray
-    ) -> None:
+    def end_step(self, row_ids: np.ndarray, topm: _Pairs, expanded: np.ndarray) -> None:
         """``ForgettableHashTable.maybe_reset`` for the rows that expanded
         parents this step (a re-seed step ``continue``s past the hook in
         the reference): every ``reset_interval`` such steps the row forgets
@@ -417,7 +411,7 @@ class _HashSlab:
         self._since_reset[due_rows] = 0
         self.slots[due_rows] = _EMPTY
         self.resets += due_rows.size
-        bare = topm_ids[due] & INDEX_MASK
+        bare = topm.ids[due] & INDEX_MASK
         for lane in range(bare.shape[1]):  # top-M lanes, not per-query
             self._insert_lane(due_rows, bare[:, lane], bare[:, lane] != INDEX_MASK)
 
@@ -426,23 +420,33 @@ class _HashSlab:
         report.recomputed_distances += self.recomputed
 
 
+#: Dense top-M key: ``float32_order_bits(distance) << 32 | bare id << 1 |
+#: parent bit``.  A dummy (empty or ``+inf``) slot has every low bit set:
+#: odd, so never selectable, sorted after every finite key, and its id
+#: bits decode to ``INDEX_MASK``.
+_HALF = np.uint64(32)
+_ONE = np.uint64(1)
+_DUMMY_KEY = np.uint64(INF_ORDER_BITS) << _HALF | np.uint64(0xFFFFFFFF)
+
+
 class _DenseVisited:
-    """Exact dense boolean visited table with flat hash accounting.
+    """Exact dense boolean visited table with flat hash accounting, and a
+    packed top-M buffer.
 
     One lookup per usable lane, a flat two probes per lookup (the one
     documented modelling difference from the real probe sequences), one
     insertion per first visit; it never forgets, so there is nothing to do
     at the end of a step and nothing is ever recomputed.
+
+    The top-M is one sorted key per entry (:data:`_DUMMY_KEY`), merged by
+    one sort, parent-marked by setting bit 0 (the key moves past no other)
+    and decoded once, when its row retires.  Sort-only is sound because
+    the table is exact: a row's finite keys carry distinct bare ids.
+    float32 distances only; ``-0.0`` comes back ``+0.0``; no NaN.
     """
 
-    merge = staticmethod(_merge_rows)
-
     def __init__(self, rows: int, num_nodes: int):
-        # Column ``num_nodes`` is a scratch column: unusable lanes are
-        # redirected there, so they can neither mark a real node visited
-        # nor (by a duplicate-index write) un-mark one.
-        self._scratch = num_nodes
-        self.table = np.zeros((rows, num_nodes + 1), dtype=bool)
+        self.table = np.zeros((rows, num_nodes), dtype=bool)
         self.lookups = 0
         self.insertions = 0
 
@@ -450,26 +454,92 @@ class _DenseVisited:
     def probe(
         self, row_ids: np.ndarray, ids: np.ndarray, lane_usable: np.ndarray
     ) -> np.ndarray:
-        lanes = np.where(lane_usable, ids, self._scratch)
+        """Flat (row, lane) positions of the first visits: one table lookup
+        over the usable lanes, then repeats among the unseen ones (a node
+        twice in one gather is first-visited by its first lane)."""
         # Flat cell offsets: numpy gathers and scatters through one 1-D
         # index about twice as fast as through a broadcast (row, lane) pair.
-        cells = lanes + (row_ids * self.table.shape[1])[:, None]
+        cells = (ids + (row_ids * self.table.shape[1])[:, None]).reshape(-1)
         table = self.table.reshape(-1)
-        fresh = _first_occurrence_rows(lanes) & lane_usable & ~table[cells]
+        if lane_usable.all():  # every row picked p parents
+            at = np.flatnonzero(~table.take(cells))
+            self.lookups += cells.size
+        else:
+            usable = np.flatnonzero(lane_usable)
+            at = usable[~table.take(cells[usable])]
+            self.lookups += usable.size
+        cells = cells[at]
+        ordered = np.sort(cells)
+        if (ordered[1:] == ordered[:-1]).any():
+            cells, first = np.unique(cells, return_index=True)  # stable: first lane
+            at = at[first]
         table[cells] = True
-        self.lookups += int(lane_usable.sum())
-        self.insertions += int(fresh.sum())
-        return fresh
+        self.insertions += at.size
+        return at
 
-    def end_step(
-        self, row_ids: np.ndarray, topm_ids: np.ndarray, expanded: np.ndarray
-    ) -> None:
+    def end_step(self, row_ids, topm, expanded) -> None:
         """Nothing to forget."""
 
     def collect(self, report: CostReport) -> None:
         report.hash_lookups += self.lookups
         report.hash_probes += 2 * self.lookups
         report.hash_insertions += self.insertions
+
+    @staticmethod
+    @hot_path
+    def empty(rows: int, m: int) -> np.ndarray:
+        return np.full((rows, m), _DUMMY_KEY, dtype=np.uint64)
+
+    @hot_path
+    def candidates(self, ids, lane_usable, at, nodes, found) -> np.ndarray:
+        """The keys of ``nodes`` (at flat lanes ``at``) in a dummy-key slab;
+        ``found`` is consumed, and a ``+inf`` (filtered-out) one is a dummy."""
+        bits = float32_order_bits(found)
+        keys = bits.astype(np.uint64)
+        keys <<= _HALF
+        keys |= nodes.astype(np.uint64) << _ONE
+        keys[bits >= INF_ORDER_BITS] = _DUMMY_KEY
+        cand = np.full(ids.shape, _DUMMY_KEY, dtype=np.uint64)
+        cand.reshape(-1)[at] = keys
+        return cand
+
+    @hot_path
+    def merge(self, topm: np.ndarray, cand: np.ndarray, m: int) -> np.ndarray:
+        keys = np.concatenate([topm, cand], axis=1)
+        keys.sort(axis=1)
+        return keys[:, :m]
+
+    @hot_path
+    def selectable(self, topm: np.ndarray) -> np.ndarray:
+        return (topm & _ONE) == 0  # parented keys and dummies are odd
+
+    @hot_path
+    def mark_parents(self, topm: np.ndarray, positions, picked) -> np.ndarray:
+        """As :meth:`_PairBuffers.mark_parents`, setting the parent bit."""
+        rows = np.arange(len(positions))[:, None]
+        entries = topm[rows, positions]
+        topm[rows, positions] = entries | picked
+        return np.where(picked, entries >> _ONE & np.uint64(INDEX_MASK), 0)
+
+    @hot_path
+    def decode(self, topm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bare ids (a dummy ``INDEX_MASK``) and float32 distances."""
+        bits = (topm >> _HALF).astype(np.uint32)
+        return topm.astype(np.uint32) >> 1, float32_from_order_bits(bits)
+
+
+class _DenseWide(_PairBuffers, _DenseVisited):
+    """The dense table with :class:`_Pairs` buffers, for float64 distances,
+    which do not pack beside an id: the packed keys' order — (distance,
+    bare id), every ``+inf`` a dummy — from a two-key lexsort."""
+
+    @staticmethod
+    def _merge_pairs(topm_ids, topm_dists, cand_ids, cand_dists, m):
+        dists = np.concatenate([topm_dists, cand_dists], axis=1)
+        ids = np.concatenate([topm_ids, cand_ids], axis=1)
+        ids = np.where(np.isinf(dists), INDEX_MASK, ids)
+        order = np.lexsort((ids & INDEX_MASK, dists), axis=1)[:, :m]
+        return np.take_along_axis(ids, order, axis=1), np.take_along_axis(dists, order, axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -499,6 +569,8 @@ class _SearchPlan:
     hash_log2_size: int
     #: Forgettable reset period; 0 for a standard (never-forgetting) table.
     reset_interval: int
+    #: float64 distances (a float64 dataset): dense buffers stay pairs.
+    wide: bool = False
 
     @property
     def hash_in_shared(self) -> bool:
@@ -516,7 +588,7 @@ class _SearchPlan:
     def visited(self, rows: int, num_nodes: int) -> "_HashSlab | _DenseVisited":
         """A fresh visited backend for ``rows`` queries."""
         if self.dense:
-            return _DenseVisited(rows, num_nodes)
+            return (_DenseWide if self.wide else _DenseVisited)(rows, num_nodes)
         return _HashSlab(rows, num_nodes, self.hash_log2_size, self.reset_interval)
 
     def scalar_table(self) -> StandardHashTable:
@@ -617,9 +689,8 @@ class TraversalEngine:
             # Latency dispatch: tiny batches can't amortize the slab's
             # whole-batch numpy calls, so run the sequential spec instead
             # (bitwise-identical outputs and counters).
-            scalar = self._scalar_arm(algo)
             for i in range(batch):
-                indices[i], distances[i], report = scalar(
+                indices[i], distances[i], report = self._scalar_search(
                     queries[i], k, plan, config.seed, keys[i], filter_mask
                 )
                 total.merge_from(report)
@@ -695,17 +766,13 @@ class TraversalEngine:
             min_iterations=0 if dense else config.min_iterations,
             hash_log2_size=log2,
             reset_interval=reset_interval,
+            wide=self.data.dtype == np.float64,
         )
 
     # ------------------------------------------------------------------
     # sequential small-batch arm (the executable spec, per query)
     # ------------------------------------------------------------------
-    def _scalar_arm(self, algo: str):
-        if algo == "single_cta":
-            return self._scalar_single_cta
-        return self._scalar_multi_cta
-
-    def _scalar_single_cta(
+    def _scalar_search(
         self,
         query: np.ndarray,
         k: int,
@@ -714,58 +781,30 @@ class TraversalEngine:
         key: np.uint64,
         filter_mask: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray, CostReport]:
-        table = plan.scalar_table()
-        report = plan.report(cta_count=1)
-        topm_ids, topm_dists = self._scalar_pass(
-            query, plan, table, seed, key, 0, filter_mask, report
-        )
-        _collect_hash_counters(report, table)
-        ids = (topm_ids[:k] & INDEX_MASK).astype(np.uint32)
-        return ids, topm_dists[:k].copy(), report
-
-    def _scalar_multi_cta(
-        self,
-        query: np.ndarray,
-        k: int,
-        plan: _SearchPlan,
-        seed: int,
-        key: np.uint64,
-        filter_mask: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray, CostReport]:
+        """:meth:`_run_chunk` for one query on the sequential spec: the
+        plan's worker passes share one table and merge when there are
+        several (multi-CTA)."""
         table = plan.scalar_table()
         report = plan.report(cta_count=plan.passes)
         workers = [
-            self._scalar_pass(query, plan, table, seed, key, w, filter_mask, report)
-            for w in range(plan.passes)  # sequential worker CTAs
+            _greedy_core(
+                self.data, self.graph, query, plan.itopk, plan.search_width,
+                plan.max_iterations, plan.min_iterations, table, seed, key,
+                worker, self.metric, report, filter_mask=filter_mask,
+            )
+            for worker in range(plan.passes)  # sequential worker CTAs
         ]
         _collect_hash_counters(report, table)
-        merged_ids, merged_dists = merge_topm(
-            np.concatenate([ids for ids, _ in workers]),
-            np.concatenate([dists for _, dists in workers]),
-            np.empty(0, dtype=np.uint32),
-            np.empty(0),
-            plan.merged_itopk,
-        )
-        ids = (merged_ids[:k] & INDEX_MASK).astype(np.uint32)
-        return ids, merged_dists[:k].copy(), report
-
-    def _scalar_pass(self, query, plan, table, seed, key, worker, filter_mask, report):
-        return _greedy_core(
-            self.data,
-            self.graph,
-            query,
-            plan.itopk,
-            plan.search_width,
-            plan.max_iterations,
-            plan.min_iterations,
-            table,
-            seed,
-            key,
-            worker,
-            self.metric,
-            report,
-            filter_mask=filter_mask,
-        )
+        ids, dists = workers[0]
+        if plan.passes > 1:
+            ids, dists = merge_topm(
+                np.concatenate([ids for ids, _ in workers]),
+                np.concatenate([dists for _, dists in workers]),
+                np.empty(0, dtype=np.uint32),
+                np.empty(0),
+                plan.merged_itopk,
+            )
+        return (ids[:k] & INDEX_MASK).astype(np.uint32), dists[:k].copy(), report
 
     # ------------------------------------------------------------------
     # array-parallel arm: one chunk, one loop, two visited backends
@@ -825,11 +864,11 @@ class TraversalEngine:
         *The* stepping loop: everything that distinguishes the two modes
         is behind ``visited`` (see the module docstring).  ``row_ids[i]`` is
         the query / key / visited-table row that live-slab row ``i``
-        serves; dead rows retire into the output buffers and are compacted
-        out of the slab (never out of ``visited``, which may be shared with
-        other worker passes), so late steps only pay for live queries.
-        Dead rows contribute nothing to any counter, so compaction never
-        shows in the report.
+        serves, and queries and keys are only read through it.  A row
+        retires into the output buffers on the step it finishes (nothing
+        left to expand), so a retirement copies only the top-M slab and
+        ``row_ids`` — never ``visited``, which may be shared with other
+        worker passes.  Retired rows contribute nothing to any counter.
         """
         n = self.graph.num_nodes
         degree = self.graph.degree
@@ -845,7 +884,7 @@ class TraversalEngine:
         if seeds is None:
             seeds = counter_draws(seed, keys, worker, 0, width, n)
             report.random_inits += total_rows * width
-        cand_ids, cand_dists = self._first_visits(
+        cand = self._first_visits(
             visited,
             row_ids,
             queries,
@@ -854,83 +893,58 @@ class TraversalEngine:
             filter_mask,
             report,
         )
-
-        topm_ids = np.full((total_rows, itopk), INDEX_MASK, dtype=np.uint32)
-        topm_dists = np.full((total_rows, itopk), np.inf, dtype=cand_dists.dtype)
-        live = np.ones(total_rows, dtype=bool)
-        cand_width = np.full(total_rows, seeds.shape[1], dtype=np.int64)
+        topm = visited.empty(total_rows, itopk)
+        # counts[i] rows merge i * unit candidates at the next step.
+        counts, unit = np.array([0, total_rows]), seeds.shape[1]
 
         iteration = 0
-        while iteration < plan.max_iterations and live.any():
-            dead = ~live
-            if dead.any() and _COMPACT_FRACTION * int(dead.sum()) >= dead.size:
-                out_ids[row_ids[dead]] = topm_ids[dead]
-                out_dists[row_ids[dead]] = topm_dists[dead]
-                row_ids = row_ids[live]
-                queries = queries[live]
-                topm_ids = topm_ids[live]
-                topm_dists = topm_dists[live]
-                cand_ids = cand_ids[live]
-                cand_dists = cand_dists[live]
-                cand_width = cand_width[live]
-                live = live[live]
-
+        while iteration < plan.max_iterations and row_ids.size:
             iteration += 1
-            report.iterations += int(live.sum())
-            _charge_iteration_sort(report, cand_width[live], itopk)
+            report.iterations += row_ids.size
+            _charge_iteration_sort(report, counts, unit, itopk)
 
-            # ① merge candidates into the top-M buffer.  Dead rows carry
-            # all-dummy candidates, so the merge is a no-op for them.
-            topm_ids, topm_dists = visited.merge(
-                topm_ids, topm_dists, cand_ids, cand_dists, itopk
-            )
+            # ① merge the candidates into the top-M buffer.
+            topm = visited.merge(topm, cand, itopk)
 
-            # ② pick the best p unparented entries per live row.
-            # (a parented entry has the flag bit set, a dummy *is* INDEX_MASK:
-            # both compare >= INDEX_MASK.)
-            selectable = (topm_ids < INDEX_MASK) & live[:, None]
-            pick_order, picked = _pick_parents(selectable, p)
-            expanding = picked.any(axis=1)
-            # Converged before min_iterations: re-seed with fresh random
-            # nodes (the kernel's slack iterations); at/after: retire.
-            reseed = live & ~expanding & (iteration < plan.min_iterations)
-            live = expanding | reseed
-            if not live.any():
-                break
+            # Rows with no unparented entry left finish — unless converged
+            # before min_iterations: then they re-seed with fresh random
+            # nodes (the kernel's slack iterations).
+            selectable = visited.selectable(topm)
+            expanding = selectable.any(axis=1)
+            reseeding = iteration < plan.min_iterations
+            if not (reseeding or expanding.all()):
+                done = row_ids[~expanding]
+                out_ids[done], out_dists[done] = visited.decode(topm[~expanding])
+                topm, row_ids = topm[expanding], row_ids[expanding]
+                if not row_ids.size:
+                    break
+                selectable, expanding = selectable[expanding], expanding[expanding]
 
-            slab_rows = np.arange(row_ids.size)[:, None]
-            parent_entries = topm_ids[slab_rows, pick_order]
-            topm_ids[slab_rows, pick_order] = np.where(
-                picked, parent_entries | PARENT_FLAG, parent_entries
-            )
-            # Unpicked slots traverse a harmless stand-in (node 0) whose
-            # lanes are marked unusable below.
-            parent_nodes = np.where(picked, parent_entries & INDEX_MASK, 0)
-
-            # ② gather neighbors for expanding rows.
-            cand_ids = self.graph.neighbors[parent_nodes.astype(np.intp)].reshape(
-                row_ids.size, width
-            )
+            # ② flag the best p unparented entries and gather their neighbors.
+            positions, picked = _pick_parents(selectable, p)
+            parents = visited.mark_parents(topm, positions, picked)
+            cand_ids = self.graph.neighbors.take(parents, axis=0).reshape(row_ids.size, width)
             lane_usable = np.repeat(picked, degree, axis=1)
-            report.candidate_gathers += int(picked.sum()) * degree
-            cand_width = picked.sum(axis=1) * degree
-            if reseed.any():
+            report.candidate_gathers += int(np.count_nonzero(picked)) * degree
+            counts, unit = np.bincount(picked.sum(axis=1), minlength=p + 1), degree
+            if reseeding and not expanding.all():
                 # NB: the reference meters random_inits at ⓪ only — reseed
                 # draws (step ``iteration``) aren't counted.
+                reseed = ~expanding
                 cand_ids[reseed] = counter_draws(
                     seed, keys[row_ids[reseed]], worker, iteration, width, n
                 )
-                lane_usable |= reseed[:, None]
-                cand_width = np.where(reseed, width, cand_width)
+                lane_usable[reseed] = True
+                counts[0] -= np.count_nonzero(reseed)  # picked none, merge width
+                counts[p] += np.count_nonzero(reseed)
 
             # ③ first-time-only distance computation.
-            cand_ids, cand_dists = self._first_visits(
+            cand = self._first_visits(
                 visited, row_ids, queries, cand_ids, lane_usable, filter_mask, report
             )
-            visited.end_step(row_ids, topm_ids, expanding)
+            visited.end_step(row_ids, topm, expanding)
 
-        out_ids[row_ids] = topm_ids
-        out_dists[row_ids] = topm_dists
+        out_ids[row_ids], out_dists[row_ids] = visited.decode(topm)
         return out_ids, out_dists
 
     @hot_path
@@ -943,36 +957,29 @@ class TraversalEngine:
         lane_usable: np.ndarray,
         filter_mask: np.ndarray | None,
         report: CostReport,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ):
         """Step ③: distances for first-visited nodes only.
 
-        The ``fresh`` lanes are compacted into flat (query row, node) pairs,
-        so the gather and the reduction touch exactly the
-        ``distance_computations`` vectors the report is charged for, and
-        the results scatter back into a ``+inf`` slab.  Returns the
-        merge-ready candidate lanes: non-first visits and filtered-out
-        nodes carry ``+inf``; unusable lanes additionally become dummies —
-        they sort after every real entry in the reference merge, so they
-        can never perturb a row's buffer (unlike a real id with an inf
-        distance, which the reference keeps and later expands).
+        The backend's first visits are flat (slab row, lane) positions,
+        scored as flat (query row, node) pairs, so the gather and the
+        reduction touch exactly the ``distance_computations`` vectors the
+        report is charged for.  Filtered-out nodes score ``+inf``.  Returns
+        the backend's merge-ready candidates.
         """
-        fresh = visited.probe(row_ids, ids, lane_usable)
-        at = np.flatnonzero(fresh)  # flat (slab row, lane)
-        nodes = ids.reshape(-1)[at].astype(np.intp)
+        at = visited.probe(row_ids, ids, lane_usable)
+        nodes = ids.reshape(-1)[at]
         found = gathered_distances(
             self.data,
             queries,
             nodes[:, None],
             self.metric,
-            query_rows=at // ids.shape[1],
+            query_rows=row_ids[at // ids.shape[1]],
         )[:, 0]
         if filter_mask is not None:
-            found = np.where(filter_mask[nodes], found, np.inf)
-        dists = np.full(ids.shape, np.inf, dtype=found.dtype)
-        dists.reshape(-1)[at] = found
+            found[~filter_mask[nodes]] = np.inf
         report.distance_computations += nodes.size
-        report.skipped_distance_computations += int(lane_usable.sum()) - nodes.size
-        return np.where(lane_usable, ids, INDEX_MASK), dists
+        report.skipped_distance_computations += int(np.count_nonzero(lane_usable)) - nodes.size
+        return visited.candidates(ids, lane_usable, at, nodes, found)
 
     # ------------------------------------------------------------------
     # sizing, accounting
@@ -980,28 +987,21 @@ class TraversalEngine:
     @staticmethod
     def _slab_bytes_per_row(width: int, itopk: int) -> int:
         """Bytes one live slab row keeps resident at a step's peak, its
-        visited-table row aside.
-
-        * candidate lanes — ids, usable / first-visit masks, table cell
-          offsets, the first-occurrence sort keys and the distance slab:
-          about 48 bytes a lane;
-        * top-M — the buffer and its retired copy, plus the merge's
-          concatenated ids, distances and packed keys over ``itopk + width``
-          entries.
-
-        The gathered vectors are **not** per row: step ③ hands
-        ``gathered_distances`` flat first-visit pairs, and it holds one
-        constant-size block of vectors (and of their queries) at a time
-        however large the batch — so neither ``dim`` nor the dataset's
-        storage width moves the chunk size.
+        visited-table row aside: about 40 a candidate lane (gathered ids,
+        usable mask, table cells and their positions, packed keys), and
+        per top-M entry its key, selectable bit and retirement copy, plus
+        the merge's concatenation over ``itopk + width`` keys.  Gathered
+        vectors are **not** per row: ``gathered_distances`` holds one
+        constant-size block at a time, so neither ``dim`` nor the storage
+        width moves the chunk size.
         """
-        return 48 * width + 24 * itopk + 24 * (itopk + width)
+        return 40 * width + 17 * itopk + 8 * (itopk + width)
 
     def _chunk_rows(self, plan: _SearchPlan) -> int:
         """Rows per chunk so one chunk's visited table + slab fit the budget."""
         n = self.graph.num_nodes
         if plan.dense:
-            table = n + 1
+            table = n
         else:  # uint32 slots, plus the ever-computed slab when forgettable
             table = 4 * (1 << plan.hash_log2_size) + (n if plan.reset_interval else 0)
         width = plan.search_width * self.graph.degree

@@ -9,7 +9,42 @@ from repro import SearchConfig
 from repro.core.graph import INDEX_MASK, PARENT_FLAG
 from repro.core.metrics import recall
 from repro.core.rng_init import counter_draws, query_keys
-from repro.core.traversal import _merge_rows, _merge_rows_reference
+from repro.core.traversal import (
+    _DenseVisited,
+    _DenseWide,
+    _merge_rows_reference,
+    _Pairs,
+)
+
+
+def dense_merge(topm_ids, topm_dists, cand_ids, cand_dists, m):
+    """The dense backend's merge through its seam, on ``(ids, dists)``
+    lanes (ids may carry ``PARENT_FLAG``; ``+inf`` lanes are non-first
+    visits).  float32 distances pack: ``candidates`` keys the finite lanes,
+    ``mark_parents`` sets each flag, ``merge`` sorts and ``decode`` reads the
+    result back, flags restored from ``selectable``.  Any other dtype
+    takes the float64 arm's ``(ids, dists)`` pairs."""
+    rows = len(topm_ids)
+    if np.asarray(topm_dists).dtype != np.float32:
+        visited = _DenseWide(rows, 0)
+        topm, cand = _Pairs(topm_ids, topm_dists), _Pairs(cand_ids, cand_dists)
+    else:
+        visited = _DenseVisited(rows, 0)
+        ids = np.concatenate([topm_ids, cand_ids], axis=1).astype(np.uint32)
+        dists = np.concatenate([topm_dists, cand_dists], axis=1)
+        at = np.flatnonzero(np.isfinite(dists))
+        keys = visited.candidates(
+            ids, None, at, ids.reshape(-1)[at] & INDEX_MASK, dists.reshape(-1)[at].copy()
+        )
+        for lane in range(ids.shape[1]):
+            flagged = (ids[:, lane : lane + 1] & PARENT_FLAG) != 0
+            visited.mark_parents(keys, np.full((rows, 1), lane), flagged)
+        split = topm_ids.shape[1]
+        topm, cand = keys[:, :split], keys[:, split:]
+    merged = visited.merge(topm, cand, m)
+    out_ids, out_dists = visited.decode(merged)
+    flagged = ~visited.selectable(merged) & (out_ids != INDEX_MASK)
+    return np.where(flagged, out_ids | PARENT_FLAG, out_ids), out_dists
 
 
 class TestMergeRows:
@@ -18,7 +53,7 @@ class TestMergeRows:
         topm_d = np.array([[1.0, 3.0]])
         cand = np.array([[3]], dtype=np.uint32)
         cand_d = np.array([[2.0]])
-        ids, dists = _merge_rows(topm, topm_d, cand, cand_d, 3)
+        ids, dists = dense_merge(topm, topm_d, cand, cand_d, 3)
         np.testing.assert_array_equal(ids, [[1, 3, 2]])
         np.testing.assert_allclose(dists, [[1.0, 2.0, 3.0]])
 
@@ -55,13 +90,12 @@ class TestMergeRows:
         topm_d = np.sort(rng.random((3, 4)), axis=1)
         cand = rng.choice(50, size=(3, 6), replace=True).astype(np.uint32)
         cand_d = rng.random((3, 6))
-        ids_all, d_all = _merge_rows(topm, topm_d, cand, cand_d, 4)
-        for row in range(3):
-            ids_one, d_one = _merge_rows(
-                topm[row : row + 1], topm_d[row : row + 1],
-                cand[row : row + 1], cand_d[row : row + 1], 4,
-            )
-            np.testing.assert_allclose(d_all[row], d_one[0])
+        for dtype in (np.float32, np.float64):  # packed keys, two-key arm
+            args = topm, topm_d.astype(dtype), cand, cand_d.astype(dtype)
+            ids_all, d_all = dense_merge(*args, 4)
+            for row in range(3):
+                ids_one, d_one = dense_merge(*(a[row : row + 1] for a in args), 4)
+                np.testing.assert_allclose(d_all[row], d_one[0])
 
 
 class TestSearchBatchFast:

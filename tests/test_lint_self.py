@@ -332,3 +332,44 @@ def test_one_occlusion_filter_called_per_block():
         ("baselines/hnsw.py", "HnswIndex", "_select"),
     }
     assert [(owner, fn) for owner, fn, _ in select_calls] == [("HnswIndex", "_insert")] * 2
+
+
+def test_one_stepping_loop_behind_a_hot_seam():
+    """The dense step lives inside the one loop: ``TraversalEngine._traverse``
+    is the only ``while`` over ``max_iterations`` in ``repro/core`` besides
+    the sequential specification it is pinned against
+    (``search._greedy_core``, one query at a time); ``_merge_rows`` and
+    ``_COMPACT_FRACTION`` are gone; and every per-step method of the
+    visited / top-M seam carries ``@hot_path``, so RL007 checks it."""
+    import ast
+
+    root = default_root() / "repro" / "core"
+    seam = {"probe", "candidates", "empty", "merge", "selectable", "mark_parents", "decode"}
+    loops, hot, seam_classes = set(), {}, set()
+    for path in sorted(root.glob("*.py")):
+        source = path.read_text()
+        assert "_COMPACT_FRACTION" not in source, path.name
+        tree = ast.parse(source)
+        scopes = [(None, node) for node in tree.body] + [
+            (node.name, member)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for member in node.body
+        ]
+        for owner, function in scopes:
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            assert function.name != "_merge_rows", (path.name, owner)
+            for loop in ast.walk(function):
+                if isinstance(loop, ast.While) and "max_iterations" in ast.unparse(loop.test):
+                    loops.add((path.name, owner, function.name))
+            if function.name in seam:
+                seam_classes.add(owner)
+                hot[(owner, function.name)] = any(
+                    ast.unparse(d).split(".")[-1] == "hot_path" for d in function.decorator_list
+                )
+    assert loops == {
+        ("traversal.py", "TraversalEngine", "_traverse"),
+        ("search.py", None, "_greedy_core"),
+    }, loops
+    assert {"_PairBuffers", "_HashSlab", "_DenseVisited"} <= seam_classes, seam_classes
+    assert all(hot.values()), sorted(key for key, marked in hot.items() if not marked)

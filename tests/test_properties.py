@@ -561,7 +561,7 @@ class TestBatchMergeProperties:
         best ``m`` finite entries ordered by (distance, bare id), flags
         kept, and every inf slot a dummy."""
         from repro.core.graph import INDEX_MASK, PARENT_FLAG
-        from repro.core.traversal import _merge_rows
+        from tests.test_batch_search import dense_merge
 
         rng = np.random.default_rng(seed)
         total = m + n_cand
@@ -576,7 +576,7 @@ class TestBatchMergeProperties:
         ids[:, :m] |= np.where(rng.random((rows, m)) < 0.3, PARENT_FLAG, 0).astype(
             np.uint32
         )
-        out_ids, out_d = _merge_rows(
+        out_ids, out_d = dense_merge(
             ids[:, :m], dists[:, :m], ids[:, m:], dists[:, m:], m
         )
         assert out_ids.dtype == np.uint32 and out_ids.shape == (rows, m)
@@ -651,7 +651,7 @@ class TestPackedTraversalKernels:
         ``PARENT_FLAG``, distances, dummies in every ``+inf`` slot (a high
         ``stale_rate`` leaves fewer than ``m`` finite entries)."""
         from repro.core.graph import PARENT_FLAG
-        from repro.core.traversal import _merge_rows
+        from tests.test_batch_search import dense_merge
 
         rng = np.random.default_rng(seed)
         total = m + n_cand
@@ -671,7 +671,7 @@ class TestPackedTraversalKernels:
             ids[:, m:], dists[:, m:].astype(np.float64), m,
         )
         for dtype in (np.float32, np.float64):
-            got_ids, got_d = _merge_rows(
+            got_ids, got_d = dense_merge(
                 ids[:, :m], dists[:, :m].astype(dtype),
                 ids[:, m:], dists[:, m:].astype(dtype), m,
             )

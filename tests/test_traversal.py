@@ -206,10 +206,10 @@ class TestDispatchArms:
     ):
         _, queries, index, _ = regression
         calls = []
-        original = TraversalEngine._scalar_single_cta
+        original = TraversalEngine._scalar_search
         monkeypatch.setattr(
             TraversalEngine,
-            "_scalar_single_cta",
+            "_scalar_search",
             lambda self, *a, **kw: calls.append(1) or original(self, *a, **kw),
         )
         index.search(
@@ -445,10 +445,16 @@ class TestWorkProportionalStep:
         visited.table[:, ::5] = True  # already-visited nodes
         seen = visited.table[np.arange(rows)[:, None], ids.astype(np.intp)]
         report = plan.report()
-        out_ids, dists = engine._first_visits(
-            visited, np.arange(rows), queries, ids, usable, allowed, report
+        # float16/32 storage packs the candidates into keys, float64 keeps
+        # (ids, dists) pairs; either decodes lane by lane.
+        out_ids, dists = visited.decode(
+            engine._first_visits(
+                visited, np.arange(rows), queries, ids, usable, allowed, report
+            )
         )
         full = gathered_distances(data, queries, ids.astype(np.intp), metric)
+        if full.dtype == np.float32:
+            full += np.float32(0.0)  # a packed key folds -0.0 into +0.0
         fresh = np.isfinite(dists)
         assert fresh.any() and not fresh.all()
         assert dists.dtype == full.dtype
@@ -457,7 +463,8 @@ class TestWorkProportionalStep:
             full[fresh].view(f"u{full.itemsize}"),
         )
         assert not (fresh & (seen | ~usable | ~allowed[ids])).any()
-        np.testing.assert_array_equal(out_ids, np.where(usable, ids, INDEX_MASK))
+        np.testing.assert_array_equal(out_ids[fresh], ids[fresh])
+        assert (out_ids[~usable] == INDEX_MASK).all()
         # filtered-out first visits are still computed (and charged)
         assert report.distance_computations >= int(fresh.sum())
         assert report.distance_computations + report.skipped_distance_computations == int(

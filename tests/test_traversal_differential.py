@@ -20,6 +20,10 @@ passes, filters, duplicate-heavy adjacency — through:
   keeps filtered nodes as infinite-distance parents and walks through
   them, the dense backend by design does not, so their recall under a
   selective filter legitimately differs.)
+* fast mode against the dense step it replaced (``tests/oracles/
+  traversal.py``): bitwise ids, distances and every counter, also where
+  the parity regime cannot reach — filters, given seeds, fp16 and
+  float64 storage, every metric, ``max_iterations`` cut-offs.
 """
 
 from unittest import mock
@@ -34,7 +38,9 @@ from repro.core.config import HashTableConfig, SearchConfig
 from repro.core.graph import INDEX_MASK, FixedDegreeGraph
 from repro.core.index import CagraIndex
 from repro.core.metrics import recall
+from repro.core.traversal import TraversalEngine
 
+from tests.oracles import traversal as oracle
 from tests.test_batch_search import PARITY_COUNTERS
 
 MAX_EXAMPLES = 25
@@ -205,3 +211,53 @@ class TestFastAgainstReference:
         assert abs(fast_recall - ref_recall) <= RECALL_EPSILON, (
             fast_recall, ref_recall
         )
+
+
+class TestFastAgainstOracle:
+    """The lean dense step (packed top-M kept sorted across steps, first
+    visits deduplicated among fresh lanes only, rows retired on the step
+    they finish) against the step it replaced, bitwise."""
+
+    @settings(max_examples=2 * MAX_EXAMPLES, deadline=None)
+    @given(
+        case=indexes(),
+        data=st.data(),
+        storage=st.sampled_from(["fp32", "fp16", "float64"]),
+        metric=st.sampled_from(["sqeuclidean", "inner_product", "cosine"]),
+        itopk=st.integers(1, 48),
+        search_width=st.integers(1, 4),
+        max_iterations=st.sampled_from([0, 1, 2, 5, 0]),
+        seed=st.integers(0, 1000),
+    )
+    def test_bitwise_equal_to_the_replaced_step(
+        self, case, data, storage, metric, itopk, search_width, max_iterations, seed
+    ):
+        index, queries = case
+        itopk = max(itopk, search_width)  # both steps fail on a shorter list
+        if data.draw(st.booleans()):
+            queries = queries[:1]  # batch 1
+        dataset = index.dataset.astype(np.float64) if storage == "float64" else index.dataset
+        engine = TraversalEngine(
+            dataset, index.graph, metric=metric,
+            precision="fp16" if storage == "fp16" else "fp32",
+        )
+        config = SearchConfig(
+            itopk=itopk, search_width=search_width, max_iterations=max_iterations, seed=seed
+        )
+        k = data.draw(st.sampled_from(sorted({1, min(10, itopk), itopk, itopk + 3})))
+        mask = data.draw(filters(index.size))
+        seeds = None
+        if data.draw(st.booleans()):
+            width = data.draw(st.integers(1, 8))
+            seeds = np.random.default_rng(seed).integers(0, index.size, (len(queries), width))
+            seeds[:, -1] = seeds[:, 0]  # a duplicate entry point
+        got = engine.search(queries, k, config, mode="fast", filter_mask=mask, seeds=seeds)
+        want = oracle.search_fast(engine, queries, k, config, filter_mask=mask, seeds=seeds)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.distances, want.distances)
+        assert got.report.as_dict() == want.report.as_dict()
+        # Plain ints, as before: a numpy scalar counter breaks JSON reports.
+        assert {k: type(v) for k, v in got.report.as_dict().items()} == {
+            k: type(v) for k, v in want.report.as_dict().items()
+        }
+        assert _padding_is_trailing(got.indices)
