@@ -148,9 +148,8 @@ def gathered_distances(
     block = max(1, _GATHER_BLOCK_BYTES // max(1, row_bytes))
     for start in range(0, len(out), block):
         rows = slice(start, start + block)
-        # ``take`` (and any widening) copies: ``gathered`` is private to
-        # this block and is updated in place.  ``take(axis=0)`` gathers whole
-        # rows faster than the equivalent fancy index.
+        # ``take`` (faster than a fancy index at whole rows) and any widening
+        # copy: ``gathered`` is private to this block, updated in place.
         gathered = data.take(indices[rows], axis=0).astype(dtype, copy=False)  # (b, w, dim)
         q = queries[rows] if query_rows is None else queries.take(query_rows[rows], axis=0)
         q = q[:, None, :]  # (b, 1, dim)

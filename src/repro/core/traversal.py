@@ -913,8 +913,8 @@ class TraversalEngine:
             expanding = selectable.any(axis=1)
             reseeding = iteration < plan.min_iterations
             if not (reseeding or expanding.all()):
-                done = row_ids[~expanding]
-                out_ids[done], out_dists[done] = visited.decode(topm[~expanding])
+                done = ~expanding
+                out_ids[row_ids[done]], out_dists[row_ids[done]] = visited.decode(topm[done])
                 topm, row_ids = topm[expanding], row_ids[expanding]
                 if not row_ids.size:
                     break
@@ -925,8 +925,8 @@ class TraversalEngine:
             parents = visited.mark_parents(topm, positions, picked)
             cand_ids = self.graph.neighbors.take(parents, axis=0).reshape(row_ids.size, width)
             lane_usable = np.repeat(picked, degree, axis=1)
-            report.candidate_gathers += int(np.count_nonzero(picked)) * degree
-            counts, unit = np.bincount(picked.sum(axis=1), minlength=p + 1), degree
+            picks = picked.sum(axis=1)
+            report.candidate_gathers += int(picks.sum()) * degree
             if reseeding and not expanding.all():
                 # NB: the reference meters random_inits at ⓪ only — reseed
                 # draws (step ``iteration``) aren't counted.
@@ -935,8 +935,8 @@ class TraversalEngine:
                     seed, keys[row_ids[reseed]], worker, iteration, width, n
                 )
                 lane_usable[reseed] = True
-                counts[0] -= np.count_nonzero(reseed)  # picked none, merge width
-                counts[p] += np.count_nonzero(reseed)
+                picks[reseed] = p  # sorts a full candidate list
+            counts, unit = np.bincount(picks), degree
 
             # ③ first-time-only distance computation.
             cand = self._first_visits(
