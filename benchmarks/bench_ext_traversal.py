@@ -17,9 +17,10 @@ set from.
 
 A third bench times one batch-512 ``search_fast`` on the same shape and
 splits it by step — visited probe, first-visit distances, top-M merge,
-parent pick — by wrapping the four kernels with wall-clock timers, next
-to the same measurement taken at the commit before the step became
-work-proportional (``STEP_SPLIT_BEFORE``).
+parent pick, parent marking, retirement — by wrapping the dense
+backend's seam methods with wall-clock timers, next to the same
+measurement taken at the commit before the top-M stayed packed across
+steps (``STEP_SPLIT_BEFORE``).
 
 Alongside the human-readable tables in ``benchmarks/results/``, each run
 appends a machine-readable entry to ``BENCH_traversal.json`` at the
@@ -70,21 +71,25 @@ CROSSOVER_REPEATS = 5
 #: ``fast_batch`` phase: 512 queries per ``search_fast``).
 SPLIT_BATCH = 512
 SPLIT_REPEATS = 9
+#: The parts of the split, in table order (``distance`` is ``_first_visits``
+#: less its ``probe``).
+SPLIT_PARTS = ("probe", "distance", "merge", "pick", "mark", "retire")
 
-#: ``test_fast_b512_step_split`` as measured at commit 697f8e4 (the parent
-#: of the work-proportional step) on the same 2-core box: the same timer
-#: wrappers, with the then-inline parent pick hoisted into a function so it
-#: could be wrapped.  Milliseconds of one batch-512 ``search_fast``:
-#: ``best_ms`` unwrapped (best of 9), the rest from the wrapped
-#: median-total run.
+#: ``test_fast_b512_step_split`` as measured at commit 2c98259 (the parent
+#: of the packed top-M step, whose dense top-M was unpacked and repacked
+#: every step) on the same 2-core box, by this harness as it stood there:
+#: ``pick`` was ``_pick_parents`` alone, and the selectable mask, parent
+#: flags and retirement sat in the loop body.  Milliseconds of one
+#: batch-512 ``search_fast``: ``best_ms`` unwrapped (best of 9), the rest
+#: from the wrapped median-total run.
 STEP_SPLIT_BEFORE = {
-    "commit": "697f8e4",
-    "best_ms": 132.06,
-    "total_ms": 131.76,
-    "probe_ms": 24.93,
-    "distance_ms": 49.09,
-    "merge_ms": 40.98,
-    "pick_ms": 5.4,
+    "commit": "2c98259",
+    "best_ms": 51.04,
+    "total_ms": 51.98,
+    "probe_ms": 12.65,
+    "distance_ms": 19.88,
+    "merge_ms": 10.05,
+    "pick_ms": 2.47,
 }
 
 
@@ -313,10 +318,13 @@ def test_fast_b512_step_split(bench_shape, benchmark):
     """One batch-512 ``search_fast`` and where its wall time goes.
 
     ``probe`` is the dense visited table's first-visit test (intra-gather
-    dedup included), ``distance`` the rest of step ③ (compacting the fresh
-    lanes, gather + reduce, scatter), ``merge`` step ①'s top-M merge and
-    ``pick`` step ②'s parent choice; what is left is the loop's own
-    bookkeeping (neighbor gather, RNG seeding, compaction, counters).
+    dedup included), ``distance`` the rest of step ③ (gather + reduce of
+    the fresh pairs, their packed candidate keys), ``merge`` step ①'s
+    top-M merge, ``pick`` step ②'s parent choice, ``mark`` the selectable
+    mask and the parent flags, ``retire`` decoding finished rows; what is
+    left is the loop's own bookkeeping (neighbor gather, RNG seeding,
+    retirement copies, counters).  The parent commit had no ``mark`` or
+    ``retire`` function: that work sat in the loop body.
     """
     index, queries, config = bench_shape
 
@@ -329,7 +337,9 @@ def test_fast_b512_step_split(bench_shape, benchmark):
         return min(times) * 1e3, result.report
 
     def split_ms():
-        totals = dict.fromkeys(("probe", "first_visits", "merge", "pick"), 0.0)
+        totals = dict.fromkeys(
+            ("probe", "first_visits", "merge", "pick", "mark", "retire"), 0.0
+        )
         dense = traversal._DenseVisited
         with mock.patch.object(
             dense, "probe", _timed(totals, "probe", dense.probe)
@@ -338,9 +348,15 @@ def test_fast_b512_step_split(bench_shape, benchmark):
             "_first_visits",
             _timed(totals, "first_visits", traversal.TraversalEngine._first_visits),
         ), mock.patch.object(
-            dense, "merge", staticmethod(_timed(totals, "merge", traversal._merge_rows))
+            dense, "merge", _timed(totals, "merge", dense.merge)
         ), mock.patch.object(
             traversal, "_pick_parents", _timed(totals, "pick", traversal._pick_parents)
+        ), mock.patch.object(
+            dense, "selectable", _timed(totals, "mark", dense.selectable)
+        ), mock.patch.object(
+            dense, "mark_parents", _timed(totals, "mark", dense.mark_parents)
+        ), mock.patch.object(
+            dense, "decode", _timed(totals, "retire", dense.decode)
         ):
             t0 = time.perf_counter()
             index.search_fast(queries, K, config)
@@ -361,13 +377,9 @@ def test_fast_b512_step_split(bench_shape, benchmark):
     after = {
         "best_ms": round(wall_ms, 2),
         "total_ms": round(split_total * 1e3, 2),
-        **{f"{name}_ms": round(split[name] * 1e3, 2)
-           for name in ("probe", "distance", "merge", "pick")},
+        **{f"{name}_ms": round(split[name] * 1e3, 2) for name in SPLIT_PARTS},
     }
-    shares = {
-        name: round(split[name] / split_total, 3)
-        for name in ("probe", "distance", "merge", "pick")
-    }
+    shares = {name: round(split[name] / split_total, 3) for name in SPLIT_PARTS}
     shares["other"] = round(1.0 - sum(shares.values()), 3)
     gathered_ratio = (
         report.distance_computations + report.skipped_distance_computations
@@ -379,9 +391,10 @@ def test_fast_b512_step_split(bench_shape, benchmark):
         format_table(
             ["part", f"before ({before['commit']})", "after", "share of after"],
             [
-                [name, f"{before[f'{name}_ms']:.1f} ms", f"{after[f'{name}_ms']:.1f} ms",
-                 f"{shares[name]:.0%}"]
-                for name in ("probe", "distance", "merge", "pick")
+                [name,
+                 f"{before[f'{name}_ms']:.1f} ms" if f"{name}_ms" in before else "(in loop)",
+                 f"{after[f'{name}_ms']:.1f} ms", f"{shares[name]:.0%}"]
+                for name in SPLIT_PARTS
             ]
             + [["(loop bookkeeping)", "", "", f"{shares['other']:.0%}"],
                ["one search_fast (best of "
@@ -435,6 +448,6 @@ def test_fast_b512_step_split(bench_shape, benchmark):
         "costs": {"before_commit": before["commit"]},
     })
 
-    # The four parts are disjoint slices of one search (no timing floor is
+    # The parts are disjoint slices of one search (no timing floor is
     # asserted: ``before`` was measured on one particular box).
     assert 0.0 < sum(split.values()) < split_total
