@@ -158,6 +158,11 @@ class SearchConfig:
         _require(self.itopk >= 1, "itopk must be >= 1")
         _require(self.search_width >= 1, "search_width must be >= 1")
         _require(
+            self.search_width <= self.itopk,
+            f"search_width={self.search_width} exceeds itopk={self.itopk}: "
+            "each step picks its parents from the itopk list",
+        )
+        _require(
             self.algo in ("auto", "single_cta", "multi_cta"),
             f"algo must be 'auto', 'single_cta' or 'multi_cta', got {self.algo!r}",
         )

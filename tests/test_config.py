@@ -103,6 +103,14 @@ class TestSearchConfig:
             SearchConfig(seed=-1)
         assert SearchConfig(seed=0).seed == 0
 
+    def test_search_width_above_itopk_rejected(self):
+        """A step picks ``search_width`` parents from the ``itopk`` list, so
+        a wider step is refused at construction, naming both values (the
+        fast path used to fail deep in the gather reshape)."""
+        with pytest.raises(ValueError, match="search_width=2 exceeds itopk=1"):
+            SearchConfig(itopk=1, search_width=2)
+        assert SearchConfig(itopk=4, search_width=4).search_width == 4
+
     def test_resolved_max_iterations_explicit(self):
         assert SearchConfig(max_iterations=7).resolved_max_iterations() == 7
 
