@@ -180,24 +180,25 @@ class HnswIndex:
     def search(
         self, queries: np.ndarray, k: int, ef: int = 64
     ) -> tuple[np.ndarray, np.ndarray, BeamCounters]:
-        """Batched k-ANN search; ``ef`` is the recall/throughput knob.  The
-        base layer is one engine call, entered where each query's greedy
-        upper-layer descent ends."""
+        """Batched k-ANN search; ``ef`` is the recall/throughput knob.  Each
+        layer is one engine call: beam 1 down the upper layers (the greedy
+        descent), then beam ``ef`` on the base layer from where it ends."""
         if not self._built:
             raise RuntimeError("call build() before search()")
         queries = np.atleast_2d(queries)
-        descent = BeamCounters()
-        entries = np.full(len(queries), self.entry_point, dtype=np.int64)
-        for l in range(self.max_level, 0, -1):  # upper layers, per query
-            for i, query in enumerate(queries):
-                entries[i] = self._greedy_closest(query, entries[i], l, descent)
-        base = self.layers[0]
-        ids, dists, counters = batched_beam_search(
-            self.data, [base[node] for node in range(len(base))], queries, k,
-            max(ef, k), entries[:, None], self.metric,
-        )
-        counters.merge_from(descent)
-        return ids, dists, counters
+        total = BeamCounters()
+        entries = np.full((len(queries), 1), self.entry_point, dtype=np.int64)
+        for l in range(self.max_level, -1, -1):
+            layer = self.layers[l]
+            width, beam = (k, max(ef, k)) if l == 0 else (1, 1)
+            ids, dists, counters = batched_beam_search(
+                self.data, [layer.get(node, ()) for node in range(len(self.data))],
+                queries, width, beam, entries, self.metric,
+            )
+            total.merge_from(counters)
+            entries = ids[:, :1]
+        total.queries = len(queries)
+        return ids, dists, total
 
     @property
     def base_degree_mean(self) -> float:

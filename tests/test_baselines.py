@@ -9,13 +9,13 @@ from repro.baselines import (
     GgnnIndex,
     HnswIndex,
     NssgIndex,
-    beam_search,
     exact_search,
     nssg_search,
 )
 from repro.core.config import GraphBuildConfig
 from repro.core.metrics import recall
 from repro.core.nn_descent import brute_force_knn_graph, build_knn_graph
+from tests.oracles.beam import beam_search
 
 
 class TestExactSearch:

@@ -35,6 +35,7 @@ from repro.core.hashtable import StandardHashTable
 from repro.core.nn_descent import _merge_candidates, _reverse_samples
 from repro.core.optimize import count_detourable_routes, merge_reverse_edges
 from repro.core.topm import bitonic_sort, merge_topm
+from tests.oracles import beam as beam_oracle
 from tests.oracles import build as oracle
 from tests.oracles import prune as prune_oracle
 
@@ -834,7 +835,8 @@ class TestBatchedBeamSearchProperties:
     def test_engine_batch_equals_scalar_rows(self, case):
         """The engine-backed batch search is per-row ``beam_search``: ids,
         distance bits and counters."""
-        from repro.baselines.beam import BeamCounters, batched_beam_search, beam_search
+        from repro.baselines.beam import BeamCounters, batched_beam_search
+        from tests.oracles.beam import beam_search
 
         data, rows, seeds, queries = (case[key] for key in ("data", "rows", "seeds", "queries"))
         k, beam, metric = case["k"], case["beam"], case["metric"]
@@ -851,6 +853,65 @@ class TestBatchedBeamSearchProperties:
         assert (counters.distance_computations, counters.hops, counters.queries) == (
             scalar.distance_computations, scalar.hops, scalar.queries
         )
+
+
+@st.composite
+def layered_cases(draw):
+    """HNSW layers over continuous data: nested node sets (node ``i`` on
+    layers ``0..level[i]``), ragged rows with empty ones, repeats and
+    self-loops, and the entry node on the top layer."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n = draw(st.integers(2, 40))
+    levels = np.minimum(rng.geometric(0.5, n) - 1, 3)
+    levels[draw(st.integers(0, n - 1))] = top = int(levels.max())
+    layers = []
+    for level in range(top + 1):
+        members = np.flatnonzero(levels >= level)
+        layers.append({
+            int(node): rng.choice(members, size=int(rng.integers(0, 6))).astype(np.int64)
+            for node in members
+        })
+    dim = draw(st.integers(2, 8))  # continuous, >= 2 dims: no distance ties
+    return {
+        "data": rng.standard_normal((n, dim)).astype(np.float32),
+        "queries": rng.standard_normal((draw(st.integers(1, 6)), dim)).astype(np.float32),
+        "layers": layers,
+        "entry": int(np.flatnonzero(levels == top)[0]),
+        "metric": draw(st.sampled_from(METRICS)),
+        "k": draw(st.integers(1, 4)),
+    }
+
+
+class TestHnswDescentProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=layered_cases())
+    def test_engine_descent_equals_greedy_hill_climb(self, case):
+        """``HnswIndex.search`` descends the upper layers on the engine at
+        beam 1 and lands, per query, on the entry point the greedy
+        hill-climb reaches: its base-layer ids and distance bits equal a
+        base-layer search entered there."""
+        from repro.baselines import BeamCounters, HnswIndex
+        from repro.baselines.beam import batched_beam_search
+
+        data, layers, metric, k = (case[key] for key in ("data", "layers", "metric", "k"))
+        index = HnswIndex(data, m=2, metric=metric)
+        index.layers, index.entry_point, index._built = layers, case["entry"], True
+        index.max_level = len(layers) - 1
+        ids, dists, _ = index.search(case["queries"], k, ef=4)
+        entries = []
+        for query in case["queries"]:
+            entry = case["entry"]
+            for level in range(index.max_level, 0, -1):
+                entry = beam_oracle.greedy_closest(
+                    data, layers[level], query, entry, metric, BeamCounters()
+                )
+            entries.append([entry])
+        base = [layers[0][node] for node in range(len(data))]
+        want_ids, want_dists, _ = batched_beam_search(
+            data, base, case["queries"], k, max(4, k), np.array(entries), metric
+        )
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(_bits(dists), _bits(want_dists))
 
 
 @st.composite
