@@ -7,6 +7,8 @@ graphs with the pieces the CAGRA paper contrasts itself against:
 * greedy descent through the upper layers to find the entry point — the
   hierarchy CAGRA replaces with random sampling;
 * ``ef``-bounded best-first search on each layer;
+* insertion in batches against the graph as it stood before each batch,
+  the shape of hnswlib's multi-threaded build that Fig. 11 times;
 * the *heuristic* neighbor selection of Algorithm 4 (keep a candidate only
   if it is closer to the inserted point than to any already-kept
   neighbor), with ``M`` links per node on upper layers and ``2M`` on the
@@ -23,11 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.beam import BeamCounters, batched_beam_search, beam_search
-from repro.core.distances import distances_to_query, gathered_distances
-from repro.core.graph import INDEX_MASK, occlusion_prune
+from repro.baselines.beam import BeamCounters, batched_beam_search
+from repro.core.distances import gathered_distances
+from repro.core.graph import INDEX_MASK, FixedDegreeGraph, occlusion_prune
 
-__all__ = ["HnswBuildStats", "HnswIndex"]
+__all__ = ["HnswBuildStats", "HnswIndex", "MAX_INSERT_BATCH"]
+
+#: Largest insertion batch.  Fig. 11 times hnswlib's multi-threaded build,
+#: which inserts up to one node per core against a graph that the other
+#: threads are changing; the CPU it models (``CpuSpec.cores``) has 64.
+MAX_INSERT_BATCH = 64
 
 
 @dataclass
@@ -79,9 +86,28 @@ class HnswIndex:
     # construction
     # ------------------------------------------------------------------
     def build(self) -> "HnswIndex":
-        """Insert every vector; returns self."""
-        for node in range(self.data.shape[0]):
-            self._insert(node)
+        """Insert every vector; returns self.
+
+        Every level is drawn up front.  Node 0 seeds the graph; the others
+        go in batches of 1, 2, 4, … up to :data:`MAX_INSERT_BATCH`, each
+        inserted against the graph as it stood before the batch."""
+        n = self.data.shape[0]
+        levels = np.array([self._random_level() for _ in range(n)], dtype=np.int64)
+        # One adjacency per layer, each row padded with its own id (the
+        # engine never scores a pad); ``sizes`` holds the real lengths.
+        widths = [self.m0] + [self.m] * int(levels.max())
+        rows = [np.repeat(np.arange(n)[:, None], width, axis=1) for width in widths]
+        sizes = np.zeros((len(widths), n), dtype=np.int64)
+        self.entry_point, self.max_level = 0, int(levels[0])
+        start, size = 1, 1
+        while start < n:
+            batch = np.arange(start, min(start + size, n))
+            self._insert_batch(batch, levels[batch], rows, sizes)
+            start, size = start + size, min(2 * size, MAX_INSERT_BATCH)
+        self.layers = [
+            {int(node): rows[l][node, : sizes[l, node]] for node in np.flatnonzero(levels >= l)}
+            for l in range(len(widths))
+        ]
         self.build_stats.max_level = self.max_level
         self.build_stats.level_sizes = [len(layer) for layer in self.layers]
         self._built = True
@@ -90,51 +116,79 @@ class HnswIndex:
     def _random_level(self) -> int:
         return int(-math.log(max(self._rng.random(), 1e-12)) * self._ml)
 
-    def _insert(self, node: int) -> None:
-        level = self._random_level()
-        while len(self.layers) <= level:
-            self.layers.append({})
-        if self.entry_point < 0:
-            for l in range(level + 1):
-                self.layers[l][node] = np.empty(0, dtype=np.int64)
-            self.entry_point = node
-            self.max_level = level
-            return
+    def _insert_batch(self, batch, levels, rows, sizes) -> None:
+        """Insert ``batch`` (levels ``levels``) layer by layer from the top.
+        On each layer the members below it descend at beam 1 and the rest
+        search it at ``ef_construction``, both against the layer as it
+        stood before the batch; then the rest link (:meth:`_link_layer`)."""
+        stats, ef = self.build_stats, self.ef_construction
+        entries = np.full((len(batch), 1), self.entry_point, dtype=np.int64)
+        for l in range(max(self.max_level, int(levels.max())), -1, -1):
+            on = levels >= l
+            ids, dists = np.empty((on.sum(), 0), np.uint32), np.empty((on.sum(), 0))  # a new top
+            if l <= self.max_level:
+                graph = FixedDegreeGraph(rows[l])
+                for members, beam in ((~on, 1), (on, ef)):  # the ef search last
+                    if members.any():
+                        ids, dists, counters = batched_beam_search(
+                            self.data, graph, self.data[batch[members]], beam, beam,
+                            entries[members], self.metric,
+                        )
+                        stats.distance_computations += counters.distance_computations
+                        stats.hops += counters.hops
+                        entries[members] = ids[:, :1]
+            if on.any():
+                found = np.where(ids == INDEX_MASK, -1, ids.astype(np.int64))
+                self._link_layer(rows[l], sizes[l], batch[on], found, dists)
+        top = int(levels.argmax())
+        if levels[top] > self.max_level:
+            self.entry_point, self.max_level = int(batch[top]), int(levels[top])
 
-        query = self.data[node]
-        ep = self.entry_point
+    def _link_layer(self, rows, sizes, nodes, found, found_dists) -> None:
+        """Link ``nodes`` into one layer: each selects from what its search
+        ``found`` (-1 padded) and the other ``nodes``, nearest
+        ``ef_construction`` first; then the reverse links go in rounds."""
         stats = self.build_stats
+        others = np.broadcast_to(nodes, (len(nodes), len(nodes)))
+        other_dists = gathered_distances(self.data, self.data[nodes], others, self.metric)
+        stats.distance_computations += len(nodes) * (len(nodes) - 1)
+        others = np.where(np.eye(len(nodes), dtype=bool), -1, others)
+        other_dists[others < 0] = np.inf
+        ids = np.concatenate([found, others], axis=1)
+        dists = np.concatenate([found_dists, other_dists], axis=1)
+        order = np.lexsort((ids, dists))[:, : self.ef_construction]
+        ids, dists = (np.take_along_axis(a, order, 1) for a in (ids, dists))
+        kept = self._select(nodes, ids, dists, self.m)
+        self._store(rows, sizes, nodes, kept)
+        # Round r plants every host's r-th reverse link, in batch order; a
+        # row a round overfills shrinks by the heuristic, as it would under
+        # one-at-a-time insertion.  All of a round's shrinks are one call.
+        hosts = np.concatenate(kept)
+        news = np.repeat(nodes, [len(row) for row in kept])
+        by_host = np.argsort(hosts, kind="stable")
+        rank = np.empty_like(by_host)
+        rank[by_host] = np.arange(len(hosts)) - np.searchsorted(hosts[by_host], hosts[by_host])
+        for r in range(int(rank.max(initial=-1)) + 1):
+            host, new = hosts[rank == r], news[rank == r]
+            fresh = ~(rows[host] == new[:, None]).any(axis=1)  # not linked yet
+            host, new = host[fresh], new[fresh]
+            room = sizes[host] < rows.shape[1]
+            rows[host[room], sizes[host[room]]] = new[room]
+            sizes[host[room]] += 1
+            full = host[~room]
+            if len(full):
+                pools = np.concatenate([rows[full], new[~room, None]], axis=1)
+                pool_dists = gathered_distances(self.data, self.data[full], pools, self.metric)
+                stats.distance_computations += pools.size
+                self._store(rows, sizes, full, self._select(full, pools, pool_dists, rows.shape[1]))
 
-        # Greedy descent through layers above the node's level.
-        for l in range(self.max_level, level, -1):
-            ep = self._greedy_closest(query, ep, l, stats)
-
-        # ef-bounded search + heuristic linking on the node's layers.
-        ef = self.ef_construction
-        counters = BeamCounters()
-        for l in range(min(level, self.max_level), -1, -1):
-            layer = self.layers[l]
-            ids, dists = beam_search(self.data, layer, query, ef, ef, [ep], self.metric, counters)
-            found = ids != INDEX_MASK
-            layer[node] = self._select([node], ids[found][None], dists[found][None], self.m)[0]
-            # Reverse links; the neighbours they overfill shrink in one call.
-            m_max = self.m0 if l == 0 else self.m
-            full = [other for other in layer[node].tolist() if len(layer[other]) == m_max]
-            layer.update((other, np.append(layer[other], node)) for other in layer[node].tolist())
-            if full:
-                rows = np.array([layer[other] for other in full])
-                dists = gathered_distances(self.data, self.data[full], rows, self.metric)
-                stats.distance_computations += rows.size
-                layer.update(zip(full, self._select(full, rows, dists, m_max)))
-            ep = int(ids[0])
-        for l in range(min(level, self.max_level) + 1, level + 1):
-            self.layers[l][node] = np.empty(0, dtype=np.int64)
-        stats.distance_computations += counters.distance_computations
-        stats.hops += counters.hops
-
-        if level > self.max_level:
-            self.max_level = level
-            self.entry_point = node
+    @staticmethod
+    def _store(rows, sizes, nodes, kept) -> None:
+        """Write each node's ``kept`` ids into its padded row."""
+        for node, row in zip(nodes.tolist(), kept):
+            rows[node] = node
+            rows[node, : len(row)] = row
+            sizes[node] = len(row)
 
     def _select(self, nodes, cand_ids, cand_dists, m: int) -> list[np.ndarray]:
         """Algorithm 4 per row: (distance, id) order, the RNG occlusion
@@ -152,31 +206,6 @@ class HnswIndex:
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def _greedy_closest(
-        self, query: np.ndarray, start: int, level: int, stats
-    ) -> int:
-        """Hill-climb to the locally closest node on one layer."""
-        current = start
-        current_dist = float(
-            distances_to_query(self.data, query, np.array([start]), self.metric)[0]
-        )
-        stats.distance_computations += 1
-        improved = True
-        while improved:
-            improved = False
-            neighbors = self.layers[level].get(current)
-            if neighbors is None or len(neighbors) == 0:
-                break
-            dists = distances_to_query(self.data, query, neighbors, self.metric)
-            stats.distance_computations += len(neighbors)
-            stats.hops += 1
-            best = int(np.argmin(dists))
-            if float(dists[best]) < current_dist:
-                current = int(neighbors[best])
-                current_dist = float(dists[best])
-                improved = True
-        return current
-
     def search(
         self, queries: np.ndarray, k: int, ef: int = 64
     ) -> tuple[np.ndarray, np.ndarray, BeamCounters]:

@@ -271,10 +271,7 @@ def test_baselines_search_on_the_traversal_engine():
         for node in ast.walk(body)
         if isinstance(node, ast.Call) and call_name(node) == "beam_search"
     }
-    assert callers == {
-        ("baselines/hnsw.py", "HnswIndex", "_insert"),
-        ("baselines/ggnn.py", "GgnnIndex", "build"),
-    }, callers
+    assert callers == {("baselines/ggnn.py", "GgnnIndex", "build")}, callers
 
 
 def test_one_occlusion_filter_called_per_block():
@@ -332,7 +329,7 @@ def test_one_occlusion_filter_called_per_block():
         ("baselines/nssg.py", "NssgIndex", "build"),
         ("baselines/hnsw.py", "HnswIndex", "_select"),
     }
-    assert [(owner, fn) for owner, fn, _ in select_calls] == [("HnswIndex", "_insert")] * 2
+    assert [(owner, fn) for owner, fn, _ in select_calls] == [("HnswIndex", "_link_layer")] * 2
 
 
 def test_one_stepping_loop_behind_a_hot_seam():
