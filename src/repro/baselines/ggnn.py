@@ -78,25 +78,23 @@ class GgnnIndex:
         stats = self.build_stats
         neighbors = np.zeros((n, self.degree), dtype=np.int64)
 
-        # Stage 1: exact k-NN graphs inside each shard.
+        # Stage 1: exact k-NN graphs inside each shard.  A trailing shard
+        # too small for a degree-``degree`` graph joins the one before.
         shards = [
             permutation[start : start + self.shard_size]
             for start in range(0, n, self.shard_size)
         ]
+        if len(shards) > 1 and len(shards[-1]) <= self.degree:
+            shards[-2:] = [np.concatenate(shards[-2:])]
         stats.num_shards = len(shards)
         for shard in shards:
             d = pairwise_distances(self.data[shard], self.data[shard], self.metric)
             stats.distance_computations += len(shard) * len(shard)
             np.fill_diagonal(d, np.inf)
-            take = min(self.degree, len(shard) - 1)
-            part = np.argpartition(d, take - 1, axis=1)[:, :take]
+            part = np.argpartition(d, self.degree - 1, axis=1)[:, : self.degree]
             part_d = np.take_along_axis(d, part, axis=1)
             order = np.argsort(part_d, axis=1, kind="stable")
-            local = np.take_along_axis(part, order, axis=1)
-            rows = shard[local]  # map shard-local ids to global
-            if take < self.degree:  # tiny trailing shard: pad by repetition
-                rows = np.pad(rows, ((0, 0), (0, self.degree - take)), mode="edge")
-            neighbors[shard] = rows
+            neighbors[shard] = shard[np.take_along_axis(part, order, axis=1)]
 
         # Stage 2a: cross-shard linking — every node searches the stitched
         # graph from random seeds and merges what it finds (this is what

@@ -243,6 +243,17 @@ class TestGgnn:
     def test_no_self_loops(self, ggnn):
         assert not ggnn.graph.has_self_loops()
 
+    def test_trailing_shard_too_small_joins_the_one_before(self):
+        """Five rows in shards of four leave a one-node shard with no
+        exact neighbours; it joins the first shard instead of failing the
+        build (it used to pad an empty row)."""
+        data = np.random.default_rng(0).standard_normal((5, 4)).astype(np.float32)
+        ggnn = GgnnIndex(data, degree=2, shard_size=4).build()
+        assert ggnn.build_stats.num_shards == 1
+        rows = ggnn.graph.neighbors
+        assert not ggnn.graph.has_self_loops()
+        assert all(len(set(row.tolist())) == 2 for row in rows)
+
 
 class TestGanns:
     @pytest.fixture(scope="class")
