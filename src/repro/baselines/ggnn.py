@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.beam import BeamCounters, batched_beam_search, beam_search
+from repro.baselines.beam import BeamCounters, batched_beam_search
 from repro.core.distances import gathered_distances, pairwise_distances
-from repro.core.graph import FixedDegreeGraph, link_orphans
+from repro.core.graph import INDEX_MASK, FixedDegreeGraph, link_orphans
 
 __all__ = ["GgnnBuildStats", "GgnnIndex"]
 
@@ -97,36 +97,19 @@ class GgnnIndex:
             neighbors[shard] = shard[np.take_along_axis(part, order, axis=1)]
 
         # Stage 2a: cross-shard linking — every node searches the stitched
-        # graph from random seeds and merges what it finds (this is what
-        # first connects the shards).
-        counters = BeamCounters()
-        for node in range(n):
-            seeds = np.concatenate([neighbors[node][:4], rng.integers(0, n, size=8)])
-            ids, _ = beam_search(
-                self.data,
-                neighbors,
-                self.data[node],
-                min(self.refine_beam, n - 1),
-                self.refine_beam,
-                seeds,
-                self.metric,
-                counters,
-            )
-            found = ids[ids != node].astype(np.int64)
-            merged = np.concatenate([neighbors[node], found])
-            _, keep = np.unique(merged, return_index=True)
-            merged = merged[np.sort(keep)]
-            dists = pairwise_distances(
-                self.data[node : node + 1], self.data[merged], self.metric
-            )[0]
-            stats.distance_computations += len(merged)
-            order = np.argsort(dists, kind="stable")[: self.degree]
-            row = merged[order]
-            if len(row) < self.degree:
-                row = np.pad(row, (0, self.degree - len(row)), mode="edge")
-            neighbors[node] = row
+        # graph from its first 4 neighbours and 8 random ids, all in one
+        # batch, and keeps the nearest of its row and what it found (this
+        # is what first connects the shards).
+        seeds = np.concatenate([neighbors[:, :4], rng.integers(0, n, size=(n, 8))], axis=1)
+        found, _, counters = batched_beam_search(
+            self.data, FixedDegreeGraph(neighbors), self.data,
+            min(self.refine_beam, n - 1), self.refine_beam, seeds, self.metric,
+        )
         stats.distance_computations += counters.distance_computations
         stats.hops += counters.hops
+        nodes = np.arange(n, dtype=np.int64)
+        found = np.where(found == INDEX_MASK, nodes[:, None], found.astype(np.int64))
+        neighbors = self._keep_nearest(nodes, np.concatenate([neighbors, found], axis=1), stats)
 
         # Stage 2b: neighborhood-propagation sweeps (GGNN's bottom-up
         # merges net out to this): each node re-ranks its 2-hop pool and
@@ -134,13 +117,10 @@ class GgnnIndex:
         for _ in range(self.refine_rounds):
             neighbors = self._two_hop_sweep(neighbors, stats)
 
-        # Reverse-edge pass (GGNN symmetrizes during its merge step), then
-        # an in-edge for any node it left without one: none is unreachable.
-        for node in range(n):
-            target = int(neighbors[node][0])
-            if node not in neighbors[target]:
-                neighbors[target][-1] = node
-        link_orphans(neighbors, self.degree)
+        # Reverse-edge pass (GGNN symmetrizes during its merge step): each
+        # node's nearest neighbour links back, then any node left without
+        # an in-edge gets one, so none is unreachable.
+        link_orphans(neighbors, self.degree, links=zip(neighbors[:, 0].tolist(), range(n)))
 
         # Top of the hierarchy: a coarse random subset used as search entry
         # points (GGNN descends its layer hierarchy to seed the base-layer
@@ -161,28 +141,32 @@ class GgnnIndex:
         out = neighbors.copy()
         for start in range(0, n, block):
             stop = min(start + block, n)
-            rows = np.arange(start, stop)
             pool = np.concatenate(
                 [neighbors[start:stop], neighbors[neighbors[start:stop]].reshape(stop - start, -1)],
                 axis=1,
             )
-            # Mask self ids by replacing them with the first neighbor.
-            self_mask = pool == rows[:, None]
-            pool[self_mask] = np.broadcast_to(
-                neighbors[start:stop, :1], pool.shape
-            )[self_mask]
-            dists = gathered_distances(self.data, self.data[rows], pool, self.metric)
-            stats.distance_computations += pool.size
-            # Deduplicate ids per row: worse copies get +inf.
-            order = np.lexsort((dists, pool), axis=1)
-            sorted_pool = np.take_along_axis(pool, order, axis=1)
-            sorted_dists = np.take_along_axis(dists, order, axis=1)
-            dup = np.zeros_like(sorted_dists, dtype=bool)
-            dup[:, 1:] = sorted_pool[:, 1:] == sorted_pool[:, :-1]
-            sorted_dists[dup] = np.inf
-            keep = np.argsort(sorted_dists, axis=1, kind="stable")[:, : self.degree]
-            out[start:stop] = np.take_along_axis(sorted_pool, keep, axis=1)
+            out[start:stop] = self._keep_nearest(np.arange(start, stop), pool, stats)
         return out
+
+    def _keep_nearest(
+        self, nodes: np.ndarray, pool: np.ndarray, stats: GgnnBuildStats
+    ) -> np.ndarray:
+        """Row ``i`` keeps the nearest ``degree`` distinct ids of
+        ``pool[i]``, whose first id is a neighbour of ``nodes[i]`` and
+        stands in for any copy of the node itself."""
+        self_mask = pool == nodes[:, None]
+        pool[self_mask] = np.broadcast_to(pool[:, :1], pool.shape)[self_mask]
+        dists = gathered_distances(self.data, self.data[nodes], pool, self.metric)
+        stats.distance_computations += pool.size
+        # Deduplicate ids per row: worse copies get +inf.
+        order = np.lexsort((dists, pool), axis=1)
+        sorted_pool = np.take_along_axis(pool, order, axis=1)
+        sorted_dists = np.take_along_axis(dists, order, axis=1)
+        dup = np.zeros_like(sorted_dists, dtype=bool)
+        dup[:, 1:] = sorted_pool[:, 1:] == sorted_pool[:, :-1]
+        sorted_dists[dup] = np.inf
+        keep = np.argsort(sorted_dists, axis=1, kind="stable")[:, : self.degree]
+        return np.take_along_axis(sorted_pool, keep, axis=1)
 
     def search(
         self,

@@ -271,7 +271,38 @@ def test_baselines_search_on_the_traversal_engine():
         for node in ast.walk(body)
         if isinstance(node, ast.Call) and call_name(node) == "beam_search"
     }
-    assert callers == {("baselines/ggnn.py", "GgnnIndex", "build")}, callers
+    assert callers == set(), callers
+
+
+def test_reverse_links_go_through_the_one_repair():
+    """``core.graph.link_orphans`` is the one reachability repair, defined
+    once, and the baselines plant no reverse link around it: no assignment
+    in ``repro/baselines`` writes a row's last slot (``row[-1] = ...`` or
+    ``rows[..., -1] = ...``), the write that can evict a target's last
+    in-edge."""
+    import ast
+
+    root = default_root() / "repro"
+
+    def last_slot(target) -> bool:
+        if not isinstance(target, ast.Subscript):
+            return False
+        index = target.slice
+        if isinstance(index, ast.Tuple) and index.elts:
+            index = index.elts[-1]
+        return ast.unparse(index) == "-1"
+
+    definitions, writes = [], []
+    for path in sorted(root.rglob("*.py")):
+        name = str(path.relative_to(root))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "link_orphans":
+                definitions.append(name)
+            if name.startswith("baselines/") and isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                writes += [(name, node.lineno) for t in targets if last_slot(t)]
+    assert definitions == ["core/graph.py"]
+    assert not writes, writes
 
 
 def test_one_occlusion_filter_called_per_block():
