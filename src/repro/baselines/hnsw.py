@@ -12,7 +12,9 @@ graphs with the pieces the CAGRA paper contrasts itself against:
 * the *heuristic* neighbor selection of Algorithm 4 (keep a candidate only
   if it is closer to the inserted point than to any already-kept
   neighbor), with ``M`` links per node on upper layers and ``2M`` on the
-  base layer, shrinking overfull lists with the same heuristic.
+  base layer, shrinking overfull lists with the same heuristic (and
+  :func:`repro.core.graph.link_orphans` giving back any base-layer
+  node's last in-edge a shrink took).
 
 Build and search record distance/hop counters compatible with
 :class:`repro.gpusim.costmodel.CpuCostModel`.
@@ -27,7 +29,7 @@ import numpy as np
 
 from repro.baselines.beam import BeamCounters, batched_beam_search
 from repro.core.distances import gathered_distances
-from repro.core.graph import INDEX_MASK, FixedDegreeGraph, occlusion_prune
+from repro.core.graph import INDEX_MASK, FixedDegreeGraph, link_orphans, occlusion_prune
 
 __all__ = ["HnswBuildStats", "HnswIndex", "MAX_INSERT_BATCH"]
 
@@ -104,9 +106,13 @@ class HnswIndex:
             batch = np.arange(start, min(start + size, n))
             self._insert_batch(batch, levels[batch], rows, sizes)
             start, size = start + size, min(2 * size, MAX_INSERT_BATCH)
-        self.layers = [
+        base = [rows[0][node, : sizes[0, node]] for node in range(n)]
+        # Shrinks can take a node's last in-edge; the one repair gives every
+        # base-layer node but the entry one back.
+        link_orphans(base, self.m0, entry=self.entry_point)
+        self.layers = [dict(enumerate(base))] + [
             {int(node): rows[l][node, : sizes[l, node]] for node in np.flatnonzero(levels >= l)}
-            for l in range(len(widths))
+            for l in range(1, len(widths))
         ]
         self.build_stats.max_level = self.max_level
         self.build_stats.level_sizes = [len(layer) for layer in self.layers]

@@ -915,6 +915,79 @@ class TestHnswDescentProperties:
 
 
 @st.composite
+def small_build_cases(draw):
+    """A small dataset, across the HNSW insertion batch cap, in which some
+    rows repeat others exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n = draw(st.integers(2, 150))
+    data = rng.standard_normal((n, draw(st.integers(2, 6)))).astype(np.float32)
+    copies = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5]))
+    data[copies] = data[rng.integers(0, n, int(copies.sum()))]
+    return {
+        "data": data,
+        "metric": draw(st.sampled_from(["sqeuclidean", "inner_product"])),
+        "m": draw(st.integers(2, 6)),
+        "ef": draw(st.integers(2, 24)),
+        "degree": draw(st.integers(1, 8)),
+        "shard_size": draw(st.sampled_from([1, 8, 32, 512])),
+        "seed": draw(st.integers(0, 1000)),
+    }
+
+
+def _assert_rows_well_formed(rows, members, bound):
+    """No self-loop, no repeated id, at most ``bound`` ids, all members."""
+    for node, row in rows:
+        row = np.asarray(row).tolist()
+        assert node not in row, (node, row)
+        assert len(set(row)) == len(row) <= bound, (node, row)
+        assert set(row) <= members, (node, row)
+
+
+class TestSmallBuildProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(case=small_build_cases())
+    def test_hnsw_graph_is_well_formed(self, case):
+        """Batched insertion keeps every layer's rows within ``m`` (``2m``
+        at the base) with no self-loop or repeat, gives every base-layer
+        node but the entry an in-edge, and draws the levels the
+        one-at-a-time build drew."""
+        from repro.baselines import HnswIndex
+
+        data, m, seed = case["data"], case["m"], case["seed"]
+        index = HnswIndex(data, m=m, ef_construction=case["ef"], metric=case["metric"],
+                          seed=seed).build()
+        rng = np.random.default_rng(seed)
+        levels = np.array([int(-math.log(max(rng.random(), 1e-12)) / math.log(m))
+                           for _ in range(len(data))])
+        assert index.max_level == levels.max() == len(index.layers) - 1
+        assert index.entry_point == int(np.argmax(levels))
+        for level, layer in enumerate(index.layers):
+            members = set(np.flatnonzero(levels >= level).tolist())
+            assert set(layer) == members
+            _assert_rows_well_formed(layer.items(), members, 2 * m if level == 0 else m)
+        in_degree = np.bincount(
+            np.concatenate([np.empty(0, np.int64), *index.layers[0].values()]),
+            minlength=len(data),
+        )
+        assert set(np.flatnonzero(in_degree == 0).tolist()) <= {index.entry_point}
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=small_build_cases())
+    def test_ggnn_graph_is_well_formed(self, case):
+        """Rows of exactly ``degree`` distinct ids, no self-loop, and an
+        in-edge for every node."""
+        from repro.baselines import GgnnIndex
+
+        data = case["data"]
+        index = GgnnIndex(data, degree=case["degree"], shard_size=case["shard_size"],
+                          refine_beam=8, metric=case["metric"], seed=case["seed"]).build()
+        rows = index.graph.neighbors
+        assert rows.shape == (len(data), min(case["degree"], len(data) - 1))
+        _assert_rows_well_formed(enumerate(rows), set(range(len(data))), rows.shape[1])
+        assert (np.bincount(rows.ravel().astype(np.int64), minlength=len(data)) > 0).all()
+
+
+@st.composite
 def occlusion_cases(draw):
     """A block of candidate rows over values on a coarse grid, so duplicate
     vectors (zero-length directions) and distance ties are common; pools
