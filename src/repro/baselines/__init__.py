@@ -13,14 +13,16 @@ at the fidelity the CAGRA evaluation exercises (Sec. V):
 * :mod:`repro.baselines.ganns` — GANNS-like GPU method (Yu et al.):
   batched NSW construction + GPU-friendly beam search.
 
-Every batch search runs on CAGRA's own traversal engine at one parent per
-step with given seeds (:func:`repro.baselines.beam.batched_beam_search`)
-and reports operation counters compatible with the cost models in
-:mod:`repro.gpusim`, so recall–QPS comparisons share one methodology.
+Every search, and every build step that searches (HNSW's and GANNS's
+batch insertion, GGNN's linking), runs on CAGRA's own traversal engine at
+one parent per step with given seeds
+(:func:`repro.baselines.beam.batched_beam_search`) and reports operation
+counters compatible with the cost models in :mod:`repro.gpusim`, so
+recall–QPS comparisons share one methodology.
 """
 
 from repro.baselines.bruteforce import exact_search
-from repro.baselines.beam import BeamCounters, beam_search
+from repro.baselines.beam import BeamCounters
 from repro.baselines.hnsw import HnswIndex
 from repro.baselines.nssg import NssgIndex, nssg_search
 from repro.baselines.ggnn import GgnnIndex
@@ -29,7 +31,6 @@ from repro.baselines.ganns import GannsIndex
 __all__ = [
     "exact_search",
     "BeamCounters",
-    "beam_search",
     "HnswIndex",
     "NssgIndex",
     "nssg_search",

@@ -119,17 +119,17 @@ def _subject_curve(args, subject, queries, truth, sweep, base_config):
     if kind == "hnsw":
         return run_hnsw_sweep(inner, queries, truth, args.k, sweep, args.batch)
 
-    def beam_search(q, k, beam):
+    def search_at(q, k, beam):
         return inner.search(q, k, beam_width=beam)
 
     if kind in ("ggnn", "ganns"):
         return run_beam_sweep_gpu(
-            kind.upper(), beam_search, queries, truth, args.k, sweep, args.batch,
+            kind.upper(), search_at, queries, truth, args.k, sweep, args.batch,
             dim=subject.dim, degree=getattr(inner, "degree", 24),
         )
     if kind == "nssg":
         return run_beam_sweep_cpu(
-            "NSSG", beam_search, queries, truth, args.k, sweep, args.batch,
+            "NSSG", search_at, queries, truth, args.k, sweep, args.batch,
             dim=subject.dim,
         )
     # Brute force is exact: one point, recall 1.0, CPU-scan pricing.
