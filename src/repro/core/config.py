@@ -76,6 +76,14 @@ class GraphBuildConfig:
             0.0 < self.nn_descent_sample_rate <= 1.0,
             "nn_descent_sample_rate must be in (0, 1]",
         )
+        # ``not >= 0`` also rejects NaN, which would silently disable the
+        # early-termination test.
+        _require(
+            self.nn_descent_termination_delta >= 0.0,
+            "nn_descent_termination_delta must be >= 0, got "
+            f"{self.nn_descent_termination_delta!r}",
+        )
+        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed!r}")
         if self.intermediate_degree:
             _require(
                 self.intermediate_degree >= self.graph_degree,
