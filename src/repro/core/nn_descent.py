@@ -81,6 +81,13 @@ _INF_KEY = np.uint64(INF_ORDER_BITS) << _HALF  # (+inf, id 0) merge key
 #: ``distance(rows, ids)``: float32 distances of the flat ``(row, id)`` pairs.
 PairDistance = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+#: Bytes of one row block's ``(rows, k + 2s(s + 1))`` uint64 merge keys in
+#: an NN-descent round.  The merge holds a few slabs of that size, so the
+#: round's peak beyond its ``(N, k)`` arrays is this constant, not a multiple
+#: of N; 1 MiB builds as fast as 256 KiB and whole-N blocks, and faster than
+#: 4 MiB (EXPERIMENTS.md, "Bounded NN-descent round").
+_ROUND_BLOCK_BYTES = 1 << 20
+
 
 def _merge_candidates(
     ids: np.ndarray,
@@ -219,9 +226,10 @@ def build_knn_graph(
     rng = np.random.default_rng(config.seed)
     metric = config.metric
 
-    def distance(rows: np.ndarray, pair_ids: np.ndarray) -> np.ndarray:
-        return gathered_distances(
-            data, data, pair_ids[:, None], metric=metric, query_rows=rows
+    def distance(queries: np.ndarray) -> PairDistance:
+        """Distances of flat ``(row, id)`` pairs, ``row`` indexing ``queries``."""
+        return lambda rows, pair_ids: gathered_distances(
+            data, queries, pair_ids[:, None], metric=metric, query_rows=rows
         ).reshape(-1)
 
     # --- random initialization -------------------------------------------
@@ -234,6 +242,7 @@ def build_knn_graph(
     order = np.argsort(dists, axis=1, kind="stable")
     ids = np.take_along_axis(ids, order, axis=1)
     dists = np.take_along_axis(dists, order, axis=1)
+    del order
     is_new = np.ones((n, k), dtype=bool)
     distance_computations = n * k
 
@@ -242,6 +251,7 @@ def build_knn_graph(
     # candidates are mostly duplicates (pure overhead in a NumPy build).
     sample = max(1, min(k, 10, int(round(config.nn_descent_sample_rate * k))))
     threshold = config.nn_descent_termination_delta * n * k
+    block = max(1, _ROUND_BLOCK_BYTES // (8 * (k + 2 * sample * (sample + 1))))
     iterations_run = 0
 
     for _ in range(config.nn_descent_iterations):
@@ -249,44 +259,45 @@ def build_knn_graph(
 
         # --- sample forward neighbors, preferring new entries -------------
         # Sort columns so new entries come first, then take a random slice
-        # biased toward the front.
-        newness_order = np.argsort(~is_new, axis=1, kind="stable")
-        pool = np.take_along_axis(ids, newness_order, axis=1)
+        # biased toward the front.  Whether an entry was sampled needs no
+        # record: after the merge, only the ids it entered count as new.
+        pool = np.take_along_axis(ids, np.argsort(~is_new, axis=1, kind="stable"), axis=1)
         fwd_cols = _sample_columns(rng, min(k, 2 * sample), sample, n)
         fwd = np.take_along_axis(pool, fwd_cols, axis=1)
-        # Mark the sampled-new entries as expanded (old) for later rounds.
-        sampled_mask = np.zeros((n, k), dtype=bool)
-        np.put_along_axis(
-            sampled_mask, np.take_along_axis(newness_order, fwd_cols, axis=1), True, axis=1
-        )
-        is_new &= ~sampled_mask
+        del pool, fwd_cols
+        sources = np.concatenate([fwd, _reverse_samples(ids, sample, rng)], axis=1)  # (n, 2s)
+        del fwd
 
-        rev = _reverse_samples(ids, sample, rng)
-
-        # --- 2-hop expansion ----------------------------------------------
-        sources = np.concatenate([fwd, rev], axis=1)  # (n, 2*sample)
-        # candidates[v] = sampled neighbors of each sampled source of v.
-        hop_cols = _sample_columns(rng, k, sample, sources.size)  # (n*2s, sample)
-        cand = ids[sources.reshape(-1, 1), hop_cols].reshape(n, -1)  # (n, 2s*sample)
-        cand = np.concatenate([cand, sources], axis=1)
-
-        # Drop self-candidates by replacing them with an existing neighbor
-        # (dedupe removes the copy).
-        self_mask = cand == rows
-        if self_mask.any():
-            cand[self_mask] = np.broadcast_to(ids[:, :1], cand.shape)[self_mask]
-
-        # The algorithm scores every candidate pair (the cost model prices
-        # them all); the merge evaluates each distinct fresh pair once.
-        distance_computations += cand.size
-
-        new_ids, new_dists, entered = _merge_candidates(ids, dists, cand, k, distance)
-        # Freshly inserted ids must be expanded next round; survivors have
-        # already had their chance.
-        is_new = entered
+        # --- 2-hop expansion and merge, one row block at a time ------------
+        # Each block reads the round's old lists and draws its hop columns
+        # in row order, so the blocks continue the one draw stream a
+        # whole-N round draws, and the graph does not depend on ``block``.
+        new_ids, new_dists = np.empty_like(ids), np.empty_like(dists)
+        is_new = np.empty((n, k), dtype=bool)
+        for start in range(0, n, block):
+            r = slice(start, start + block)
+            src = sources[r]
+            # candidates[v] = sampled neighbors of each sampled source of v.
+            hop_cols = _sample_columns(rng, k, sample, src.size)  # (b*2s, sample)
+            cand = ids[src.reshape(-1, 1), hop_cols].reshape(len(src), -1)
+            cand = np.concatenate([cand, src], axis=1)  # (b, 2s*(sample+1))
+            # Drop self-candidates by replacing them with an existing
+            # neighbor (dedupe removes the copy).
+            self_mask = cand == rows[r]
+            if self_mask.any():
+                cand[self_mask] = np.broadcast_to(ids[r, :1], cand.shape)[self_mask]
+            # The algorithm scores every candidate pair (the cost model
+            # prices them all); the merge evaluates each distinct fresh
+            # pair once.
+            distance_computations += cand.size
+            # Freshly inserted ids must be expanded next round; survivors
+            # have already had their chance.
+            new_ids[r], new_dists[r], is_new[r] = _merge_candidates(
+                ids[r], dists[r], cand, k, distance(data[r])
+            )
         ids, dists = new_ids, new_dists
 
-        if entered.sum() <= threshold:
+        if is_new.sum() <= threshold:
             break
 
     graph = FixedDegreeGraph(ids.astype(np.uint32))

@@ -10,7 +10,9 @@ Invariants checked:
 * NN-descent merge keeps rows sorted and deduplicated, scores each fresh
   pair once, and reproduces bit for bit both the lexsort + stable-argsort
   merge and the score-every-candidate merge it replaced; reverse sampling
-  and the lockstep reverse-edge merge reproduce their scalar oracles;
+  and the lockstep reverse-edge merge reproduce their scalar oracles; a
+  build whose rounds run one row block at a time is bitwise the build
+  whose rounds ran over all rows at once;
 * the traversal engine's packed top-M merge, first-occurrence mask and
   parent pick reproduce the stable multi-key code they replaced;
 * the row-blocked gathered-distance kernel is bitwise its one-block self;
@@ -29,6 +31,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import distances as distances_module
+from repro.core import nn_descent
+from repro.core.config import GraphBuildConfig
 from repro.core.distances import METRICS, distances_to_query, gathered_distances
 from repro.core.graph import FixedDegreeGraph, INDEX_MASK, occlusion_prune
 from repro.core.hashtable import StandardHashTable
@@ -473,6 +477,48 @@ class TestReverseSampleProperties:
         want = oracle.reverse_samples(ids, take, np.random.default_rng(seed + 1))
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def knn_build_cases(draw):
+    """A dataset of ``k + 2`` to ~300 rows, on a coarse grid half the time
+    so duplicate vectors and distance ties are common, at fp32 or fp16."""
+    k = draw(st.integers(1, 16))
+    n = draw(st.integers(k + 2, 300))
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        data = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
+    else:
+        data = rng.standard_normal((n, dim)).astype(np.float32)
+    config = GraphBuildConfig(
+        metric=draw(st.sampled_from(["sqeuclidean", "inner_product"])),
+        nn_descent_iterations=draw(st.integers(1, 5)),
+        nn_descent_sample_rate=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        nn_descent_termination_delta=draw(st.sampled_from([0.0, 0.01, 0.2])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return data.astype(draw(st.sampled_from(["float32", "float16"]))), k, config
+
+
+class TestBlockedNnDescentProperties:
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(
+        case=knn_build_cases(),
+        # One row, a few rows, whole-N blocks.
+        block_bytes=st.sampled_from([1, 1 << 12, 1 << 14, 1 << 62]),
+    )
+    def test_bitwise_against_whole_round_oracle(self, case, block_bytes):
+        """Expanding and merging a round one row block at a time builds the
+        whole-N round's graph, distances, round count and work counter."""
+        data, k, config = case
+        with mock.patch.object(nn_descent, "_ROUND_BLOCK_BYTES", block_bytes):
+            got = nn_descent.build_knn_graph(data, k, config)
+        want = oracle.build_knn_graph(data, k, config)
+        np.testing.assert_array_equal(got.graph.neighbors, want.graph.neighbors)
+        np.testing.assert_array_equal(_bits(got.distances), _bits(want.distances))
+        assert got.iterations == want.iterations
+        assert got.distance_computations == want.distance_computations
 
 
 class TestReverseEdgeMergeProperties:
