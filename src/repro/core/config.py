@@ -76,8 +76,7 @@ class GraphBuildConfig:
             0.0 < self.nn_descent_sample_rate <= 1.0,
             "nn_descent_sample_rate must be in (0, 1]",
         )
-        # ``not >= 0`` also rejects NaN, which would silently disable the
-        # early-termination test.
+        # ``>= 0`` is False for NaN, which would disable early termination.
         _require(
             self.nn_descent_termination_delta >= 0.0,
             "nn_descent_termination_delta must be >= 0, got "
