@@ -63,16 +63,6 @@ class TestGraphBuildConfig:
         with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
             GraphBuildConfig(seed=-3)
 
-    def test_shard_plans_copy_the_checked_fields(self):
-        """Each shard's config is rebuilt field by field, so it passes the
-        same checks as the caller's."""
-        from repro.parallel.shards import plan_shards
-
-        config = GraphBuildConfig(graph_degree=8, nn_descent_termination_delta=0.0, seed=4)
-        plans = plan_shards(120, 3, config)
-        assert [p.config.seed for p in plans] == [4, 5, 6]
-        assert {p.config.nn_descent_termination_delta for p in plans} == {0.0}
-
     def test_frozen(self):
         config = GraphBuildConfig()
         with pytest.raises(Exception):
