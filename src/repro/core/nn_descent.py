@@ -84,8 +84,8 @@ PairDistance = Callable[[np.ndarray, np.ndarray], np.ndarray]
 #: Bytes of one row block's ``(rows, k + 2s(s + 1))`` uint64 merge keys in
 #: an NN-descent round.  The merge holds a few slabs of that size, so the
 #: round's peak beyond its ``(N, k)`` arrays is this constant, not a multiple
-#: of N; 1 MiB builds as fast as 256 KiB and whole-N blocks, and faster than
-#: 4 MiB (EXPERIMENTS.md, "Bounded NN-descent round").
+#: of N; 1 MiB built as fast as 256 KiB, 4 MiB and whole-N blocks or faster
+#: (EXPERIMENTS.md, "Bounded NN-descent round").
 _ROUND_BLOCK_BYTES = 1 << 20
 
 

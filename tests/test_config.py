@@ -56,9 +56,6 @@ class TestGraphBuildConfig:
         with pytest.raises(ValueError, match="nn_descent_termination_delta.*" + repr(delta)):
             GraphBuildConfig(nn_descent_termination_delta=delta)
 
-    def test_zero_termination_delta_accepted(self):
-        assert GraphBuildConfig(nn_descent_termination_delta=0.0).nn_descent_termination_delta == 0.0
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
             GraphBuildConfig(seed=-3)

@@ -236,7 +236,7 @@ class TestBuildRegression:
 
 class TestBuildMemory:
     @pytest.mark.parametrize("rows, bound", [(2000, 20), (8000, 10)])
-    def test_traced_peak_is_bounded_by_the_round_block(self, rows, bound):
+    def test_traced_peak_is_a_fixed_multiple_of_the_index(self, rows, bound):
         """No build temporary scales with a round's whole candidate slab:
         numpy reports its buffers to ``tracemalloc``, and NN-descent expands
         and merges each round one ``_ROUND_BLOCK_BYTES`` row block at a
