@@ -10,7 +10,7 @@ array operations rather than per-pair Python work:
 1. every node samples ``S`` of its current neighbors, preferring entries
    flagged *new* (not yet expanded), plus ``S`` reverse neighbors;
 2. the 2-hop pool ``neighbors(sampled ∪ reverse-sampled)`` becomes the
-   round's candidate set;
+   round's candidate set, expanded and merged (3) one row block at a time;
 3. one sort by id per row finds the *fresh* candidates (distinct ids not
    already in the row), their distances are computed in one gathered batch
    of flat ``(row, id)`` pairs, and one sort by distance merges them into
